@@ -26,7 +26,7 @@ from .platoon_flow import (AdmissibleVelocityField, FreightPair,
 from .private_agg import (Ciphertext, CipherMatrix, Keypair, PrivateKey,
                           PublicKey, chain_aggregate, decrypt, encrypt,
                           homomorphic_add, keygen, occupancy_indicator,
-                          private_g, run_private_learning)
+                          run_private_learning)
 from .routing import (EquilibriumDemand, EquilibriumRound, LogitRule,
                       RoutingPolicy, compute_splits, equilibrium_iterate,
                       infer_origin, mixed_gap, policy_grid_splits, wardrop_gap)
@@ -63,7 +63,7 @@ __all__ = [
     "optimize_social", "optimize_velocity", "outflux",
     "pair_distance_histogram", "pair_distance_ratio",
     "platoon_opportunity_gain", "policy_grid_splits", "potential_check",
-    "private_g", "project_controls", "run_learning",
+    "project_controls", "run_learning",
     "run_private_learning", "simulate", "solve_characteristic",
     "wardrop_gap",
     "solve_freight_pair", "solve_link", "square_reward", "validate_acyclic",

@@ -356,7 +356,8 @@ def main(argv=None) -> int:
         _emit_error("compute",
                     ComputeError(f"{scn.kind} run failed: {exc}"))
         return 1
-    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError,
+            RuntimeError) as exc:
         _emit_error("compute",
                     ComputeError(f"{scn.kind} run failed: {exc!r}"))
         return 1

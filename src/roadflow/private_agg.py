@@ -5,12 +5,16 @@ accumulate per-(edge, step) occupancy counts without revealing any
 individual walk: the querying vehicle sends a matrix of encrypted zeros
 around the ring, every other vehicle multiplies in a fresh encryption of
 its 0/1 occupancy indicator, and only the querying vehicle decrypts the
-returned totals.  The decrypted counts feed the exact same scoring code
-as the plaintext scheduler, so the private drive produces bit-identical
+returned totals.  The decrypted counts feed the scheduler's one learning
+driver and its scoring code, so the private run produces bit-identical
 learning trajectories.
 
 Key sizes of 512 bits keep the tests fast and are NOT a production
-choice; use 2048 bits or more for anything real.
+choice; use 2048 bits or more for anything real.  Keys and encryption
+randomness are drawn from a seeded numpy generator, so anyone who knows
+the seed can regenerate every secret key: they are reproducible, not
+secret.  The protocol here demonstrates the aggregation; a real
+deployment needs keys from a cryptographic source such as ``secrets``.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatch, KeyMismatch, PlaintextOutOfRange,
                      PrimeGenerationFailed)
-from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
-                        coordination_cost, default_horizon, gibbs_row,
-                        occupancy_with_vehicle, platoon_term, _sample_index)
+from .scheduler import (FreightGraph, LearningResult, ScheduleState,
+                        VehicleAssignment, default_horizon, drive_learning)
+# the learning driver tracks the best profile through the scheduler's own
+# name; this one stays importable because perfbench's tracer wraps it here
+from .scheduler import coordination_cost  # noqa: F401
 
 try:
     from gmpy2 import mpz, powmod
@@ -275,86 +281,35 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
     return zeta
 
 
-def private_g(zeta: np.ndarray, vehicle: VehicleAssignment, tau_prime: int,
-              gamma: float, weights: np.ndarray,
-              reward: Callable) -> float:
-    """Platooning term seen by the querying vehicle at a candidate delay.
-
-    Adds the vehicle's own indicator locally on top of the decrypted
-    counts and evaluates through the scheduler's scoring code, so the
-    value matches the plaintext path exactly.
-    """
-    total = occupancy_with_vehicle(vehicle, np.asarray(zeta, dtype=int),
-                                   int(tau_prime))
-    return platoon_term(np.asarray(weights, dtype=float), total,
-                        gamma, reward)
-
-
 def _ring_order(n: int, first: int) -> list:
     return [(first + k) % n for k in range(n)]
 
 
 def run_private_learning(state0: ScheduleState, iterations: int,
                          rng_seed: int, *, bits: int = 512,
-                         horizon: Optional[int] = None):
-    """Log-linear learning where every score comes from the ring protocol.
+                         horizon: Optional[int] = None) -> LearningResult:
+    """Log-linear learning where every count comes from the ring protocol.
 
-    The learning stream consumes exactly the draws of the plaintext
-    ``run_learning`` (vehicle index, then one uniform per iteration), so
-    matched seeds give bit-identical trajectories.  Encryption randomness
-    and per-vehicle keypairs come from a separate stream.
+    Runs the scheduler's learning driver with a ring oracle: vehicle
+    ``i``'s view of the others is one ``chain_aggregate`` pass under its
+    own keypair, never the plaintext counts.  The learning stream consumes
+    exactly the draws of the plaintext ``run_learning`` (vehicle index,
+    then one uniform per iteration), so matched seeds give bit-identical
+    trajectories.  Encryption randomness and per-vehicle keypairs come
+    from a separate stream.
     """
-    from .scheduler import LearningResult
-
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    rng = np.random.default_rng(rng_seed)
     crypto_rng = np.random.default_rng([rng_seed, 0x5EC2E7])
-    state = state0
-    n_vehicles = len(state.assignments)
-    horizon = default_horizon(state.assignments) if horizon is None else horizon
+    n_vehicles = len(state0.assignments)
+    horizon = default_horizon(state0.assignments) if horizon is None else horizon
     keypairs = [keygen(bits, crypto_rng) for _ in range(n_vehicles)]
 
-    trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
-    trajectory[0] = state.tau
-    cost_trace = np.empty(iterations + 1)
-    cost = state.cost()
-    cost_trace[0] = cost
-    best_tau = state.tau.copy()
-    best_cost = cost
-    visits: dict = {}
-    tau = state.tau.copy()
-
-    for step in range(1, iterations + 1):
-        i = int(rng.integers(n_vehicles))
-        u = float(rng.random())
-        ring = [(state.assignments[j], int(tau[j]))
+    def ring_counts(i: int, tau: np.ndarray) -> np.ndarray:
+        ring = [(state0.assignments[j], int(tau[j]))
                 for j in _ring_order(n_vehicles, i)]
-        zeta = chain_aggregate(ring, state.graph, horizon, keypairs[i],
+        return chain_aggregate(ring, state0.graph, horizon, keypairs[i],
                                crypto_rng)
-        vehicle = state.assignments[i]
-        h_vals = vehicle.delay_costs()
-        delays = vehicle.delays()
-        scores = np.empty(len(delays))
-        for k, tp in enumerate(delays):
-            scores[k] = h_vals[k] + private_g(zeta, vehicle, int(tp),
-                                              state.gamma,
-                                              state.graph.weights,
-                                              state.reward)
-        k = _sample_index(gibbs_row(scores, state.temperature), u)
-        old_k = int(tau[i]) - delays[0]
-        cost += float(scores[k] - scores[old_k])
-        tau[i] = delays[k]
-        trajectory[step] = tau
-        cost_trace[step] = cost
-        if cost < best_cost - 1e-12:
-            exact = coordination_cost(state.graph, state.assignments, tau,
-                                      gamma=state.gamma, reward=state.reward,
-                                      horizon=horizon)
-            if exact < best_cost:
-                best_cost = exact
-                best_tau = tau.copy()
-        key = tuple(int(t) for t in tau)
-        visits[key] = visits.get(key, 0) + 1
 
-    return LearningResult(trajectory, cost_trace, visits, best_tau, best_cost)
+    return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
+                          ring_counts, horizon=horizon)

@@ -258,26 +258,6 @@ def _sample_index(cum: np.ndarray, u: float) -> int:
     return int(np.searchsorted(cum, u, side="right").clip(max=len(cum) - 1))
 
 
-def log_linear_step(state: ScheduleState, rng: np.random.Generator,
-                    horizon: Optional[int] = None) -> ScheduleState:
-    """One learning iteration: a uniformly random vehicle resamples its delay.
-
-    Consumes exactly two draws (vehicle index, then one uniform) so that
-    trajectories line up across plaintext and encrypted drivers.
-    """
-    i = int(rng.integers(len(state.assignments)))
-    u = float(rng.random())
-    horizon = default_horizon(state.assignments) if horizon is None else horizon
-    counts = occupancy_counts(state.graph, state.assignments, state.tau,
-                              horizon, exclude=i)
-    scores = conditional_scores(state.graph, state.assignments[i], counts,
-                                gamma=state.gamma, reward=state.reward)
-    k = _sample_index(gibbs_row(scores, state.temperature), u)
-    tau = state.tau.copy()
-    tau[i] = state.assignments[i].delays()[k]
-    return replace(state, tau=tau)
-
-
 @dataclass
 class LearningResult:
     trajectory: np.ndarray          # (iterations + 1, vehicles) delay profiles
@@ -300,23 +280,65 @@ def joint_state_count(assignments: Sequence[VehicleAssignment]) -> int:
     return n
 
 
-def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
-                 *, horizon: Optional[int] = None) -> LearningResult:
-    """Run log-linear learning; deterministic given the seed.
+class _LiveCounts:
+    """Edge-step counts of every vehicle except the one last queried.
 
-    Tracks the best profile seen by exact coordination cost.  Conditional
-    distributions are cached on small instances, keyed by the frozen
-    delays of the other vehicles; the cache never changes sampled values,
-    only skips their recomputation.
+    The counts are built once from the initial profile.  A query for
+    vehicle ``i`` under profile ``tau`` puts the previously queried
+    vehicle back at its delay in ``tau``, moves any other vehicle whose
+    delay differs from the kept profile, and takes vehicle ``i`` out.  It
+    returns the same integers as ``occupancy_counts(..., exclude=i)`` at
+    the cost of one vehicle's cells per move.  The returned array is
+    changed in place by the next query.
+    """
+
+    def __init__(self, state: ScheduleState, horizon: int):
+        self.assignments = state.assignments
+        self.horizon = int(horizon)
+        self.tau = state.tau.copy()
+        self.counts = occupancy_counts(state.graph, state.assignments,
+                                       self.tau, self.horizon)
+        self.out: Optional[int] = None
+
+    def _shift(self, j: int, delay: int, step: int) -> None:
+        veh = self.assignments[j]
+        cols = veh.occupied_steps + delay
+        keep = (cols >= 0) & (cols < self.horizon)
+        # a walk occupies each step once, so no cell repeats within a vehicle
+        self.counts[veh.occupied_edges[keep], cols[keep]] += step
+
+    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
+        if self.out is not None:
+            self._shift(self.out, int(tau[self.out]), 1)
+            self.tau[self.out] = tau[self.out]
+        for j in np.flatnonzero(self.tau != tau):
+            self._shift(j, int(self.tau[j]), -1)
+            self._shift(j, int(tau[j]), 1)
+            self.tau[j] = tau[j]
+        self._shift(i, int(tau[i]), -1)
+        self.out = i
+        return self.counts
+
+
+def drive_learning(state: ScheduleState, iterations: int,
+                   rng: np.random.Generator,
+                   counts_without: Callable[[int, np.ndarray], np.ndarray],
+                   *, horizon: int, cache: bool = False) -> LearningResult:
+    """The log-linear learning loop behind every learning driver.
+
+    Each iteration draws the vehicle index, then one uniform, so drivers
+    given the same seed follow the same trajectory.  ``counts_without(i,
+    tau)`` is the counts oracle: the edge-step counts of every vehicle but
+    ``i`` under profile ``tau``, which the loop only reads.  Every oracle's
+    counts are scored by ``conditional_scores``.  With ``cache`` on, the
+    conditional row of vehicle ``i`` is kept per frozen delays of the
+    others and the oracle is asked only on a miss.  Tracks the best
+    profile seen by exact coordination cost.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    rng = np.random.default_rng(rng_seed)
-    state = state0
     n_vehicles = len(state.assignments)
-    horizon = default_horizon(state.assignments) if horizon is None else horizon
-    use_cache = joint_state_count(state.assignments) <= CACHE_JOINT_CAP
-    cache: dict = {}
+    rows: dict = {}
 
     trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
     trajectory[0] = state.tau
@@ -333,26 +355,26 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
         u = float(rng.random())
         key = None
         row = None
-        if use_cache:
-            key = (i, tuple(np.delete(tau, i)))
-            row = cache.get(key)
+        if cache:
+            others = tau.tolist()
+            del others[i]
+            key = (i, tuple(others))
+            row = rows.get(key)
         if row is None:
-            counts = occupancy_counts(state.graph, state.assignments, tau,
-                                      horizon, exclude=i)
             scores = conditional_scores(state.graph, state.assignments[i],
-                                        counts, gamma=state.gamma,
+                                        counts_without(i, tau),
+                                        gamma=state.gamma,
                                         reward=state.reward)
             row = (gibbs_row(scores, state.temperature), scores)
-            if use_cache:
-                cache[key] = row
+            if cache:
+                rows[key] = row
         cum, scores = row
-        delays = state.assignments[i].delays()
+        lo = state.assignments[i].window[0]
         k = _sample_index(cum, u)
-        old_k = int(tau[i]) - delays[0]
         # unilateral move, so the potential (= total cost) shifts by the
         # score difference of the moving vehicle
-        cost += float(scores[k] - scores[old_k])
-        tau[i] = delays[k]
+        cost += float(scores[k] - scores[int(tau[i]) - lo])
+        tau[i] = lo + k
         trajectory[step] = tau
         cost_trace[step] = cost
         if cost < best_cost - 1e-12:
@@ -362,10 +384,45 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
             if exact < best_cost:
                 best_cost = exact
                 best_tau = tau.copy()
-        key = tuple(int(t) for t in tau)
-        visits[key] = visits.get(key, 0) + 1
+        profile = tuple(tau.tolist())
+        visits[profile] = visits.get(profile, 0) + 1
 
     return LearningResult(trajectory, cost_trace, visits, best_tau, best_cost)
+
+
+def log_linear_step(state: ScheduleState, rng: np.random.Generator,
+                    horizon: Optional[int] = None) -> ScheduleState:
+    """One learning iteration: a uniformly random vehicle resamples its delay.
+
+    Consumes exactly two draws (vehicle index, then one uniform) so that
+    trajectories line up across plaintext and encrypted drivers.
+    """
+    horizon = default_horizon(state.assignments) if horizon is None else horizon
+    result = drive_learning(state, 1, rng, _LiveCounts(state, horizon),
+                            horizon=horizon)
+    return replace(state, tau=result.trajectory[-1])
+
+
+def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
+                 *, horizon: Optional[int] = None) -> LearningResult:
+    """Run log-linear learning; deterministic given the seed.
+
+    The plaintext driver.  Occupancy counts are built once from the
+    initial profile and then kept incrementally (``_LiveCounts``): each
+    query takes the moving vehicle's cells out, and the next puts them
+    back at its new delay.  The counts, scores and trajectory are exactly
+    those of a full rebuild per iteration.  On small instances (a joint
+    space of at most ``CACHE_JOINT_CAP`` profiles) conditional rows are
+    cached, keyed by the frozen delays of the other vehicles.  A cache hit
+    touches no counts; the next miss brings them up to date with every
+    move made since.  The cache never changes sampled values, only skips
+    their recomputation.
+    """
+    horizon = default_horizon(state0.assignments) if horizon is None else horizon
+    cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP
+    return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
+                          _LiveCounts(state0, horizon), horizon=horizon,
+                          cache=cache)
 
 
 def brute_force_schedule(graph: FreightGraph,

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from roadflow import cli
 from roadflow.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -115,3 +116,30 @@ def test_threads_flag_does_not_change_social_opt(tmp_path, capsys):
     m1 = json.loads((out1 / "run_manifest.json").read_text())
     m2 = json.loads((out2 / "run_manifest.json").read_text())
     assert m1["artifacts"] == m2["artifacts"]
+
+
+def test_link_pair_form_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "pair_links.json"
+    doc = json.loads(SINGLE_LINK.read_text())
+    doc["network"]["links"] = [[0, 1]]
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "schema"
+    assert "network.links[0]" in payload["message"]
+
+
+def test_runtime_error_in_runner_is_compute_error(tmp_path, capsys,
+                                                  monkeypatch):
+    def failing_runner(built, out, seed, threads):
+        raise RuntimeError("no routing policy converged")
+
+    monkeypatch.setitem(cli.RUNNERS, "simulate", failing_runner)
+    code = main(["simulate", "--scenario", str(SINGLE_LINK),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    payload = json.loads(err)                  # exactly one JSON object
+    assert payload["error"] == "compute"
+    assert "no routing policy converged" in payload["message"]
+    assert not (tmp_path / "out" / "run_manifest.json").exists()

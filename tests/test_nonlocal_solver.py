@@ -157,3 +157,28 @@ def test_negative_inputs_rejected():
                    PiecewiseConstant([(0.0, 1.0, -0.2)]), 0.0, horizon=1.0)
     with pytest.raises(ValueError):
         solve_link(constant_law(1.0), WHOLE, None, 0.0, horizon=0.0)
+
+
+@pytest.mark.parametrize("method", ["fv", "characteristics"])
+def test_mass_balance_report_matches_the_arrays(method):
+    law = congestion_law(1.0, 5.0)
+    inflow = lambda t: t / 3.0 if 0.0 <= t <= 2.0 else 0.0
+    state = solve_link(law, WHOLE, inflow, slab(4.0, 0.5, 0.7), horizon=3.0,
+                       grid=GridSpec(cells=200), method=method)
+    assert state.method == method
+    report = state.mass_balance()
+    assert abs(report["relative_residual"]) <= 1e-12
+    dt, dx = state.dt, state.dx
+    if method == "fv":
+        injected = state.inflow[:-1].sum() * dt      # left sums
+    else:
+        injected = 0.5 * (state.inflow[:-1] + state.inflow[1:]).sum() * dt
+    exited = state.outflow[:-1].sum() * dt
+    stored0, stored1 = state.rho[0].sum() * dx, state.rho[-1].sum() * dx
+    assert report["injected"] == pytest.approx(injected, rel=1e-12)
+    assert report["exited"] == pytest.approx(exited, rel=1e-12)
+    assert report["exited"] > 0.1                   # mass did leave the link
+    assert report["stored_initial"] == pytest.approx(stored0, rel=1e-12)
+    assert report["stored_final"] == pytest.approx(stored1, rel=1e-12)
+    assert abs(stored0 + injected - exited - stored1) <= 1e-12 * max(
+        stored0 + injected, stored1)

@@ -7,8 +7,7 @@ from roadflow.errors import (DimensionMismatch, KeyMismatch,
                              PlaintextOutOfRange)
 from roadflow.private_agg import (CipherMatrix, chain_aggregate, decrypt,
                                   encrypt, homomorphic_add, keygen,
-                                  occupancy_indicator, private_g,
-                                  run_private_learning)
+                                  occupancy_indicator, run_private_learning)
 from roadflow.scheduler import (FreightGraph, ScheduleState,
                                 VehicleAssignment, conditional_scores,
                                 default_horizon, occupancy_counts,
@@ -153,11 +152,8 @@ def test_private_scores_equal_plaintext_scores(keypair):
                            np.random.default_rng(7))
     counts = occupancy_counts(g, vehs, tau, horizon, exclude=i)
     assert np.array_equal(zeta, counts)
-    from roadflow.scheduler import square_reward
     plain = conditional_scores(g, vehs[i], counts, gamma=1.0)
-    private = np.array([private_g(zeta, vehs[i], int(tp), 1.0, g.weights,
-                                  square_reward)
-                        for tp in vehs[i].delays()])
+    private = conditional_scores(g, vehs[i], zeta, gamma=1.0)
     assert np.array_equal(plain, private)      # shared code path, bit for bit
 
 

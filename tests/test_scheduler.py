@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from roadflow.errors import InfeasibleDelay, InstanceTooLarge
-from roadflow.scheduler import (FreightGraph, ScheduleState,
-                                VehicleAssignment, brute_force_schedule,
-                                build_sweden_scenario, coordination_cost,
+from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
+                                ScheduleState, VehicleAssignment,
+                                brute_force_schedule, build_sweden_scenario,
+                                conditional_scores, coordination_cost,
                                 default_horizon, exact_gibbs_distribution,
-                                interaction_groups, joint_state_count,
-                                log_linear_step, occupancy_counts,
+                                gibbs_row, interaction_groups,
+                                joint_state_count, log_linear_step,
+                                occupancy_counts,
                                 pair_distance_histogram, pair_distance_ratio,
                                 platoon_opportunity_gain, run_learning,
                                 square_reward)
@@ -308,3 +310,81 @@ def test_sweden_scenario_shape():
     assert vehs[40].depart == 84 and vehs[79].depart == 107
     with pytest.raises(ValueError):
         build_sweden_scenario(-1)
+
+
+def rebuilt_learning(state, iterations, seed):
+    """Learning with the counts rebuilt from scratch at every step and no
+    conditional-row cache; draws and best-profile rule as in run_learning."""
+    rng = np.random.default_rng(seed)
+    horizon = default_horizon(state.assignments)
+    tau = state.tau.copy()
+    cost = state.cost()
+    trajectory, costs = [tau.copy()], [cost]
+    best_tau, best_cost = tau.copy(), cost
+    for _ in range(iterations):
+        i = int(rng.integers(len(tau)))
+        u = float(rng.random())
+        counts = occupancy_counts(state.graph, state.assignments, tau,
+                                  horizon, exclude=i)
+        scores = conditional_scores(state.graph, state.assignments[i], counts,
+                                    gamma=state.gamma, reward=state.reward)
+        cum = gibbs_row(scores, state.temperature)
+        k = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        lo = state.assignments[i].window[0]
+        cost += float(scores[k] - scores[tau[i] - lo])
+        tau[i] = lo + k
+        trajectory.append(tau.copy())
+        costs.append(cost)
+        if cost < best_cost - 1e-12:
+            exact = coordination_cost(state.graph, state.assignments, tau,
+                                      gamma=state.gamma, reward=state.reward,
+                                      horizon=horizon)
+            if exact < best_cost:
+                best_tau, best_cost = tau.copy(), exact
+    return np.array(trajectory), np.array(costs), best_tau, best_cost
+
+
+def assert_matches_rebuilt(state, iterations, seed):
+    result = run_learning(state, iterations, rng_seed=seed)
+    trajectory, costs, best_tau, best_cost = rebuilt_learning(
+        state, iterations, seed)
+    assert np.array_equal(result.trajectory, trajectory)
+    assert np.array_equal(result.cost_trace, costs)
+    assert np.array_equal(result.best_tau, best_tau)
+    assert result.best_cost == best_cost
+    # the walk must actually move, or the comparison proves little
+    assert len(np.unique(trajectory, axis=0)) > 10
+
+
+@pytest.mark.parametrize("seed", [7, 2026])
+def test_incremental_counts_match_rebuild_on_sweden(seed):
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.zeros(len(vehs), dtype=int))
+    assert joint_state_count(vehs) > CACHE_JOINT_CAP     # no cache here
+    assert_matches_rebuilt(state, 300, seed)
+
+
+def test_incremental_counts_match_rebuild_with_fractional_weights():
+    graph = FreightGraph([(a, b, 0.37 * w + 0.11, d)
+                          for a, b, w, d in SWEDEN_EDGES])
+    _, sweden = build_sweden_scenario()
+    vehs = tuple(VehicleAssignment(graph, v.edge_seq, v.depart, v.window)
+                 for v in sweden)
+    state = ScheduleState(graph, vehs, np.array([v.window[1] for v in vehs]),
+                          gamma=0.7, temperature=3.0)
+    assert_matches_rebuilt(state, 300, 5)
+
+
+def test_incremental_counts_match_rebuild_with_cache():
+    g = FreightGraph([("A", "B", 1.5, 2), ("B", "C", 1.0, 1),
+                      ("B", "D", 0.5, 2)])
+    vehs = (VehicleAssignment(g, [0, 1], 0, (0, 3),
+                              delay_cost=lambda d: 0.3 * d),
+            VehicleAssignment(g, [0, 2], 1, (1, 4),
+                              delay_cost=lambda d: 0.2 * d * d),
+            VehicleAssignment(g, [0], 2, (0, 2)),
+            VehicleAssignment(g, [1], 1, (0, 3),
+                              delay_cost=lambda d: 1.0 - 0.1 * d))
+    state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), temperature=2.0)
+    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
+    assert_matches_rebuilt(state, 3000, 17)
