@@ -2,12 +2,13 @@
 
 Paillier encryption (additively homomorphic) lets a ring of vehicles
 accumulate per-(edge, step) occupancy counts without revealing any
-individual walk: the querying vehicle sends a matrix of encrypted zeros
-around the ring, every other vehicle multiplies in a fresh encryption of
-its 0/1 occupancy indicator, and only the querying vehicle decrypts the
-returned totals.  The decrypted counts feed the scheduler's one learning
-driver and its scoring code, so the private run produces bit-identical
-learning trajectories.
+individual walk: the querying vehicle sends encrypted zeros around the
+ring, every other vehicle multiplies in a fresh encryption of its 0/1
+occupancy indicator, and only the querying vehicle decrypts the returned
+totals.  The counts travel packed, many small slots to one plaintext, and
+the holder decrypts with the CRT over its own primes.  The decrypted counts
+feed the scheduler's one learning driver and its scoring code, so the
+private run produces bit-identical learning trajectories.
 
 Key sizes of 512 bits keep the tests fast and are NOT a production
 choice; use 2048 bits or more for anything real.  Keys and encryption
@@ -35,13 +36,11 @@ from .scheduler import (FreightGraph, LearningResult, ScheduleState,
 from .scheduler import coordination_cost  # noqa: F401
 
 try:
-    from gmpy2 import mpz, powmod
+    from gmpy2 import powmod
 
     def _powmod(base, exp, mod):
         return int(powmod(base, exp, mod))
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    mpz = int
-
     def _powmod(base, exp, mod):
         return pow(base, exp, mod)
 
@@ -117,6 +116,8 @@ class PrivateKey:
     lam: int
     mu: int
     n: int
+    p: int
+    q: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,8 @@ def keygen(bits: int, rng: np.random.Generator) -> Keypair:
     """Paillier keypair with an n of roughly ``bits`` bits.
 
     Deterministic for a seeded generator.  Primes come from seeded
-    Miller-Rabin search; the n+1 generator fixes mu = lam^-1 mod n.
+    Miller-Rabin search; the n+1 generator fixes mu = lam^-1 mod n.  The
+    secret key keeps ``p`` and ``q`` for CRT decryption.
     """
     if bits < 256:
         raise ValueError("modulus below 256 bits is meaningless even for tests")
@@ -144,7 +146,7 @@ def keygen(bits: int, rng: np.random.Generator) -> Keypair:
     n = p * q
     lam = math.lcm(p - 1, q - 1)
     mu = pow(lam, -1, n)
-    return Keypair(PublicKey(n, bits), PrivateKey(lam, mu, n))
+    return Keypair(PublicKey(n, bits), PrivateKey(lam, mu, n, p, q))
 
 
 @dataclass(frozen=True)
@@ -171,13 +173,25 @@ def encrypt(m: int, public: PublicKey, rng: np.random.Generator) -> Ciphertext:
     return Ciphertext(value, n)
 
 
+def _residue(c: int, p: int, q: int) -> int:
+    """The plaintext mod ``p``: L_p(c^(p-1) mod p^2) / L_p(g^(p-1) mod p^2),
+    where the n+1 generator makes the denominator -q mod p."""
+    p2 = p * p
+    x = _powmod(c % p2, p - 1, p2)
+    return (x - 1) // p * pow(-q, -1, p) % p
+
+
 def decrypt(c: Ciphertext, keypair: Keypair) -> int:
+    """Plaintext of ``c``, worked out mod p^2 and q^2 and joined by the
+    CRT (Paillier, EUROCRYPT 1999, section 7).  The result is the one the
+    lambda/mu formula L(c^lam mod n^2) * mu mod n gives."""
     secret = keypair.secret
     if c.n != secret.n:
         raise KeyMismatch("ciphertext was produced under a different modulus")
-    n = secret.n
-    x = _powmod(c.value, secret.lam, n * n)
-    return (x - 1) // n * secret.mu % n
+    p, q = secret.p, secret.q
+    mp = _residue(c.value, p, q)
+    mq = _residue(c.value, q, p)
+    return mq + q * ((mp - mq) * pow(q, -1, p) % p)
 
 
 def homomorphic_add(c1: Ciphertext, c2: Ciphertext,
@@ -187,52 +201,106 @@ def homomorphic_add(c1: Ciphertext, c2: Ciphertext,
     return Ciphertext(c1.value * c2.value % public.n_squared, c1.n)
 
 
+def _slots(public: PublicKey, width: int) -> int:
+    """Slots of ``width`` bits per plaintext: all of them stay below n."""
+    return (public.n.bit_length() - 1) // width
+
+
+def _pack(flags: np.ndarray, width: int, slots: int) -> list:
+    """Plaintexts holding the flat 0/1 ``flags``, ``slots`` to a plaintext.
+
+    Entry ``j`` goes to bit ``(j % slots) * width`` of plaintext
+    ``j // slots``; the rest of its slot is left free for carries.
+    """
+    count = -(-flags.size // slots)
+    bits = np.zeros((count * slots, width), dtype=np.uint8)
+    bits[:flags.size, 0] = flags
+    rows = np.packbits(bits.reshape(count, slots * width), axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _unpack(values: Sequence[int], width: int, slots: int) -> np.ndarray:
+    """Every ``width``-bit slot of ``values`` in ``_pack``'s order."""
+    nbytes = (slots * width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values),
+                        dtype=np.uint8).reshape(len(values), nbytes)
+    bits = np.unpackbits(raw, axis=1, count=slots * width, bitorder="little")
+    return bits.reshape(-1, width) @ (1 << np.arange(width))
+
+
 class CipherMatrix:
-    """|E| x horizon grid of ciphertexts under one public key.
+    """|E| x horizon grid of counts, packed into a few ciphertexts.
 
     The edge labelling is positional: row ``k`` is the graph's edge ``k``,
-    which every party knows in advance.
+    which every party knows in advance.  Cells are taken row-major,
+    ``slots`` to a ciphertext, each in a slot of ``width`` bits.  A slot
+    holds counts up to ``2**width - 1``, so up to that many 0/1 indicators
+    add without a carry into the next slot; ``terms`` counts those added
+    so far.
     """
 
-    def __init__(self, entries: Sequence[Sequence[Ciphertext]], public: PublicKey):
-        rows = [tuple(row) for row in entries]
-        if not rows or not rows[0]:
+    def __init__(self, chunks: Sequence[Ciphertext], shape: tuple[int, int],
+                 width: int, public: PublicKey, terms: int = 0):
+        rows, cols = shape
+        if rows < 1 or cols < 1:
             raise DimensionMismatch("empty cipher matrix")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged cipher matrix")
-            for cell in row:
-                if cell.n != public.n:
-                    raise KeyMismatch("matrix entry under a different modulus")
-        self.entries = tuple(rows)
+        slots = _slots(public, width)
+        chunks = tuple(chunks)
+        if len(chunks) != -(-rows * cols // slots):
+            raise DimensionMismatch(
+                f"{len(chunks)} ciphertexts for {rows * cols} cells in "
+                f"{slots} slots each")
+        for chunk in chunks:
+            if chunk.n != public.n:
+                raise KeyMismatch("matrix entry under a different modulus")
+        self.chunks = chunks
+        self.shape = (rows, cols)
+        self.width = width
+        self.slots = slots
         self.public = public
-        self.shape = (len(rows), width)
+        self.terms = terms
 
     @classmethod
-    def zeros(cls, shape: tuple[int, int], public: PublicKey,
+    def zeros(cls, shape: tuple[int, int], capacity: int, public: PublicKey,
               rng: np.random.Generator) -> "CipherMatrix":
-        rows = [[encrypt(0, public, rng) for _ in range(shape[1])]
-                for _ in range(shape[0])]
-        return cls(rows, public)
+        """Encrypted zeros in slots wide enough for counts up to
+        ``capacity``."""
+        width = max(1, int(capacity).bit_length())
+        count = -(-shape[0] * shape[1] // _slots(public, width))
+        return cls([encrypt(0, public, rng) for _ in range(count)], shape,
+                   width, public)
 
     def add_indicator(self, indicator: np.ndarray,
                       rng: np.random.Generator) -> "CipherMatrix":
-        """Fresh encryption of each 0/1 entry multiplied in, every cell."""
+        """Fresh encryption of the packed 0/1 indicator multiplied into
+        every ciphertext."""
         if indicator.shape != self.shape:
             raise DimensionMismatch(
                 f"indicator shape {indicator.shape} vs matrix {self.shape}")
-        rows = [[homomorphic_add(cell, encrypt(int(flag), self.public, rng),
-                                 self.public)
-                 for cell, flag in zip(row, irow)]
-                for row, irow in zip(self.entries, indicator)]
-        return CipherMatrix(rows, self.public)
+        flags = indicator.ravel()
+        if not ((flags == 0) | (flags == 1)).all():
+            raise PlaintextOutOfRange("indicator entries must be 0 or 1")
+        if self.terms >= (1 << self.width) - 1:
+            raise PlaintextOutOfRange(
+                f"{self.width}-bit slots already hold {self.terms} indicators")
+        plain = _pack(flags, self.width, self.slots)
+        chunks = [homomorphic_add(chunk, encrypt(m, self.public, rng),
+                                  self.public)
+                  for chunk, m in zip(self.chunks, plain)]
+        return CipherMatrix(chunks, self.shape, self.width, self.public,
+                            self.terms + 1)
+
+    def decrypt_counts(self, keypair: Keypair) -> np.ndarray:
+        """The holder's view: every slot decrypted, as an integer grid."""
+        values = [decrypt(chunk, keypair) for chunk in self.chunks]
+        cells = _unpack(values, self.width, self.slots)
+        return cells[:self.shape[0] * self.shape[1]].reshape(self.shape)
 
     def digest(self) -> bytes:
         h = hashlib.sha256()
-        for row in self.entries:
-            for cell in row:
-                h.update(cell.digest())
+        for chunk in self.chunks:
+            h.update(chunk.digest())
         return h.digest()
 
 
@@ -253,8 +321,10 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
     """Ring pass computing counts of vehicles 2..n, decrypted by vehicle 1.
 
     ``vehicles`` is the ring order; the first entry holds the keypair and
-    contributes nothing to the counts.  Every hop re-randomises every
-    cell, so consecutive messages look unrelated.  The transcript records
+    contributes nothing to the counts, so each count sums at most
+    ``len(vehicles) - 1`` indicators and the holder sizes the packed slots
+    for that.  Every hop re-randomises every ciphertext, so consecutive
+    messages look unrelated.  The transcript records
     (hop, sender, receiver, matrix digest) tuples plus one final
     ("decrypt", holder_index) marker; no other party ever sees the secret
     key, which the marker makes checkable.
@@ -262,7 +332,7 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
     if len(vehicles) < 2:
         raise ValueError("the ring needs at least two vehicles")
     shape = (len(graph), int(horizon))
-    matrix = CipherMatrix.zeros(shape, keypair.public, rng)
+    matrix = CipherMatrix.zeros(shape, len(vehicles) - 1, keypair.public, rng)
     if transcript is not None:
         transcript.append(("hop", 0, 0, 1, matrix.digest()))
     for hop in range(1, len(vehicles)):
@@ -272,10 +342,7 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
         if transcript is not None:
             receiver = (hop + 1) % len(vehicles)
             transcript.append(("hop", hop, hop, receiver, matrix.digest()))
-    zeta = np.empty(shape, dtype=int)
-    for a, row in enumerate(matrix.entries):
-        for b, cell in enumerate(row):
-            zeta[a, b] = decrypt(cell, keypair)
+    zeta = matrix.decrypt_counts(keypair)
     if transcript is not None:
         transcript.append(("decrypt", 0))
     return zeta

@@ -30,6 +30,9 @@ from .social_optimum import (ControlParameterization, DemandSpec,
 
 KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
          "schedule", "schedule-private")
+#: largest Paillier modulus a scenario may ask for: keygen's pure-Python
+#: prime search grows steeply with the key size (about 2 s at 2048 bits)
+MAX_KEY_BITS = 4096
 
 _MISSING = object()
 
@@ -93,7 +96,8 @@ def _number(obj, name, path, default=_MISSING, minimum=None) -> float:
         _fail(f"{path}.{name}", f"must be >= {minimum}")
     return float(val)
 
-def _integer(obj, name, path, default=_MISSING, minimum=None) -> int:
+def _integer(obj, name, path, default=_MISSING, minimum=None,
+             maximum=None) -> int:
     val = _field(obj, name, path, default)
     if val is default and default is not _MISSING:
         return val
@@ -101,6 +105,8 @@ def _integer(obj, name, path, default=_MISSING, minimum=None) -> int:
         _fail(f"{path}.{name}", f"expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
         _fail(f"{path}.{name}", f"must be >= {minimum}")
+    if maximum is not None and val > maximum:
+        _fail(f"{path}.{name}", f"must be <= {maximum}")
     return int(val)
 
 
@@ -690,7 +696,7 @@ def build_schedule(payload: dict) -> dict:
 def build_schedule_private(payload: dict) -> dict:
     built = _build_schedule_common(payload, "schedule-private")
     built["bits"] = _integer(payload, "bits", "schedule-private", default=512,
-                             minimum=256)
+                             minimum=256, maximum=MAX_KEY_BITS)
     return built
 
 

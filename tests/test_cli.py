@@ -129,6 +129,20 @@ def test_link_pair_form_is_schema_error(tmp_path, capsys):
     assert "network.links[0]" in payload["message"]
 
 
+def test_oversized_key_is_schema_error(tmp_path, capsys):
+    bad = tmp_path / "huge_key.json"
+    doc = json.loads(PRIVATE.read_text())
+    doc["bits"] = 10 ** 9
+    bad.write_text(json.dumps(doc))
+    code = main(["schedule-private", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)  # exactly one JSON object
+    assert payload["error"] == "schema"
+    assert "schedule-private.bits" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_error_in_runner_is_compute_error(tmp_path, capsys,
                                                   monkeypatch):
     def failing_runner(built, out, seed, threads):

@@ -1,12 +1,15 @@
 """Paillier primitives, the ring protocol, and plaintext equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roadflow.errors import (DimensionMismatch, KeyMismatch,
                              PlaintextOutOfRange)
-from roadflow.private_agg import (CipherMatrix, chain_aggregate, decrypt,
-                                  encrypt, homomorphic_add, keygen,
+from roadflow.private_agg import (Ciphertext, CipherMatrix, chain_aggregate,
+                                  decrypt, encrypt, homomorphic_add, keygen,
                                   occupancy_indicator, run_private_learning)
 from roadflow.scheduler import (FreightGraph, ScheduleState,
                                 VehicleAssignment, conditional_scores,
@@ -73,20 +76,44 @@ def test_homomorphic_addition_random_pairs(keypair):
                        keypair) == (x + y) % n
 
 
+def test_crt_decrypt_equals_lambda_mu_formula(keypair):
+    rng = np.random.default_rng(11)
+    n, secret = keypair.public.n, keypair.secret
+    n2 = n * n
+    values = []
+    while len(values) < 100:
+        v = int.from_bytes(rng.bytes((n2.bit_length() + 7) // 8), "big") % n2
+        if math.gcd(v, n) == 1:
+            values.append(v)
+    for v in values:
+        expected = (pow(v, secret.lam, n2) - 1) // n * secret.mu % n
+        assert decrypt(Ciphertext(v, n), keypair) == expected
+
+
 def test_cipher_matrix_validation(keypair):
     rng = np.random.default_rng(3)
     with pytest.raises(DimensionMismatch):
-        CipherMatrix([], keypair.public)
-    c = encrypt(0, keypair.public, rng)
+        CipherMatrix([], (0, 3), 1, keypair.public)
     with pytest.raises(DimensionMismatch):
-        CipherMatrix([[c, c], [c]], keypair.public)
+        CipherMatrix([], (2, 3), 1, keypair.public)
+    c = encrypt(0, keypair.public, rng)
+    with pytest.raises(DimensionMismatch):          # six cells fit in one
+        CipherMatrix([c, c], (2, 3), 1, keypair.public)
     other = keygen(BITS, np.random.default_rng(98))
     with pytest.raises(KeyMismatch):
-        CipherMatrix([[encrypt(0, other.public, rng)]], keypair.public)
-    m = CipherMatrix.zeros((2, 3), keypair.public, rng)
+        CipherMatrix([encrypt(0, other.public, rng)], (1, 1), 1,
+                     keypair.public)
+    m = CipherMatrix.zeros((2, 3), 1, keypair.public, rng)
     assert m.shape == (2, 3)
+    assert len(m.chunks) == 1 and m.width == 1
     with pytest.raises(DimensionMismatch):
         m.add_indicator(np.zeros((3, 2), dtype=int), rng)
+    with pytest.raises(PlaintextOutOfRange):        # not an indicator
+        m.add_indicator(np.full((2, 3), 2), rng)
+    m = m.add_indicator(np.ones((2, 3), dtype=int), rng)
+    with pytest.raises(PlaintextOutOfRange):        # a 1-bit slot is full
+        m.add_indicator(np.ones((2, 3), dtype=int), rng)
+    assert np.array_equal(m.decrypt_counts(keypair), np.ones((2, 3)))
 
 
 def test_occupancy_indicator_truncates():
@@ -121,6 +148,57 @@ def test_chain_aggregate_matches_plaintext_counts(keypair):
     with pytest.raises(ValueError):
         chain_aggregate(ring[:1], g, horizon, keypair,
                         np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("contributors", [3, 7])
+def test_packing_exact_at_tight_slot(keypair, contributors):
+    # every contributor on the same cells: each count is 2**width - 1
+    g = FreightGraph([("A", "B", 1.0, 2), ("B", "C", 1.0, 1)])
+    vehs = [VehicleAssignment(g, [0, 1], 1, (0, 1))
+            for _ in range(contributors + 1)]
+    horizon = 5
+    ring = [(veh, 0) for veh in vehs]
+    zeta = chain_aggregate(ring, g, horizon, keypair,
+                           np.random.default_rng(8))
+    assert np.array_equal(zeta, [[0, contributors, contributors, 0, 0],
+                                 [0, 0, 0, contributors, 0]])
+    assert np.array_equal(zeta, occupancy_counts(g, vehs, [0] * len(vehs),
+                                                 horizon, exclude=0))
+
+
+def test_grid_spanning_several_ciphertexts(keypair):
+    g = FreightGraph([("A", "B", 2.0, 40), ("B", "C", 1.0, 50),
+                      ("B", "D", 1.0, 45)])
+    vehs = [VehicleAssignment(g, [0, 1 + k % 2], k, (0, 5))
+            for k in range(6)]
+    tau = [3, 0, 5, 1, 2, 4]
+    horizon = default_horizon(vehs)
+    shape = (len(g), horizon)
+    chunks = CipherMatrix.zeros(shape, len(vehs) - 1, keypair.public,
+                                np.random.default_rng(0)).chunks
+    assert len(chunks) >= 3
+    zeta = chain_aggregate(list(zip(vehs, tau)), g, horizon, keypair,
+                           np.random.default_rng(9))
+    assert np.array_equal(zeta, occupancy_counts(g, vehs, tau, horizon,
+                                                 exclude=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), ring=st.integers(2, 9), horizon=st.integers(1, 150))
+def test_packed_counts_exact_property(keypair, data, ring, horizon):
+    g = FreightGraph([("A", "B", 1.0, 3), ("B", "C", 1.0, 2),
+                      ("B", "D", 1.0, 4)])
+    walks = ([0, 1], [0, 2], [1], [2], [0])
+    vehs, tau = [], []
+    for _ in range(ring):
+        walk = data.draw(st.sampled_from(walks))
+        depart = data.draw(st.integers(0, horizon))
+        vehs.append(VehicleAssignment(g, walk, depart, (0, 3)))
+        tau.append(data.draw(st.integers(0, 3)))
+    zeta = chain_aggregate(list(zip(vehs, tau)), g, horizon, keypair,
+                           np.random.default_rng(ring * 1000 + horizon))
+    assert np.array_equal(zeta, occupancy_counts(g, vehs, tau, horizon,
+                                                 exclude=0))
 
 
 def test_transcript_shape_and_no_plaintext_leak(keypair):
