@@ -61,6 +61,30 @@ def _time_rows(n: int, cap: int = TIME_ROW_CAP) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
+def _reprs(values) -> list:
+    """``repr`` of each value as a Python float: the text ``_cell`` gives."""
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_space_time(path: Path, header, t_text, x_text, values,
+                      tail=None) -> None:
+    """Write one line per (time, cell): the time, the cell centre, the
+    cell's values and then the time's ``tail`` value, if any.
+
+    ``t_text`` and ``x_text`` are the formatted times and cell centres
+    (see ``_reprs``), reused across tables; ``values`` has shape
+    (times, cells, values per cell).  The bytes equal ``_write_csv`` on
+    the same rows; each time's lines go out in one write.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for j, t in enumerate(t_text):
+            end = "\n" if tail is None else f",{tail[j]!r}\n"
+            fh.write("".join(
+                f"{t},{x},{','.join(map(repr, cell))}{end}"
+                for x, cell in zip(x_text, values[j].tolist())))
+
+
 # ----------------------------------------------------------------- runners
 
 def _run_simulate(built, out: Path, seed: int, threads: int) -> list:
@@ -75,19 +99,16 @@ def _run_simulate(built, out: Path, seed: int, threads: int) -> list:
                          initial_density=case["initial"] or None,
                          windows=built["windows"])
         keep = _time_rows(len(state.times))
+        t_text = _reprs(state.times[keep])
+        x_text = _reprs(state.cells)
+        header = (["t", "x"]
+                  + [f"rho_{k}" for k in range(len(commodities))]
+                  + ["speed"])
         for link in net.links:
             fname = f"density_{case['name']}_{link[0]}-{link[1]}.csv"
-            header = (["t", "x"]
-                      + [f"rho_{k}" for k in range(len(commodities))]
-                      + ["speed"])
-            rows = []
-            cube = state.rho[link]
-            for m in keep:
-                t = state.times[m]
-                v = state.speeds[link][m]
-                for c, x in enumerate(state.cells):
-                    rows.append([t, x] + list(cube[m, :, c]) + [v])
-            _write_csv(out / fname, header, rows)
+            _write_space_time(out / fname, header, t_text, x_text,
+                              state.rho[link][keep].transpose(0, 2, 1),
+                              tail=state.speeds[link][keep].tolist())
             names.append(fname)
         fname = f"mass_report_{case['name']}.csv"
         report = state.mass_report()
@@ -142,12 +163,8 @@ def _run_social_opt(built, out: Path, seed: int, threads: int) -> list:
 def _write_q_table(path: Path, sol) -> None:
     fields = sol.density_fields()
     keep = _time_rows(fields.shape[0])
-    rows = []
-    for m in keep:
-        t = sol.times[m]
-        for c, x in enumerate(sol.x_centers):
-            rows.append([t, x, fields[m, c]])
-    _write_csv(path, ["t", "x", "q"], rows)
+    _write_space_time(path, ["t", "x", "q"], _reprs(sol.times[keep]),
+                      _reprs(sol.x_centers), fields[keep][:, :, None])
 
 
 def _run_platoon_flow(built, out: Path, seed: int, threads: int) -> list:

@@ -63,10 +63,6 @@ class PiecewiseConstant:
     def constant(cls, value: float) -> "PiecewiseConstant":
         return cls([(-math.inf, math.inf, value)])
 
-    @classmethod
-    def zero(cls) -> "PiecewiseConstant":
-        return cls([(-math.inf, math.inf, 0.0)])
-
     def sample(self, t):
         """Value at time(s) ``t``; scalar in, scalar out."""
         t_arr = np.asarray(t, dtype=float)
@@ -85,9 +81,14 @@ class PiecewiseConstant:
     def scaled(self, factor: float) -> "PiecewiseConstant":
         return PiecewiseConstant([(a, b, v * factor) for a, b, v in self.segments])
 
-    def covers(self, t: float) -> bool:
-        """True when some segment contains ``t`` (data exists there)."""
-        return any(a <= t < b for a, b, _ in self.segments)
+    def covers(self, t):
+        """True when some segment contains ``t`` (data exists there);
+        scalar in, scalar out."""
+        t_arr = np.asarray(t, dtype=float)
+        inside = np.zeros(t_arr.shape, dtype=bool)
+        for a, b, _ in self.segments:
+            inside |= (a <= t_arr) & (t_arr < b)
+        return inside if inside.ndim else bool(inside)
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self._values >= 0.0))
@@ -220,10 +221,6 @@ class SplitSchedule:
     def __init__(self, rows: Mapping[tuple[int, Commodity], Mapping[Link, PiecewiseConstant]]):
         self._rows = {key: dict(entry) for key, entry in rows.items()}
 
-    @classmethod
-    def empty(cls) -> "SplitSchedule":
-        return cls({})
-
     def entries(self, node: int, commodity: Commodity) -> dict[Link, PiecewiseConstant]:
         return self._rows.get((node, commodity), {})
 
@@ -309,24 +306,12 @@ class SourceSchedule:
                 raise ValueError(f"negative source rate at node {node} on {link}")
             self._entries[(node, link, commodity)] = series
 
-    @classmethod
-    def empty(cls) -> "SourceSchedule":
-        return cls({})
-
     def items(self):
         return self._entries.items()
 
     def rate(self, node: int, link: Link, commodity: Commodity, t: float) -> float:
         series = self._entries.get((node, link, commodity))
         return 0.0 if series is None else float(series.sample(t))
-
-    def grid(self, link: Link, commodity: Commodity, times: np.ndarray) -> np.ndarray:
-        """Total injection onto ``link`` for ``commodity`` over a time grid."""
-        out = np.zeros(len(times))
-        for (node, lk, com), series in self._entries.items():
-            if lk == link and com == commodity:
-                out += series.sample(times)
-        return out
 
     def total(self, commodity: Commodity, t0: float, t1: float) -> float:
         return sum(series.integral(t0, t1)

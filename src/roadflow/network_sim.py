@@ -32,14 +32,6 @@ PATH_CAP = 64
 AGGREGATE_TOL = 1e-12
 
 
-@dataclass
-class TravelTimeQuery:
-    """A parcel following ``path`` (consecutive links) departing at ``depart``."""
-
-    path: Sequence[Link]
-    depart: float
-
-
 class GridSplits:
     """Turning fractions already sampled on the simulation grid.
 
@@ -93,11 +85,17 @@ class NetworkState:
     def dx(self) -> float:
         return 1.0 / len(self.cells)
 
-    def step_index(self, t: float) -> int:
-        if not self.times[0] <= t <= self.times[-1]:
-            raise HorizonExceeded(f"t={t} outside the simulated horizon")
-        return min(int(np.searchsorted(self.times, t, side="right")) - 1,
-                   len(self.times) - 2)
+    def step_index(self, t):
+        """Index of the step holding time ``t``; an array of times gives an
+        array of indices."""
+        t_arr = np.asarray(t, dtype=float)
+        inside = (self.times[0] <= t_arr) & (t_arr <= self.times[-1])
+        if not inside.all():
+            bad = t if t_arr.ndim == 0 else t_arr[~inside][0]
+            raise HorizonExceeded(f"t={bad} outside the simulated horizon")
+        idx = np.minimum(np.searchsorted(self.times, t_arr, side="right") - 1,
+                         len(self.times) - 2)
+        return int(idx) if idx.ndim == 0 else idx
 
     def speed_at(self, link: Link, t: float) -> float:
         """Transport speed on ``link`` at time ``t`` (held per step)."""
@@ -360,49 +358,6 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
     return state
 
 
-def travel_time(state: NetworkState, query: TravelTimeQuery) -> float:
-    """Exit time of a parcel departing along ``query.path`` at ``query.depart``.
-
-    Within a link the parcel advances with the stored per-step speeds
-    (piecewise constant in time); junction crossings are instantaneous.
-    Raises :class:`HorizonExceeded` when the parcel does not complete the
-    path inside the simulated horizon.
-    """
-    path = list(query.path)
-    if not path:
-        raise ValueError("empty path")
-    for a, b in zip(path, path[1:]):
-        if a[1] != b[0]:
-            raise ValueError(f"links {a} and {b} are not consecutive")
-    for a in path:
-        if a not in state.net.links:
-            raise ValueError(f"unknown link {a}")
-    t = float(query.depart)
-    times = state.times
-    dt = state.dt
-    for a in path:
-        pos = 0.0
-        m = state.step_index(t)
-        while True:
-            c = float(state.speeds[a][m])
-            seg_end = times[m + 1]
-            span = seg_end - t
-            if pos + c * span >= 1.0:
-                t = t + (1.0 - pos) / c
-                break
-            pos += c * span
-            t = seg_end
-            m += 1
-            if m >= len(times) - 1:
-                raise HorizonExceeded(
-                    f"parcel still on link {a} at the end of the horizon")
-    return t
-
-
-def arrival_time(state: NetworkState, query: TravelTimeQuery) -> float:
-    return travel_time(state, query)
-
-
 def enumerate_paths(net: RoadNetwork, origin: int, destination: int,
                     cap: int = PATH_CAP,
                     allowed_links: Optional[set] = None) -> list[tuple[Link, ...]]:
@@ -433,18 +388,3 @@ def enumerate_paths(net: RoadNetwork, origin: int, destination: int,
         raise NoPath(f"no path from {origin} to {destination}")
     return paths
 
-
-def instantaneous_path_times(state: NetworkState, t: float, origin: int,
-                             destination: int, cap: int = PATH_CAP,
-                             allowed_links: Optional[set] = None) -> dict:
-    """Traversal time of every simple path under conditions frozen at ``t``.
-
-    Each link contributes the reciprocal of its transport speed at ``t``
-    (unit length).  Returns ``{path: time}``.
-    """
-    paths = enumerate_paths(state.net, origin, destination, cap=cap,
-                            allowed_links=allowed_links)
-    out = {}
-    for path in paths:
-        out[path] = float(sum(1.0 / state.speed_at(a, t) for a in path))
-    return out

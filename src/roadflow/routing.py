@@ -50,14 +50,20 @@ class LogitRule:
             raise ValueError("logit sensitivity must be finite and >= 0")
 
     def split(self, costs) -> np.ndarray:
-        """Fractions over axis 0; accepts shape (n,) or (n, T)."""
+        """Fractions over axis 0; accepts shape (n,) or (n, T).
+
+        Each column of an (n, T) input is normalised by a sum over one
+        contiguous row of the transposed weights, the same summation the
+        1-D call makes, so column ``j`` equals ``split(costs[:, j])`` bit
+        for bit.
+        """
         c = np.asarray(costs, dtype=float)
         if c.shape[0] == 0:
             raise ValueError("no alternatives to split over")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite path cost")
         z = np.exp(-self.beta * (c - c.min(axis=0, keepdims=True)))
-        return z / z.sum(axis=0, keepdims=True)
+        return z / np.ascontiguousarray(z.T).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -174,21 +180,33 @@ def _build_plan(net: RoadNetwork, origin: int, destination: int, *,
                      preferred=preferred, through=through)
 
 
-def _rows_from_path_probs(plan: _PathPlan, probs: np.ndarray) -> dict:
-    """Per-junction conditional next-link rows from path probabilities."""
-    rows = {}
+def _fill_path_rows(plan: _PathPlan, probs: np.ndarray, rows: dict,
+                    cols: np.ndarray) -> None:
+    """Per-junction conditional next-link rows from path probabilities.
+
+    ``probs`` has shape (paths, len(cols)); column ``i`` of every junction
+    row is written into column ``cols[i]`` of ``rows[node]``.  Columns where
+    no path through the node has positive probability get the uniform row
+    over the node's preferred links.
+    """
     for v in plan.row_nodes:
+        out = plan.net.out_links(v)
         visits = plan.through.get(v, ())
-        total = float(sum(probs[pi] for pi, _ in visits))
-        if total > 0.0:
-            row: dict = {}
-            for pi, a in visits:
-                row[a] = row.get(a, 0.0) + float(probs[pi]) / total
-        else:
+        total = np.zeros(probs.shape[1])
+        for pi, _ in visits:
+            total = total + probs[pi]
+        hot = total > 0.0
+        block = np.zeros((len(out), probs.shape[1]))
+        safe = np.where(hot, total, 1.0)
+        for pi, a in visits:
+            i = out.index(a)
+            block[i] = block[i] + probs[pi] / safe
+        if not hot.all():
+            # no path through v has weight there, so those columns are 0
             links = plan.preferred[v]
-            row = {a: 1.0 / len(links) for a in links}
-        rows[v] = row
-    return rows
+            for a in links:
+                block[out.index(a), ~hot] = 1.0 / len(links)
+        rows[v][:, cols] = block
 
 
 def _rows_from_base(base, plan: _PathPlan, commodity: Commodity, t: float) -> dict:
@@ -247,50 +265,60 @@ def infer_origin(state: NetworkState, commodity: Commodity) -> int:
     return tails.pop()
 
 
-def _link_traversal_time(state: NetworkState, link: Link, m: int) -> float:
-    return 1.0 / float(state.speeds[link][m])
-
-
-def _link_costs(policy: RoutingPolicy, state: NetworkState, t: float,
-                plan: _PathPlan) -> Optional[dict]:
-    """Frozen per-link costs at ``t``; None signals missing history."""
-    kind = policy.kind
-    if kind == "delayed":
-        t_eval = t - policy.delay
-        if t_eval < float(state.times[0]):
-            return None
-        m = state.step_index(t_eval)
-        return {a: _link_traversal_time(state, a, m) for a in plan.links}
-    if kind == "database":
-        costs = {}
+def _missing_costs(policy: RoutingPolicy, state: NetworkState,
+                   times: np.ndarray, plan: _PathPlan) -> np.ndarray:
+    """Times at which the policy has no cost data and falls back to its
+    base rows: before history exists (delayed), or where the table does not
+    cover every plan link (database)."""
+    if policy.kind == "delayed":
+        return times - policy.delay < float(state.times[0])
+    missing = np.zeros(len(times), dtype=bool)
+    if policy.kind == "database":
         for a in plan.links:
             series = policy.table.get(a)
-            if series is None or not series.covers(t):
-                return None
-            costs[a] = float(series.sample(t))
-        return costs
-    m = state.step_index(t)
+            if series is None:
+                return np.ones(len(times), dtype=bool)
+            missing |= ~series.covers(times)
+    return missing
+
+
+def _forecast_cost(policy: RoutingPolicy, state: NetworkState, a: Link,
+                   t: float, m: int) -> float:
+    """Traversal time under the windowed mass extrapolated to t + forecast."""
+    w_now = state.windowed_mass(a, m)
+    if m == 0:
+        w_pred = w_now
+    else:
+        slope = (w_now - state.windowed_mass(a, m - 1)) / state.dt
+        w_pred = w_now + slope * policy.forecast
+    w_pred = max(w_pred, 0.0)
+    law = state.laws[a]
+    return 1.0 / max(float(law(t + policy.forecast, w_pred)), law.floor)
+
+
+def _link_costs(policy: RoutingPolicy, state: NetworkState,
+                times: np.ndarray, plan: _PathPlan) -> dict:
+    """Frozen per-link costs at each of ``times``: link -> array.
+
+    Every time must have cost data (see ``_missing_costs``).
+    """
+    kind = policy.kind
+    if kind == "database":
+        return {a: policy.table[a].sample(times) for a in plan.links}
+    if kind == "delayed":
+        times = times - policy.delay
+    ms = state.step_index(times)
     if kind == "incentivized":
-        return {a: _link_traversal_time(state, a, m)
-                + policy.congestion_weight * state.windowed_mass(a, m)
+        return {a: 1.0 / state.speeds[a][ms] + policy.congestion_weight
+                * np.array([state.windowed_mass(a, m) for m in ms.tolist()])
                 for a in plan.links}
     if kind == "simplified_forecast":
-        dt = state.dt
-        costs = {}
-        for a in plan.links:
-            w_now = state.windowed_mass(a, m)
-            if m == 0:
-                w_pred = w_now
-            else:
-                slope = (w_now - state.windowed_mass(a, m - 1)) / dt
-                w_pred = w_now + slope * policy.forecast
-            w_pred = max(w_pred, 0.0)
-            law = state.laws[a]
-            speed = max(float(law(t + policy.forecast, w_pred)), law.floor)
-            costs[a] = 1.0 / speed
-        return costs
-    # full_information, ex_ante, sub_network share the frozen-instant cost
-    return {a: _link_traversal_time(state, a, m) for a in plan.links}
+        return {a: np.array([_forecast_cost(policy, state, a, t, m)
+                             for t, m in zip(times.tolist(), ms.tolist())])
+                for a in plan.links}
+    # full_information, ex_ante, sub_network and delayed share the
+    # frozen-instant cost
+    return {a: 1.0 / state.speeds[a][ms] for a in plan.links}
 
 
 def _local_rows(policy: RoutingPolicy, state: NetworkState, t: float,
@@ -320,21 +348,63 @@ def _local_rows(policy: RoutingPolicy, state: NetworkState, t: float,
     return rows
 
 
-def _split_at(policy: RoutingPolicy, state: NetworkState, t: float,
-              commodity: Commodity, plan: _PathPlan) -> SplitDecision:
+def _fill_column(rows: dict, net: RoadNetwork, j: int, decided: dict) -> None:
+    """Write per-node row dicts into column ``j`` of the grid rows."""
+    for v, row in decided.items():
+        out = net.out_links(v)
+        arr = rows[v]
+        for a, x in row.items():
+            arr[out.index(a), j] = x
+
+
+def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
+               commodity: Commodity, plan: _PathPlan) -> tuple[dict, np.ndarray]:
+    """Rows of every plan node at each of ``times``: node -> array of shape
+    ``(n_out_links, len(times))``, plus the mask of times that fell back to
+    the base rows.
+
+    Cost-driven kinds price every plan link and path at all times at once;
+    ``static`` and ``local`` sample their rows one time at a time.
+    """
+    net = plan.net
+    rows = {v: np.zeros((len(net.out_links(v)), len(times)))
+            for v in plan.row_nodes}
     kind = policy.kind
-    if kind == "static":
-        return SplitDecision(_rows_from_base(policy.base, plan, commodity, t), False)
-    if kind == "local":
-        return SplitDecision(_local_rows(policy, state, t, commodity, plan), False)
+    if kind in ("static", "local"):
+        for j, t in enumerate(times.tolist()):
+            if kind == "static":
+                decided = _rows_from_base(policy.base, plan, commodity, t)
+            else:
+                decided = _local_rows(policy, state, t, commodity, plan)
+            _fill_column(rows, net, j, decided)
+        return rows, np.zeros(len(times), dtype=bool)
     if kind == "ex_ante":
-        t = _first_departure(state, commodity)
-    costs = _link_costs(policy, state, t, plan)
-    if costs is None:
-        return SplitDecision(_rows_from_base(policy.base, plan, commodity, t), True)
-    path_costs = np.array([sum(costs[a] for a in p) for p in plan.paths])
-    probs = policy.logit.split(path_costs)
-    return SplitDecision(_rows_from_path_probs(plan, probs), False)
+        times = np.full(len(times), _first_departure(state, commodity))
+    fallback = _missing_costs(policy, state, times, plan)
+    live = np.flatnonzero(~fallback)
+    if live.size:
+        costs = _link_costs(policy, state, times[live], plan)
+        path_costs = np.empty((len(plan.paths), live.size))
+        for pi, path in enumerate(plan.paths):
+            total = 0.0
+            for a in path:
+                total = total + costs[a]
+            path_costs[pi] = total
+        _fill_path_rows(plan, policy.logit.split(path_costs), rows, live)
+    for j in np.flatnonzero(fallback).tolist():
+        _fill_column(rows, net, j, _rows_from_base(
+            policy.base, plan, commodity, float(times[j])))
+    return rows, fallback
+
+
+def _policy_plan(policy: RoutingPolicy, state: NetworkState,
+                 commodity: Commodity, origin: Optional[int],
+                 cap: int) -> _PathPlan:
+    if origin is None:
+        origin = infer_origin(state, commodity)
+    mask = policy.mask if policy.kind == "sub_network" else None
+    return _build_plan(state.net, origin, commodity.destination, cap=cap,
+                       mask=mask)
 
 
 def compute_splits(policy: RoutingPolicy, state: NetworkState, t: float,
@@ -347,12 +417,14 @@ def compute_splits(policy: RoutingPolicy, state: NetworkState, t: float,
     outgoing links and puts weight only on links from which the destination
     stays reachable.
     """
-    if origin is None:
-        origin = infer_origin(state, commodity)
-    mask = policy.mask if policy.kind == "sub_network" else None
-    plan = _build_plan(state.net, origin, commodity.destination, cap=cap,
-                       mask=mask)
-    return _split_at(policy, state, t, commodity, plan)
+    plan = _policy_plan(policy, state, commodity, origin, cap)
+    rows, fallback = _grid_rows(policy, state, np.array([float(t)]),
+                                commodity, plan)
+    return SplitDecision(
+        {v: {a: x for a, x in zip(state.net.out_links(v), arr[:, 0].tolist())
+             if x != 0.0}
+         for v, arr in rows.items()},
+        bool(fallback[0]))
 
 
 def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
@@ -365,52 +437,14 @@ def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
     :class:`GridSplits`, and ``fallback`` flags the time nodes where the
     policy had to fall back to its base rows.
     """
-    if origin is None:
-        origin = infer_origin(state, commodity)
-    mask = policy.mask if policy.kind == "sub_network" else None
-    plan = _build_plan(state.net, origin, commodity.destination, cap=cap,
-                       mask=mask)
-    times = state.times
-    rows = {(v, commodity): np.zeros((len(state.net.out_links(v)), len(times)))
-            for v in plan.row_nodes}
-    fallback = np.zeros(len(times), dtype=bool)
-    if policy.kind == "ex_ante":
-        decision = _split_at(policy, state, float(times[0]), commodity, plan)
-        decisions = [(j, decision) for j in range(len(times))]
-    else:
-        decisions = [(j, _split_at(policy, state, float(tj), commodity, plan))
-                     for j, tj in enumerate(times)]
-    for j, decision in decisions:
-        fallback[j] = decision.used_fallback
-        for v, row in decision.rows.items():
-            out = state.net.out_links(v)
-            arr = rows[(v, commodity)]
-            for a, x in row.items():
-                arr[out.index(a), j] = x
-    return rows, fallback
+    plan = _policy_plan(policy, state, commodity, origin, cap)
+    rows, fallback = _grid_rows(policy, state, state.times, commodity, plan)
+    return {(v, commodity): arr for v, arr in rows.items()}, fallback
 
 
-def plan_share(state: NetworkState, path: Sequence[Link],
-               commodity: Commodity, m: int) -> float:
-    """Fraction of the commodity the simulated rows send along ``path``."""
-    share = 1.0
-    for a in path:
-        v = a[0]
-        key = (v, commodity)
-        out = state.net.out_links(v)
-        if key in state.split_rows:
-            share *= float(state.split_rows[key][out.index(a), m])
-        elif len(out) == 1:
-            continue
-        else:
-            raise SplitRowInvalid(
-                f"no simulated row at node {v} for {commodity.label()}")
-    return share
-
-
-def mixed_gap(state: NetworkState, t: float, origin: int, destination: int,
+def mixed_gap(state: NetworkState, t, origin: int, destination: int,
               weighted_classes: Sequence[tuple[Commodity, float]], *,
-              eps: float = USED_PATH_EPS, cap: int = PATH_CAP) -> float:
+              eps: float = USED_PATH_EPS, cap: int = PATH_CAP):
     """Spread of frozen-state path times over the paths traffic uses.
 
     A path counts as used when its demand-weighted plan share at ``t``
@@ -418,19 +452,55 @@ def mixed_gap(state: NetworkState, t: float, origin: int, destination: int,
     turning fractions along the path) exceeds ``eps``.  Zero iff all used
     paths take equal time, the stationary equal-times condition among
     used routes.
+
+    ``t`` is one time, giving a float, or a 1-D array of times, giving one
+    gap per time; each entry equals the scalar call at that time bit for
+    bit.  Raises ``ValueError`` naming the first time with no used path.
     """
-    paths = enumerate_paths(state.net, origin, destination, cap=cap)
-    m = state.step_index(t)
-    used_times = []
-    for path in paths:
-        share = sum(w * plan_share(state, path, k, m)
-                    for k, w in weighted_classes if w > 0.0)
-        if share > eps:
-            used_times.append(
-                float(sum(1.0 / state.speed_at(a, t) for a in path)))
-    if not used_times:
-        raise ValueError(f"no path has plan share above {eps} at t={t}")
-    return max(used_times) - min(used_times)
+    t_arr = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t_arr)
+    ms = state.step_index(ts)
+    lo = np.full(len(ts), np.inf)
+    hi = np.full(len(ts), -np.inf)
+    seen = np.zeros(len(ts), dtype=bool)
+    for path in enumerate_paths(state.net, origin, destination, cap=cap):
+        share = np.zeros(len(ts))
+        for k, w in weighted_classes:
+            if w > 0.0:
+                share = share + w * _path_share(state, path, k, ms)
+        used = share > eps
+        if not used.any():
+            continue
+        cost = 0.0
+        for a in path:
+            cost = cost + 1.0 / state.speeds[a][ms]
+        lo = np.where(used, np.minimum(lo, cost), lo)
+        hi = np.where(used, np.maximum(hi, cost), hi)
+        seen |= used
+    if not seen.all():
+        first = t if t_arr.ndim == 0 else ts[~seen][0]
+        raise ValueError(f"no path has plan share above {eps} at t={first}")
+    gaps = hi - lo
+    return float(gaps[0]) if t_arr.ndim == 0 else gaps
+
+
+def _path_share(state: NetworkState, path: Sequence[Link],
+                commodity: Commodity, ms: np.ndarray) -> np.ndarray:
+    """Fraction of the commodity the simulated rows send along ``path`` at
+    each step index in ``ms``."""
+    share = 1.0
+    for a in path:
+        v = a[0]
+        key = (v, commodity)
+        out = state.net.out_links(v)
+        if key in state.split_rows:
+            share = share * state.split_rows[key][out.index(a), ms]
+        elif len(out) == 1:
+            continue
+        else:
+            raise SplitRowInvalid(
+                f"no simulated row at node {v} for {commodity.label()}")
+    return share
 
 
 def wardrop_gap(state: NetworkState, t: float, origin: int, destination: int,
@@ -526,14 +596,12 @@ def equilibrium_iterate(net: RoadNetwork, demand: EquilibriumDemand,
     weighted = [(kr, alpha), (kn, 1.0 - alpha)]
 
     def measure(state):
-        active = [float(tv) for tv, r in
-                  zip(state.times, demand.rate.sample(state.times))
-                  if r > 0.0]
-        if not active:
-            active = [float(state.times[0])]
-        gaps = [mixed_gap(state, tv, origin, demand.destination, weighted,
-                          eps=eps, cap=cap) for tv in active]
-        return float(np.mean(gaps))
+        active = state.times[demand.rate.sample(state.times) > 0.0]
+        if not active.size:
+            active = state.times[:1]
+        return float(np.mean(mixed_gap(state, active, origin,
+                                       demand.destination, weighted,
+                                       eps=eps, cap=cap)))
 
     state = run(splits0)
     reports = [EquilibriumRound(index=0, state=state, gap=measure(state),

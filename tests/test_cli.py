@@ -1,8 +1,12 @@
 """Command line driver: exit codes, artifacts, manifests, determinism."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from roadflow import cli
 from roadflow.cli import main
@@ -157,3 +161,69 @@ def test_runtime_error_in_runner_is_compute_error(tmp_path, capsys,
     assert payload["error"] == "compute"
     assert "no routing policy converged" in payload["message"]
     assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+
+def reference_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_table(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([reference_cell(v) for v in row])
+
+
+#: values whose text is easy to get wrong: non-finite, signed zero, the
+#: smallest subnormal, a large exact integer, a rounding sum, integer floats
+AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 0.1 + 0.2, 3.0,
+           -2.0, 0.0, 1.0, 123456789.0]
+
+
+def test_space_time_writer_matches_csv_reference(tmp_path):
+    times = np.array([0.0, 0.1 + 0.2, 1e22, -0.0])
+    cells = np.array([5e-324, 0.5, 3.0])
+    rng = np.random.default_rng(5)
+    values = rng.choice(AWKWARD, size=(len(times), 2, len(cells)))
+    tail = np.array([np.nan, 7.0, -np.inf, 0.1 + 0.2])
+    header = ["t", "x", "rho_0", "rho_1", "speed"]
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    cli._write_space_time(ours, header, cli._reprs(times), cli._reprs(cells),
+                          values.transpose(0, 2, 1), tail=tail.tolist())
+    reference_table(ref, header,
+                    [[times[m], x] + list(values[m, :, c]) + [tail[m]]
+                     for m in range(len(times))
+                     for c, x in enumerate(cells)])
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_q_table_goes_through_space_time_writer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    fields = rng.choice(AWKWARD, size=(250, 4))
+    sol = SimpleNamespace(times=np.linspace(0.0, 2.0, 250),
+                          x_centers=np.array([0.125, 0.375, 0.625, 0.875]),
+                          density_fields=lambda: fields)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return writer(*args, **kwargs)
+
+    writer = cli._write_space_time
+    monkeypatch.setattr(cli, "_write_space_time", recording)
+    ours, ref = tmp_path / "q.csv", tmp_path / "ref.csv"
+    cli._write_q_table(ours, sol)
+    assert calls == [ours]
+    keep = cli._time_rows(len(sol.times))
+    assert len(keep) == cli.TIME_ROW_CAP
+    reference_table(ref, ["t", "x", "q"],
+                    [[sol.times[m], x, fields[m, c]] for m in keep
+                     for c, x in enumerate(sol.x_centers)])
+    assert ours.read_bytes() == ref.read_bytes()
