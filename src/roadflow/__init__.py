@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .network import (Commodity, PiecewiseConstant, RoadNetwork, SourceSchedule,
-                      SplitSchedule, junction_inflows, validate_acyclic)
+                      SplitSchedule, validate_acyclic)
 from .network_sim import GridSplits, NetworkState, simulate
 from .nonlocal_solver import (GridSpec, LinkState, NonlocalWindow, VelocityLaw,
                               congestion_law, constant_law, exit_time,
@@ -58,7 +58,7 @@ __all__ = [
     "default_horizon", "encrypt", "equilibrium_iterate", "errors",
     "exact_gibbs_distribution", "exit_time", "homomorphic_add",
     "compute_splits", "infer_origin", "interaction_groups",
-    "junction_inflows", "keygen", "log_linear_step", "mixed_gap",
+    "keygen", "log_linear_step", "mixed_gap",
     "nonlocal_term", "occupancy_counts", "occupancy_indicator",
     "optimize_social", "optimize_velocity", "outflux",
     "pair_distance_histogram", "pair_distance_ratio",

@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__
 from .errors import ComputeError, RoadflowError, SchemaError
+from .network import as_split_schedule
 from .network_sim import simulate
 from .platoon_flow import optimize_velocity, solve_freight_pair
 from .private_agg import chain_aggregate, keygen, run_private_learning
 from .routing import equilibrium_iterate
-from .scenario import (BUILDERS, KINDS, load_scenario, rows_to_schedule)
+from .scenario import BUILDERS, KINDS, load_scenario
 from .scheduler import (default_horizon, pair_distance_histogram,
                         pair_distance_ratio, platoon_opportunity_gain,
                         run_learning)
@@ -87,10 +88,10 @@ def _write_space_time(path: Path, header, t_text, x_text, values,
 
 # ----------------------------------------------------------------- runners
 
-def _run_simulate(built, out: Path, seed: int, threads: int) -> list:
+def _run_simulate(built, out: Path, seed: int) -> list:
     net = built["net"]
     commodities = built["commodities"]
-    splits = rows_to_schedule(built["base_rows"], commodities)
+    splits = as_split_schedule(built["base_rows"], commodities)
     names = []
     for case in built["cases"]:
         state = simulate(net, commodities, splits, case["sources"],
@@ -123,7 +124,7 @@ def _run_simulate(built, out: Path, seed: int, threads: int) -> list:
     return names
 
 
-def _run_equilibrium(built, out: Path, seed: int, threads: int) -> list:
+def _run_equilibrium(built, out: Path, seed: int) -> list:
     rounds = equilibrium_iterate(
         built["net"], built["demand"], built["alpha"], built["policies"],
         built["rounds"], laws=built["laws"], horizon=built["horizon"],
@@ -133,12 +134,12 @@ def _run_equilibrium(built, out: Path, seed: int, threads: int) -> list:
     return ["gaps.csv"]
 
 
-def _run_social_opt(built, out: Path, seed: int, threads: int) -> list:
+def _run_social_opt(built, out: Path, seed: int) -> list:
     result = optimize_social(
         built["net"], built["demand"], built["param"], built["budget"],
         laws=built["laws"], base_splits=built["base_rows"],
         grid=built["grid"], fd_step=built["fd_step"],
-        initial_step=built["initial_step"], threads=threads)
+        initial_step=built["initial_step"])
     _write_csv(out / "j_trace.csv", ["simulations", "objective"],
                [[n, j] for n, j in result.trace])
     controls = result.controls
@@ -167,7 +168,7 @@ def _write_q_table(path: Path, sol) -> None:
                       _reprs(sol.x_centers), fields[keep][:, :, None])
 
 
-def _run_platoon_flow(built, out: Path, seed: int, threads: int) -> list:
+def _run_platoon_flow(built, out: Path, seed: int) -> list:
     pair = built["pair"]
     cells = built["cells"]
     base_sol = solve_freight_pair(pair, built["baseline"], cells=cells)
@@ -236,12 +237,12 @@ def _schedule_artifacts(built, result, out: Path) -> list:
             "summary.csv"]
 
 
-def _run_schedule(built, out: Path, seed: int, threads: int) -> list:
+def _run_schedule(built, out: Path, seed: int) -> list:
     result = run_learning(built["state"], built["iterations"], seed)
     return _schedule_artifacts(built, result, out)
 
 
-def _run_schedule_private(built, out: Path, seed: int, threads: int) -> list:
+def _run_schedule_private(built, out: Path, seed: int) -> list:
     result = run_private_learning(built["state"], built["iterations"], seed,
                                   bits=built["bits"])
     names = _schedule_artifacts(built, result, out)
@@ -283,14 +284,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, scn, seed: int, threads: int, names: list,
+def _write_manifest(out: Path, scn, seed: int, names: list,
                     wall: float) -> None:
     manifest = {
         "scenario": scn.path.name,
         "scenario_sha256": hashlib.sha256(scn.raw_bytes).hexdigest(),
         "kind": scn.kind,
         "seed": seed,
-        "threads": threads,
         "versions": {
             "roadflow": __version__,
             "numpy": np.__version__,
@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=None,
                             help="override the scenario seed")
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for gradient probes "
-                                 "(social-opt only)")
+                            help="accepted and ignored: every run is "
+                                 "serial (kept so older scripts still run)")
             sp.add_argument("--validate-only", action="store_true",
                             help="stop after schema validation")
     return parser
@@ -363,23 +363,21 @@ def main(argv=None) -> int:
         return 0
 
     seed = args.seed if args.seed is not None else scn.seed
-    threads = max(1, args.threads)
     out = Path(args.out) if args.out else Path(f"{scn.path.stem}_out")
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        names = RUNNERS[scn.kind](built, out, seed, threads)
+        names = RUNNERS[scn.kind](built, out, seed)
     except RoadflowError as exc:
         _emit_error("compute",
                     ComputeError(f"{scn.kind} run failed: {exc}"))
         return 1
-    except (ValueError, ArithmeticError, KeyError, OSError,
-            RuntimeError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError, RuntimeError,
+            MemoryError) as exc:
         _emit_error("compute",
                     ComputeError(f"{scn.kind} run failed: {exc!r}"))
         return 1
-    _write_manifest(out, scn, seed, threads, names,
-                    time.perf_counter() - started)
+    _write_manifest(out, scn, seed, names, time.perf_counter() - started)
     print(f"wrote {len(names) + 1} files to {out}")
     for name in names + ["run_manifest.json"]:
         print(f"  {name}")

@@ -252,33 +252,25 @@ class SplitSchedule:
                 f"{sums[k]:.17g} at t={times[k]:.6g} (must be 1 within {ROW_SUM_TOL})")
         return out
 
-    def validate(self, net: RoadNetwork, commodities: Sequence[Commodity],
-                 times: np.ndarray) -> None:
-        """Refuse positive fractions on links that cannot reach the destination.
 
-        Also checks simplex membership at the supplied sample times for every
-        junction where the commodity can appear.
-        """
-        for commodity in commodities:
-            reach = net.reaches(commodity.destination)
-            for node in net.nodes:
-                if node == commodity.destination or node not in reach:
-                    # absorbed at the destination; unreachable nodes carry no flow
-                    entry = self.entries(node, commodity)
-                    for a, series in entry.items():
-                        if np.any(np.asarray(series.sample(times)) > ROW_SUM_TOL):
-                            raise SplitRowInvalid(
-                                f"positive fraction at node {node} for {commodity.label()} "
-                                "but the destination is not reachable from there")
-                    continue
-                for a in net.out_links(node):
-                    if not net.link_leads_to(a, commodity.destination):
-                        entry = self.entries(node, commodity)
-                        if a in entry and np.any(np.asarray(entry[a].sample(times)) > ROW_SUM_TOL):
-                            raise SplitRowInvalid(
-                                f"fraction on link {a} routes {commodity.label()} "
-                                "toward a node that cannot reach the destination")
-                self.grid_row(node, commodity, times, net.out_links(node))
+def as_split_schedule(rows, commodities: Sequence[Commodity]) -> SplitSchedule:
+    """Split rows as a schedule.
+
+    A :class:`SplitSchedule` is returned as it is and ``None`` gives the
+    empty schedule.  Commodity-agnostic rows ``{node: {out_link: value}}``
+    apply to every commodity; each value is a :class:`PiecewiseConstant`
+    or a number held for all time.
+    """
+    if isinstance(rows, SplitSchedule):
+        return rows
+    expanded = {}
+    for v, entry in (rows or {}).items():
+        series = {a: (val if isinstance(val, PiecewiseConstant)
+                      else PiecewiseConstant.constant(float(val)))
+                  for a, val in entry.items()}
+        for k in commodities:
+            expanded[(v, k)] = series
+    return SplitSchedule(expanded)
 
 
 def _check_row(vals: Mapping[Link, float], node: int, commodity: Commodity,
@@ -328,22 +320,3 @@ class SourceSchedule:
                 raise SplitRowInvalid(
                     f"source on link {link} strands {commodity.label()}: "
                     "destination unreachable from the link head")
-
-
-def junction_inflows(net: RoadNetwork, node: int, t: float,
-                     outfluxes: Mapping[Link, float], splits: SplitSchedule,
-                     sources: SourceSchedule, commodity: Commodity) -> dict[Link, float]:
-    """Conservation exchange at one junction for one commodity.
-
-    ``outfluxes`` holds the flux arriving on each in-link at time ``t``.
-    Returns the flux departing on each out-link: source injection plus the
-    turning fraction applied to the total arriving flux.  At the commodity's
-    destination the arriving flux is absorbed and the result only carries
-    source injections (normally none).
-    """
-    total_in = float(sum(outfluxes.get(a, 0.0) for a in net.in_links(node)))
-    out = net.out_links(node)
-    if node == commodity.destination or not out:
-        return {a: sources.rate(node, a, commodity, t) for a in out}
-    row = splits.row(node, commodity, t, out)
-    return {a: sources.rate(node, a, commodity, t) + row[a] * total_in for a in out}

@@ -24,7 +24,8 @@ from .errors import (CflViolated, HorizonExceeded, NoPath, PathCapExceeded,
 from .network import (Commodity, Link, RoadNetwork, SourceSchedule,
                       SplitSchedule, validate_acyclic)
 from .nonlocal_solver import (MAX_DT_HALVINGS, GridSpec, NonlocalWindow,
-                              VelocityLaw, cumulative_mass)
+                              VelocityLaw, _CflRetry, _sample_initial,
+                              cumulative_mass, upwind_step)
 
 #: default cap on enumerated simple paths
 PATH_CAP = 64
@@ -183,10 +184,10 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
     """Run the network on ``[0, horizon]``.
 
     ``laws`` is one velocity law for every link or a per-link mapping.
-    ``initial_density`` maps ``(link, commodity)`` to cell values or a
-    callable of position.  The time step is sized from the sampled maximum
-    speed and halved on an observed CFL violation, at most
-    ``MAX_DT_HALVINGS`` times.
+    ``initial_density`` maps ``(link, commodity)`` to cell values, one
+    value for every cell, or a callable of position.  The time step is
+    sized from the sampled maximum speed and halved on an observed CFL
+    violation, at most ``MAX_DT_HALVINGS`` times.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -216,14 +217,7 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
                 raise SplitRowInvalid(
                     f"initial {commodity.label()} mass on link {link} could "
                     "never arrive; refusing the scenario")
-            if callable(profile):
-                vals = np.asarray([profile(float(x)) for x in centers], float)
-            else:
-                vals = np.asarray(profile, dtype=float)
-                if vals.shape != centers.shape:
-                    raise ValueError("initial density length mismatch")
-            if np.any(vals < 0):
-                raise ValueError("initial density must be nonnegative")
+            vals = _sample_initial(profile, centers)
             init[(link, commodity)] = vals
             total_initial += float(vals.sum() * dx)
 
@@ -239,13 +233,9 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
         try:
             return _run(net, commodities, splits, sources, law_map, window_map,
                         horizon, steps, centers, init, topo_links)
-        except _CflRetryNet:
+        except _CflRetry:
             steps *= 2
     raise CflViolated(f"time step still too large after {MAX_DT_HALVINGS} halvings")
-
-
-class _CflRetryNet(Exception):
-    pass
 
 
 def _run(net, commodities, splits, sources, law_map, window_map, horizon,
@@ -307,7 +297,7 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
             w = _link_window_mass(row_agg, window_map[a], dx)
             c = float(law_map[a](t, w))
             if c * dt > dx * (1.0 + 1e-12):
-                raise _CflRetryNet
+                raise _CflRetry
             speeds[a][m] = c
             outflow[a][m] = c * rho[a][m, :, -1]
         # junction exchange
@@ -342,13 +332,8 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
         # advance every link one step
         if m < steps:
             for a in topo_links:
-                c = speeds[a][m]
-                block = rho[a][m]
-                flux = c * block
-                shifted = np.empty_like(flux)
-                shifted[:, 1:] = flux[:, :-1]
-                shifted[:, 0] = inflow[a][m]
-                rho[a][m + 1] = block - (dt / dx) * (flux - shifted)
+                rho[a][m + 1] = upwind_step(rho[a][m], speeds[a][m],
+                                            inflow[a][m], dt, dx)[0]
 
     state = NetworkState(net=net, commodities=commodities, times=times,
                          cells=centers, rho=rho, speeds=speeds, inflow=inflow,

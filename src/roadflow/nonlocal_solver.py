@@ -382,16 +382,13 @@ def _transport_rows(law: VelocityLaw, result: CharacteristicResult,
     return rows, exited_steps
 
 
-def _solve_link_transport(law: VelocityLaw, inflow, rho0, horizon: float,
-                          grid: GridSpec, length: float) -> LinkState:
+def _solve_link_transport(law: VelocityLaw, inflow, rho_init: np.ndarray,
+                          horizon: float, grid: GridSpec, length: float,
+                          steps: int) -> LinkState:
     n = grid.cells
     dx = length / n
     centers = (np.arange(n) + 0.5) * dx
-    rho_cur = _sample_initial(rho0, centers)
-    budget = rho_cur.sum() * dx + _inflow_budget(inflow, horizon)
-    law.check(horizon, budget)
-    vmax = max(law.max_speed(horizon, budget), law.floor)
-    steps = max(8, int(math.ceil(horizon * vmax / (grid.cfl * dx))))
+    rho_cur = rho_init
     times = np.linspace(0.0, horizon, steps + 1)
     dt = times[1] - times[0]
     u = _sample_series(inflow, times)
@@ -441,12 +438,30 @@ def _solve_link_transport(law: VelocityLaw, inflow, rho0, horizon: float,
 
 
 class _CflRetry(Exception):
-    pass
+    """An observed speed broke the CFL bound; the caller halves the step."""
 
 
-def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow, rho0,
-                       horizon: float, grid: GridSpec, length: float,
-                       steps: int) -> LinkState:
+def upwind_step(rho: np.ndarray, speed, inflow, dt: float,
+                dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """One conservative upwind step on a ``(..., cells)`` block.
+
+    ``speed`` is the speed at each cell's right face, a scalar or an array
+    broadcasting against ``rho``; ``inflow`` is the flux through the left
+    boundary, shaped ``rho.shape[:-1]``.  Speeds are positive, so the flux
+    through a face is its speed times the density on its left.  Returns the
+    new block and the flux through the right boundary.  The caller checks
+    the CFL bound.
+    """
+    flux = speed * rho
+    shifted = np.empty_like(flux)
+    shifted[..., 1:] = flux[..., :-1]
+    shifted[..., 0] = inflow
+    return rho - (dt / dx) * (flux - shifted), flux[..., -1]
+
+
+def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow,
+                       rho_init: np.ndarray, horizon: float, grid: GridSpec,
+                       length: float, steps: int) -> LinkState:
     n = grid.cells
     dx = length / n
     centers = (np.arange(n) + 0.5) * dx
@@ -457,7 +472,7 @@ def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow, rho0,
     ifaces = np.arange(1, n + 1) * dx  # interior interfaces plus the right edge
 
     rho = np.empty((steps + 1, n))
-    rho[0] = _sample_initial(rho0, centers)
+    rho[0] = rho_init
     speeds = np.empty(steps + 1) if whole else None
     mass = np.empty(steps + 1)
     outflow = np.empty(steps + 1)
@@ -466,20 +481,14 @@ def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow, rho0,
     for m in range(steps):
         row = rho[m]
         if whole:
-            w_here = mass[m]
-            c = float(law(times[m], w_here))
-            iface_speed = np.full(n, c)
-            speeds[m] = c
+            iface_speed = float(law(times[m], mass[m]))
+            speeds[m] = iface_speed
         else:
             w_iface = nonlocal_term(row, length, window, ifaces)
             iface_speed = np.asarray(law(times[m], w_iface), dtype=float)
         if np.max(iface_speed) * dt > dx * (1.0 + 1e-12):
             raise _CflRetry
-        flux = np.empty(n + 1)
-        flux[0] = u[m]
-        flux[1:] = iface_speed * row
-        rho[m + 1] = row - (dt / dx) * (flux[1:] - flux[:-1])
-        outflow[m] = flux[n]
+        rho[m + 1], outflow[m] = upwind_step(row, iface_speed, u[m], dt, dx)
         mass[m + 1] = rho[m + 1].sum() * dx
 
     if whole:
@@ -500,9 +509,9 @@ def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
 
     ``method`` is ``"characteristics"`` (whole-span windows only), ``"fv"``,
     or ``"auto"`` which picks characteristics when the window spans the link.
-    The upwind path sizes its time step from the sampled maximum speed and
-    halves it up to ``MAX_DT_HALVINGS`` times on an observed CFL violation
-    before raising :class:`CflViolated`.
+    Both paths size their time step from the sampled maximum speed; the
+    upwind path halves it up to ``MAX_DT_HALVINGS`` times on an observed CFL
+    violation before raising :class:`CflViolated`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -510,23 +519,24 @@ def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
     whole = window.is_whole_span(length)
     if method == "auto":
         method = "characteristics" if whole else "fv"
-    if method == "characteristics":
-        if not whole:
-            raise ValueError("characteristics path requires a whole-span window")
-        return _solve_link_transport(law, inflow, rho0, horizon, grid, length)
-    if method != "fv":
+    if method == "characteristics" and not whole:
+        raise ValueError("characteristics path requires a whole-span window")
+    if method not in ("characteristics", "fv"):
         raise ValueError(f"unknown method {method!r}")
 
     dx = length / grid.cells
-    centers = (np.arange(grid.cells) + 0.5) * dx
-    budget = _sample_initial(rho0, centers).sum() * dx + _inflow_budget(inflow, horizon)
+    rho_init = _sample_initial(rho0, (np.arange(grid.cells) + 0.5) * dx)
+    budget = rho_init.sum() * dx + _inflow_budget(inflow, horizon)
     law.check(horizon, budget)
     vmax = max(law.max_speed(horizon, budget), law.floor)
     steps = max(8, int(math.ceil(horizon * vmax / (grid.cfl * dx))))
+    if method == "characteristics":
+        return _solve_link_transport(law, inflow, rho_init, horizon, grid,
+                                     length, steps)
     for _ in range(MAX_DT_HALVINGS + 1):
         try:
-            return _solve_link_upwind(law, window, inflow, rho0, horizon, grid,
-                                      length, steps)
+            return _solve_link_upwind(law, window, inflow, rho_init, horizon,
+                                      grid, length, steps)
         except _CflRetry:
             steps *= 2
     raise CflViolated(

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import InadmissibleVelocityField
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                              cumulative_mass, solve_link)
+                              _sample_initial, cumulative_mass, solve_link,
+                              upwind_step)
 
 #: tolerance for the sampled feasibility conditions
 ADMISSIBLE_TOL = 1e-9
@@ -317,22 +318,6 @@ class PlatoonSolution:
                 "residual": residual, "relative_residual": residual / scale}
 
 
-def _sample_profile(profile, centers: np.ndarray) -> np.ndarray:
-    if profile is None:
-        return np.zeros(len(centers))
-    if callable(profile):
-        vals = np.asarray([profile(float(x)) for x in centers], dtype=float)
-    elif np.ndim(profile) == 0:
-        vals = np.full(len(centers), float(profile))
-    else:
-        vals = np.asarray(profile, dtype=float)
-        if vals.shape != centers.shape:
-            raise ValueError("initial truck profile does not match the grid")
-    if np.any(vals < 0):
-        raise ValueError("truck density must be nonnegative")
-    return vals
-
-
 def _background_rows(pair: FreightPair, times: np.ndarray,
                      cells: int) -> Optional[np.ndarray]:
     if not pair.has_background():
@@ -384,7 +369,7 @@ def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
             return control.evaluate(t, xs, ys)
         return control.evaluate(t, xs)
 
-    q0 = _sample_profile(pair.truck_initial, centers)
+    q0 = _sample_initial(pair.truck_initial, centers)
     initial_mass = float(q0.sum() * dx)
 
     if method == "particles":
@@ -425,12 +410,9 @@ def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
         if float(lam_e.max()) * dt > dx * (1.0 + 1e-12):
             raise ValueError("time step too large for the control bound")
         inflow = _series_step_mass(pair.truck_inflow, times[m], times[m + 1]) / dt
-        flux = np.empty(cells + 1)
-        flux[0] = inflow
-        flux[1:] = lam_e[1:] * q[m]
-        q[m + 1] = q[m] - (dt / dx) * (flux[1:] - flux[:-1])
+        q[m + 1], out = upwind_step(q[m], lam_e[1:], inflow, dt, dx)
         injected += inflow * dt
-        exited += flux[-1] * dt
+        exited += out * dt
     return PlatoonSolution(pair=pair, control=control, times=times,
                            x_centers=centers, method=method, grid_fields=q,
                            rho_rows=rho_rows, injected=injected,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SplitRowInvalid
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule, SplitSchedule)
+                      SourceSchedule, SplitSchedule, as_split_schedule)
 from .network_sim import (PATH_CAP, GridSplits, NetworkState, enumerate_paths,
                           simulate)
 from .nonlocal_solver import GridSpec
@@ -577,17 +577,7 @@ def equilibrium_iterate(net: RoadNetwork, demand: EquilibriumDemand,
     })
     origin = demand.origin()
 
-    if isinstance(base_splits, SplitSchedule):
-        splits0: SplitSchedule | GridSplits = base_splits
-    else:
-        expanded = {}
-        for v, entry_row in base_splits.items():
-            series = {a: (val if isinstance(val, PiecewiseConstant)
-                          else PiecewiseConstant.constant(float(val)))
-                      for a, val in entry_row.items()}
-            for k in commodities:
-                expanded[(v, k)] = series
-        splits0 = SplitSchedule(expanded)
+    splits0 = as_split_schedule(base_splits, commodities)
 
     def run(splits):
         return simulate(net, commodities, splits, sources, laws,

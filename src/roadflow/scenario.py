@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .network import (Commodity, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule, SplitSchedule)
+                      SourceSchedule)
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                               congestion_law, constant_law)
 from .platoon_flow import AdmissibleVelocityField, FreightPair
@@ -348,17 +348,6 @@ def build_base_rows(spec, net, path) -> dict:
             _fail(f"{path}.{node_key}", f"row sums to {total}, expected 1")
         rows[node] = row
     return rows
-
-
-def rows_to_schedule(rows, commodities) -> SplitSchedule:
-    """Expand commodity-agnostic rows to a constant per-commodity schedule."""
-    expanded = {}
-    for v, entry in (rows or {}).items():
-        series = {a: PiecewiseConstant.constant(float(val))
-                  for a, val in entry.items()}
-        for k in commodities:
-            expanded[(v, k)] = series
-    return SplitSchedule(expanded)
 
 
 def build_policy(spec, net, base_rows, path) -> RoutingPolicy:

@@ -12,14 +12,13 @@ the best iterate found, it is not a failure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule, SplitSchedule)
+                      SourceSchedule, SplitSchedule, as_split_schedule)
 from .network_sim import NetworkState, simulate
 from .nonlocal_solver import GridSpec
 
@@ -208,21 +207,10 @@ def build_schedules(param: ControlParameterization, demand: DemandSpec,
     """Materialize the controls as simulator schedules.
 
     ``base_splits`` supplies rows for junctions the parameterization does
-    not control, either as a SplitSchedule or as a commodity-agnostic
-    ``{node: {link: value}}`` mapping applied to every commodity.
+    not control, in any form :func:`as_split_schedule` takes.
     """
     commodities = tuple(commodities or demand.commodities())
-    rows: dict = {}
-    if isinstance(base_splits, SplitSchedule):
-        for (v, k), entry in base_splits._rows.items():
-            rows[(v, k)] = dict(entry)
-    elif base_splits is not None:
-        for v, entry in base_splits.items():
-            series = {a: (val if isinstance(val, PiecewiseConstant)
-                          else PiecewiseConstant.constant(float(val)))
-                      for a, val in entry.items()}
-            for k in commodities:
-                rows[(v, k)] = dict(series)
+    rows = dict(as_split_schedule(base_splits, commodities)._rows)
     for c, vals in zip(param.theta, param.theta_values):
         rows[(c.node, c.commodity)] = {
             a: _series_from_intervals(param.knots, vals[i])
@@ -268,8 +256,7 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
                     param: ControlParameterization, budget: int, *,
                     laws, base_splits=None, grid: Optional[GridSpec] = None,
                     fd_step: float = 1e-3, initial_step: float = 0.25,
-                    min_fd_step: float = 1e-6, threads: int = 1
-                    ) -> SocialOptResult:
+                    min_fd_step: float = 1e-6) -> SocialOptResult:
     """Projected coordinate descent on the backlog objective.
 
     ``budget`` caps the number of simulations.  Accepted iterates strictly
@@ -285,18 +272,15 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
     horizon = param.horizon
     evals = 0
 
-    def evaluate_uncounted(x: np.ndarray) -> float:
+    def evaluate(x: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
         trial = project_controls(param.with_vector(x), demand)
         splits, sources = build_schedules(trial, demand, base_splits,
                                           commodities)
         state = simulate(net, commodities, splits, sources, laws,
                          horizon=horizon, grid=grid)
         return backlog_objective(state, demand)
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return evaluate_uncounted(x)
 
     x = project_controls(param, demand).pack()
     best_j = evaluate(x)
@@ -305,51 +289,41 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
     step = initial_step
     dim = len(x)
     status = "budget_exhausted"
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while evals < budget:
-            improved = False
-            for i in range(dim):
-                if evals + 2 > budget:
-                    break
-                e = np.zeros(dim)
-                e[i] = 1.0
-                if pool is not None:
-                    evals += 2
-                    jp, jm = pool.map(evaluate_uncounted,
-                                      [x + h * e, x - h * e])
-                else:
-                    jp = evaluate(x + h * e)
-                    jm = evaluate(x - h * e)
-                g = (jp - jm) / (2.0 * h)
-                if g == 0.0:
-                    continue
-                trial_step = step
-                while evals < budget:
-                    cand = x.copy()
-                    cand[i] -= trial_step * math.copysign(1.0, g)
-                    j_cand = evaluate(cand)
-                    if j_cand < best_j:
-                        x = project_controls(param.with_vector(cand),
-                                             demand).pack()
-                        best_j = j_cand
-                        trace.append((evals, best_j))
-                        improved = True
-                        break
-                    trial_step *= 0.5
-                    if trial_step < 1e-4:
-                        break
-            if evals >= budget:
+    while evals < budget:
+        improved = False
+        for i in range(dim):
+            if evals + 2 > budget:
                 break
-            if not improved:
-                h *= 0.5
-                step *= 0.5
-                if h < min_fd_step:
-                    status = "converged"
+            e = np.zeros(dim)
+            e[i] = 1.0
+            jp = evaluate(x + h * e)
+            jm = evaluate(x - h * e)
+            g = (jp - jm) / (2.0 * h)
+            if g == 0.0:
+                continue
+            trial_step = step
+            while evals < budget:
+                cand = x.copy()
+                cand[i] -= trial_step * math.copysign(1.0, g)
+                j_cand = evaluate(cand)
+                if j_cand < best_j:
+                    x = project_controls(param.with_vector(cand),
+                                         demand).pack()
+                    best_j = j_cand
+                    trace.append((evals, best_j))
+                    improved = True
                     break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                trial_step *= 0.5
+                if trial_step < 1e-4:
+                    break
+        if evals >= budget:
+            break
+        if not improved:
+            h *= 0.5
+            step *= 0.5
+            if h < min_fd_step:
+                status = "converged"
+                break
     controls = project_controls(param.with_vector(x), demand)
     note = ("local search; objective values certify only a descent sequence, "
             "not global optimality")

@@ -7,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from roadflow import cli
 from roadflow.cli import main
@@ -147,10 +148,26 @@ def test_oversized_key_is_schema_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_runtime_error_in_runner_is_compute_error(tmp_path, capsys,
+def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):
+    scenario = tmp_path / "scalar_profile.json"
+    doc = json.loads(SINGLE_LINK.read_text())
+    doc["cases"][1]["initial_density"][0]["profile"] = 0.5
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    with open(out / "mass_report_slab.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    link_length = 1.0
+    assert float(row["stored_initial"]) == pytest.approx(0.5 * link_length,
+                                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_runtime_error_in_runner_is_compute_error(error, tmp_path, capsys,
                                                   monkeypatch):
-    def failing_runner(built, out, seed, threads):
-        raise RuntimeError("no routing policy converged")
+    def failing_runner(built, out, seed):
+        raise error("no routing policy converged")
 
     monkeypatch.setitem(cli.RUNNERS, "simulate", failing_runner)
     code = main(["simulate", "--scenario", str(SINGLE_LINK),

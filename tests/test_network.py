@@ -3,8 +3,9 @@ import pytest
 
 from roadflow.errors import CycleDetected, Disconnected, SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
-                              SourceSchedule, SplitSchedule, junction_inflows,
-                              validate_acyclic)
+                              SourceSchedule, SplitSchedule, validate_acyclic)
+from roadflow.network_sim import simulate
+from roadflow.nonlocal_solver import GridSpec, constant_law
 
 
 def diamond():
@@ -100,7 +101,6 @@ def test_split_schedule_rows_and_validation():
     assert row[(0, 1)] == pytest.approx(0.5)
     grid = splits.grid_row(0, k, np.array([0.0, 1.0]), net.out_links(0))
     assert grid.shape == (2, 2)
-    splits.validate(net, [k], np.array([0.0, 1.0]))
 
 
 def test_split_schedule_rejects_bad_rows():
@@ -114,8 +114,9 @@ def test_split_schedule_rejects_bad_rows():
     k1 = Commodity("non_routed", 1)
     dead = SplitSchedule({(0, k1): {(0, 1): PiecewiseConstant.constant(0.5),
                                     (0, 2): PiecewiseConstant.constant(0.5)}})
-    with pytest.raises(SplitRowInvalid):
-        dead.validate(net, [k1], np.array([0.0]))
+    with pytest.raises(SplitRowInvalid, match="cannot reach the destination"):
+        simulate(net, [k1], dead, SourceSchedule({}), constant_law(1.0),
+                 horizon=1.0, grid=GridSpec(cells=8))
 
 
 def test_source_schedule_rates_and_total():
@@ -138,31 +139,3 @@ def test_source_schedule_rejects_bad_entries():
     stranding = SourceSchedule({(0, (0, 2), k1): PiecewiseConstant.constant(1.0)})
     with pytest.raises(SplitRowInvalid):
         stranding.validate(net, [k1])
-
-
-def test_junction_inflows_splits_arriving_flux():
-    net = diamond()
-    k = Commodity("non_routed", 3)
-    one = PiecewiseConstant.constant(1.0)
-    splits = SplitSchedule({(0, k): {(0, 1): PiecewiseConstant.constant(0.25),
-                                     (0, 2): PiecewiseConstant.constant(0.75)},
-                            (1, k): {(1, 3): one}})
-    sources = SourceSchedule({})
-    out = junction_inflows(net, 1, 0.0, {(0, 1): 2.0}, splits, sources, k)
-    assert out[(1, 3)] == pytest.approx(2.0)
-
-
-def test_junction_inflows_requires_row_when_flux_arrives():
-    net = diamond()
-    k = Commodity("non_routed", 3)
-    with pytest.raises(SplitRowInvalid):
-        junction_inflows(net, 1, 0.0, {(0, 1): 2.0}, SplitSchedule({}),
-                         SourceSchedule({}), k)
-
-
-def test_junction_inflows_absorbs_at_destination():
-    net = RoadNetwork([0, 1, 2], [(0, 1), (1, 2)])
-    k = Commodity("non_routed", 1)
-    out = junction_inflows(net, 1, 0.0, {(0, 1): 3.0}, SplitSchedule({}),
-                           SourceSchedule({}), k)
-    assert out[(1, 2)] == 0.0

@@ -3,18 +3,9 @@ import pytest
 
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
-                              SourceSchedule, SplitSchedule)
+                              SourceSchedule, SplitSchedule, as_split_schedule)
 from roadflow.network_sim import simulate
 from roadflow.nonlocal_solver import GridSpec, NonlocalWindow, congestion_law, constant_law
-
-
-def const_rows(rows, commodities):
-    expanded = {}
-    for v, entry in rows.items():
-        series = {a: PiecewiseConstant.constant(f) for a, f in entry.items()}
-        for k in commodities:
-            expanded[(v, k)] = series
-    return SplitSchedule(expanded)
 
 
 def fork_net():
@@ -38,8 +29,8 @@ def test_single_link_mass_balance_is_exact():
 def test_symmetric_fork_gives_identical_branches():
     net = fork_net()
     k = Commodity("non_routed", 4)
-    splits = const_rows({1: {(1, 2): 0.5, (1, 3): 0.5},
-                         2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, [k])
+    splits = as_split_schedule({1: {(1, 2): 0.5, (1, 3): 0.5},
+                                2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, [k])
     sources = SourceSchedule({(0, (0, 1), k): PiecewiseConstant([(0.0, 1.5, 0.8)])})
     state = simulate(net, [k], splits, sources, congestion_law(1.0, 2.0),
                      horizon=4.0, grid=GridSpec(cells=40))
@@ -51,8 +42,8 @@ def test_symmetric_fork_gives_identical_branches():
 def test_asymmetric_split_sends_mass_accordingly():
     net = fork_net()
     k = Commodity("non_routed", 4)
-    splits = const_rows({1: {(1, 2): 0.9, (1, 3): 0.1},
-                         2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, [k])
+    splits = as_split_schedule({1: {(1, 2): 0.9, (1, 3): 0.1},
+                                2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, [k])
     sources = SourceSchedule({(0, (0, 1), k): PiecewiseConstant([(0.0, 1.0, 1.0)])})
     state = simulate(net, [k], splits, sources, constant_law(1.0),
                      horizon=2.2, grid=GridSpec(cells=40))
@@ -65,7 +56,7 @@ def test_asymmetric_split_sends_mass_accordingly():
 def test_destination_absorbs_all_mass_eventually():
     net = RoadNetwork([0, 1, 2], [(0, 1), (1, 2)])
     k = Commodity("non_routed", 2)
-    splits = const_rows({1: {(1, 2): 1.0}}, [k])
+    splits = as_split_schedule({1: {(1, 2): 1.0}}, [k])
     sources = SourceSchedule({(0, (0, 1), k): PiecewiseConstant([(0.0, 0.5, 1.0)])})
     state = simulate(net, [k], splits, sources, constant_law(1.0),
                      horizon=6.0, grid=GridSpec(cells=40))
@@ -95,7 +86,7 @@ def test_two_commodities_stay_separate():
     net = RoadNetwork([0, 1, 2], [(0, 1), (1, 2)])
     ka = Commodity("non_routed", 2)
     kb = Commodity("routed", 2)
-    splits = const_rows({1: {(1, 2): 1.0}}, [ka, kb])
+    splits = as_split_schedule({1: {(1, 2): 1.0}}, [ka, kb])
     sources = SourceSchedule({
         (0, (0, 1), ka): PiecewiseConstant([(0.0, 1.0, 0.3)]),
         (0, (0, 1), kb): PiecewiseConstant([(0.0, 1.0, 0.7)]),

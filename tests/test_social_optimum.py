@@ -212,18 +212,6 @@ def test_optimizer_matches_coarse_grid_oracle():
     assert result.status in ("converged", "budget_exhausted")
 
 
-def test_optimizer_threads_match_serial():
-    setup = social_fork_setup()
-    kd, net, laws, theta, src, param, demand, base = setup
-    serial = optimize_social(net, demand, param, 30, laws=laws,
-                             base_splits=base, grid=GridSpec(cells=12))
-    threaded = optimize_social(net, demand, param, 30, laws=laws,
-                               base_splits=base, grid=GridSpec(cells=12),
-                               threads=2)
-    assert serial.objective == threaded.objective
-    assert np.array_equal(serial.controls.pack(), threaded.controls.pack())
-
-
 def test_optimizer_budget_one_returns_initial():
     setup = social_fork_setup()
     kd, net, laws, theta, src, param, demand, base = setup
