@@ -28,8 +28,8 @@ from .private_agg import (Ciphertext, CipherMatrix, Keypair, PrivateKey,
                           homomorphic_add, keygen, occupancy_indicator,
                           run_private_learning)
 from .routing import (EquilibriumDemand, EquilibriumRound, LogitRule,
-                      RoutingPolicy, compute_splits, equilibrium_iterate,
-                      infer_origin, mixed_gap, policy_grid_splits, wardrop_gap)
+                      RoutingPolicy, equilibrium_iterate, infer_origin,
+                      mixed_gap, policy_grid_splits, wardrop_gap)
 from .scheduler import (FreightGraph, LearningResult, ScheduleState,
                         VehicleAssignment, brute_force_schedule,
                         build_sweden_scenario, coordination_cost,
@@ -57,7 +57,7 @@ __all__ = [
     "congestion_law", "constant_law", "coordination_cost", "decrypt",
     "default_horizon", "encrypt", "equilibrium_iterate", "errors",
     "exact_gibbs_distribution", "exit_time", "homomorphic_add",
-    "compute_splits", "infer_origin", "interaction_groups",
+    "infer_origin", "interaction_groups",
     "keygen", "log_linear_step", "mixed_gap",
     "nonlocal_term", "occupancy_counts", "occupancy_indicator",
     "optimize_social", "optimize_velocity", "outflux",

@@ -227,14 +227,6 @@ class SplitSchedule:
     def has_row(self, node: int, commodity: Commodity) -> bool:
         return bool(self._rows.get((node, commodity)))
 
-    def row(self, node: int, commodity: Commodity, t: float,
-            out_links: Sequence[Link]) -> dict[Link, float]:
-        """Sampled row at time ``t``; validates simplex membership."""
-        entry = self.entries(node, commodity)
-        vals = {a: (entry[a].sample(t) if a in entry else 0.0) for a in out_links}
-        _check_row(vals, node, commodity, t)
-        return vals
-
     def grid_row(self, node: int, commodity: Commodity, times: np.ndarray,
                  out_links: Sequence[Link]) -> np.ndarray:
         """Row sampled on a whole time grid, shape ``(n_out, len(times))``."""
@@ -273,15 +265,6 @@ def as_split_schedule(rows, commodities: Sequence[Commodity]) -> SplitSchedule:
     return SplitSchedule(expanded)
 
 
-def _check_row(vals: Mapping[Link, float], node: int, commodity: Commodity,
-               t: float) -> None:
-    total = sum(vals.values())
-    if abs(total - 1.0) > ROW_SUM_TOL or any(v < -ROW_SUM_TOL for v in vals.values()):
-        raise SplitRowInvalid(
-            f"row at node {node} for {commodity.label()} sums to {total:.17g} "
-            f"at t={t:.6g} (must be 1 within {ROW_SUM_TOL})")
-
-
 class SourceSchedule:
     """Demand injected directly onto links, per commodity.
 
@@ -300,10 +283,6 @@ class SourceSchedule:
 
     def items(self):
         return self._entries.items()
-
-    def rate(self, node: int, link: Link, commodity: Commodity, t: float) -> float:
-        series = self._entries.get((node, link, commodity))
-        return 0.0 if series is None else float(series.sample(t))
 
     def total(self, commodity: Commodity, t0: float, t1: float) -> float:
         return sum(series.integral(t0, t1)

@@ -98,20 +98,20 @@ class NetworkState:
                          len(self.times) - 2)
         return int(idx) if idx.ndim == 0 else idx
 
-    def speed_at(self, link: Link, t: float) -> float:
-        """Transport speed on ``link`` at time ``t`` (held per step)."""
-        return float(self.speeds[link][self.step_index(t)])
-
-    def link_mass(self, link: Link, index: int) -> float:
-        return float(self.rho[link][index].sum() * self.dx)
-
-    def windowed_mass(self, link: Link, index: int) -> float:
-        """Mass inside the link's averaging window at time index ``index``."""
-        return _link_window_mass(self.aggregate_row(link, index),
-                                 self.windows.get(link), self.dx)
-
-    def aggregate_row(self, link: Link, index: int) -> np.ndarray:
-        return self.rho[link][index].sum(axis=0)
+    def windowed_mass(self, link: Link, index):
+        """Mass inside the link's averaging window at time index ``index``;
+        an array of indices gives an array of masses, each equal to the
+        scalar call bit for bit."""
+        idx = np.asarray(index)
+        rows = self.rho[link][idx].sum(axis=-2)
+        bounds = self.windows.get(link)
+        if idx.ndim == 0:
+            return _link_window_mass(rows, bounds, self.dx)
+        if bounds is None:
+            return rows.sum(axis=-1) * self.dx
+        edges, cum = cumulative_mass(rows, self.dx)
+        return (_interp_rows(bounds[1], edges, cum)
+                - _interp_rows(bounds[0], edges, cum))
 
     def cumulative_arrivals(self, commodity: Commodity) -> np.ndarray:
         """Arrived mass up to each time node (left Riemann of the flux)."""
@@ -149,6 +149,16 @@ def _link_window_mass(row: np.ndarray, window_bounds, dx: float) -> float:
     lo, up = window_bounds
     edges, cum = cumulative_mass(row, dx)
     return float(np.interp(up, edges, cum) - np.interp(lo, edges, cum))
+
+
+def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, row)`` for every row of ``fp``, at one point ``x``
+    inside ``[xp[0], xp[-1]]``, with the arithmetic ``np.interp`` uses."""
+    j = int(np.searchsorted(xp, x, side="right")) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[..., j]
+    slope = (fp[..., j + 1] - fp[..., j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[..., j]
 
 
 def _resolve_windows(net: RoadNetwork, windows) -> dict:

@@ -209,11 +209,11 @@ class LinkState:
 
 
 def cumulative_mass(rho_row: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative mass at cell edges for one density row (cell averages)."""
-    n = len(rho_row)
-    edges = np.arange(n + 1) * dx
-    cum = np.concatenate(([0.0], np.cumsum(rho_row) * dx))
-    return edges, cum
+    """Cumulative mass at cell edges for a density row (cell averages), or
+    for every row of a ``(..., cells)`` block."""
+    cum = np.cumsum(rho_row, axis=-1) * dx
+    edges = np.arange(cum.shape[-1] + 1) * dx
+    return edges, np.concatenate((np.zeros_like(cum[..., :1]), cum), axis=-1)
 
 
 def nonlocal_term(rho_row: np.ndarray, length: float, window: NonlocalWindow,

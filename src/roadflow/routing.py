@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SplitRowInvalid
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule, SplitSchedule, as_split_schedule)
+                      SourceSchedule, as_split_schedule)
 from .network_sim import (PATH_CAP, GridSplits, NetworkState, enumerate_paths,
                           simulate)
 from .nonlocal_solver import GridSpec
@@ -128,14 +128,6 @@ class RoutingPolicy:
 
 
 @dataclass
-class SplitDecision:
-    """Turning rows at one instant plus the fallback marker."""
-
-    rows: dict           # node -> {out_link: fraction} (absent links mean 0)
-    used_fallback: bool
-
-
-@dataclass
 class _PathPlan:
     """Paths and row bookkeeping reused across evaluation times."""
 
@@ -209,30 +201,20 @@ def _fill_path_rows(plan: _PathPlan, probs: np.ndarray, rows: dict,
         rows[v][:, cols] = block
 
 
-def _rows_from_base(base, plan: _PathPlan, commodity: Commodity, t: float) -> dict:
-    """Sample fixed rows at ``t``; uniform guard where the base is silent."""
+def _base_rows(base, plan: _PathPlan, commodity: Commodity,
+               times: np.ndarray) -> dict:
+    """The base rows of every plan node at each of ``times``, with the
+    uniform row over the node's preferred links where the base has none."""
+    schedule = as_split_schedule(base, (commodity,))
     rows = {}
     for v in plan.row_nodes:
         out = plan.net.out_links(v)
-        sampled = None
-        if isinstance(base, SplitSchedule):
-            if base.has_row(v, commodity):
-                sampled = base.row(v, commodity, t, out)
-        elif base is not None and v in base:
-            entry = base[v]
-            sampled = {}
-            for a in out:
-                val = entry.get(a, 0.0)
-                sampled[a] = float(val.sample(t)) if isinstance(
-                    val, PiecewiseConstant) else float(val)
-            total = sum(sampled.values())
-            if abs(total - 1.0) > 1e-9 or any(x < -1e-12 for x in sampled.values()):
-                raise SplitRowInvalid(
-                    f"base row at node {v} sums to {total:.17g} (must be 1)")
-        if sampled is None:
-            links = plan.preferred[v]
-            sampled = {a: 1.0 / len(links) for a in links}
-        rows[v] = {a: x for a, x in sampled.items() if x != 0.0}
+        if schedule.has_row(v, commodity):
+            rows[v] = schedule.grid_row(v, commodity, times, out)
+            continue
+        links = plan.preferred[v]
+        rows[v] = np.zeros((len(out), len(times)))
+        rows[v][[out.index(a) for a in links]] = 1.0 / len(links)
     return rows
 
 
@@ -282,20 +264,6 @@ def _missing_costs(policy: RoutingPolicy, state: NetworkState,
     return missing
 
 
-def _forecast_cost(policy: RoutingPolicy, state: NetworkState, a: Link,
-                   t: float, m: int) -> float:
-    """Traversal time under the windowed mass extrapolated to t + forecast."""
-    w_now = state.windowed_mass(a, m)
-    if m == 0:
-        w_pred = w_now
-    else:
-        slope = (w_now - state.windowed_mass(a, m - 1)) / state.dt
-        w_pred = w_now + slope * policy.forecast
-    w_pred = max(w_pred, 0.0)
-    law = state.laws[a]
-    return 1.0 / max(float(law(t + policy.forecast, w_pred)), law.floor)
-
-
 def _link_costs(policy: RoutingPolicy, state: NetworkState,
                 times: np.ndarray, plan: _PathPlan) -> dict:
     """Frozen per-link costs at each of ``times``: link -> array.
@@ -310,51 +278,55 @@ def _link_costs(policy: RoutingPolicy, state: NetworkState,
     ms = state.step_index(times)
     if kind == "incentivized":
         return {a: 1.0 / state.speeds[a][ms] + policy.congestion_weight
-                * np.array([state.windowed_mass(a, m) for m in ms.tolist()])
-                for a in plan.links}
+                * state.windowed_mass(a, ms) for a in plan.links}
     if kind == "simplified_forecast":
-        return {a: np.array([_forecast_cost(policy, state, a, t, m)
-                             for t, m in zip(times.tolist(), ms.tolist())])
-                for a in plan.links}
+        # traversal time under the windowed mass extrapolated to t + forecast
+        costs = {}
+        for a in plan.links:
+            w_now = state.windowed_mass(a, ms)
+            w_prev = state.windowed_mass(a, np.maximum(ms - 1, 0))
+            slope = (w_now - w_prev) / state.dt
+            w_pred = np.maximum(
+                np.where(ms == 0, w_now, w_now + slope * policy.forecast), 0.0)
+            law = state.laws[a]
+            costs[a] = 1.0 / np.maximum(law(times + policy.forecast, w_pred),
+                                        law.floor)
+        return costs
     # full_information, ex_ante, sub_network and delayed share the
     # frozen-instant cost
     return {a: 1.0 / state.speeds[a][ms] for a in plan.links}
 
 
-def _local_rows(policy: RoutingPolicy, state: NetworkState, t: float,
-                commodity: Commodity, plan: _PathPlan) -> dict:
-    """Static rows pushed toward emptier downstream neighborhoods."""
-    base_rows = _rows_from_base(policy.base, plan, commodity, t)
-    m = state.step_index(t)
-    net = plan.net
+#: ``math.exp`` elementwise: ``np.exp`` differs from it in the last bit on
+#: some inputs, and the ``local`` weights keep the bits of the scalar rule
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _reweighted_rows(policy: RoutingPolicy, state: NetworkState,
+                     times: np.ndarray, base_rows: dict) -> dict:
+    """Base rows pushed toward emptier downstream neighbourhoods: each
+    out-link's weight is its base fraction times exp(-beta * mass within
+    ``radius`` links downstream)."""
+    net = state.net
+    ms = state.step_index(times)
+    masses = {a: state.rho[a].sum(axis=(-2, -1))[ms] * state.dx
+              for a in net.links}
     rows = {}
-    for v, base_row in base_rows.items():
-        scores = {}
-        for a in base_row:
+    for v, base in base_rows.items():
+        weights = np.empty_like(base)
+        for i, a in enumerate(net.out_links(v)):
             seen = {a}
             frontier = [a]
             for _ in range(policy.radius - 1):
                 frontier = [b for lk in frontier for b in net.out_links(lk[1])
                             if b not in seen]
                 seen.update(frontier)
-            scores[a] = sum(state.link_mass(lk, m) for lk in seen)
-        weights = {a: base_row[a] * math.exp(-policy.logit.beta * scores[a])
-                   for a in base_row}
-        total = sum(weights.values())
-        if total <= 0.0:
-            rows[v] = base_row
-        else:
-            rows[v] = {a: w / total for a, w in weights.items()}
+            score = sum(masses[lk] for lk in seen)
+            weights[i] = base[i] * _exp(-policy.logit.beta * score)
+        total = sum(weights)
+        flat = total <= 0.0
+        rows[v] = np.where(flat, base, weights / np.where(flat, 1.0, total))
     return rows
-
-
-def _fill_column(rows: dict, net: RoadNetwork, j: int, decided: dict) -> None:
-    """Write per-node row dicts into column ``j`` of the grid rows."""
-    for v, row in decided.items():
-        out = net.out_links(v)
-        arr = rows[v]
-        for a, x in row.items():
-            arr[out.index(a), j] = x
 
 
 def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
@@ -363,20 +335,16 @@ def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
     ``(n_out_links, len(times))``, plus the mask of times that fell back to
     the base rows.
 
-    Cost-driven kinds price every plan link and path at all times at once;
-    ``static`` and ``local`` sample their rows one time at a time.
+    Rows start as the base rows sampled on ``times``.  ``static`` keeps
+    them, ``local`` reweights them by downstream mass, and the cost-driven
+    kinds price every plan link and path at all times at once and
+    overwrite every time that has cost data.
     """
-    net = plan.net
-    rows = {v: np.zeros((len(net.out_links(v)), len(times)))
-            for v in plan.row_nodes}
     kind = policy.kind
+    rows = _base_rows(policy.base, plan, commodity, times)
     if kind in ("static", "local"):
-        for j, t in enumerate(times.tolist()):
-            if kind == "static":
-                decided = _rows_from_base(policy.base, plan, commodity, t)
-            else:
-                decided = _local_rows(policy, state, t, commodity, plan)
-            _fill_column(rows, net, j, decided)
+        if kind == "local":
+            rows = _reweighted_rows(policy, state, times, rows)
         return rows, np.zeros(len(times), dtype=bool)
     if kind == "ex_ante":
         times = np.full(len(times), _first_departure(state, commodity))
@@ -391,9 +359,6 @@ def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
                 total = total + costs[a]
             path_costs[pi] = total
         _fill_path_rows(plan, policy.logit.split(path_costs), rows, live)
-    for j in np.flatnonzero(fallback).tolist():
-        _fill_column(rows, net, j, _rows_from_base(
-            policy.base, plan, commodity, float(times[j])))
     return rows, fallback
 
 
@@ -407,31 +372,15 @@ def _policy_plan(policy: RoutingPolicy, state: NetworkState,
                        mask=mask)
 
 
-def compute_splits(policy: RoutingPolicy, state: NetworkState, t: float,
-                   commodity: Commodity, *, origin: Optional[int] = None,
-                   cap: int = PATH_CAP) -> SplitDecision:
-    """Turning rows for every junction that can forward the commodity.
-
-    Rows follow the policy's information principle evaluated on the given
-    state at time ``t``.  Every returned row sums to one over the node's
-    outgoing links and puts weight only on links from which the destination
-    stays reachable.
-    """
-    plan = _policy_plan(policy, state, commodity, origin, cap)
-    rows, fallback = _grid_rows(policy, state, np.array([float(t)]),
-                                commodity, plan)
-    return SplitDecision(
-        {v: {a: x for a, x in zip(state.net.out_links(v), arr[:, 0].tolist())
-             if x != 0.0}
-         for v, arr in rows.items()},
-        bool(fallback[0]))
-
-
 def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
                        commodity: Commodity, *, origin: Optional[int] = None,
                        cap: int = PATH_CAP) -> tuple[dict, np.ndarray]:
-    """Rows sampled on the whole simulation grid of ``state``.
+    """Turning rows of every junction that can forward the commodity,
+    sampled on the whole simulation grid of ``state``.
 
+    Rows follow the policy's information principle evaluated on the given
+    state.  Every row sums to one over the node's outgoing links and puts
+    weight only on links from which the destination stays reachable.
     Returns ``(rows, fallback)`` where ``rows`` maps ``(node, commodity)``
     to an array of shape ``(n_out_links, len(times))`` suitable for
     :class:`GridSplits`, and ``fallback`` flags the time nodes where the

@@ -17,8 +17,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import SchemaError
-from .network import (Commodity, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule)
+from .network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
+                      RoadNetwork, SourceSchedule)
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                               congestion_law, constant_law)
 from .platoon_flow import AdmissibleVelocityField, FreightPair
@@ -343,9 +343,11 @@ def build_base_rows(spec, net, path) -> dict:
                 _fail(f"{path}.{node_key}.{link_key}",
                       "fraction must be a nonnegative number")
             row[link] = float(frac)
-        total = sum(row.values())
-        if abs(total - 1.0) > 1e-9:
-            _fail(f"{path}.{node_key}", f"row sums to {total}, expected 1")
+        # summed in out-link order, as the simulator sums it; NaN fails too
+        total = sum(row.get(a, 0.0) for a in net.links if a[0] == node)
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
+            _fail(f"{path}.{node_key}",
+                  f"row sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
         rows[node] = row
     return rows
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -146,6 +147,36 @@ def test_oversized_key_is_schema_error(tmp_path, capsys):
     assert payload["error"] == "schema"
     assert "schedule-private.bits" in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, field", [("equilibrium", "base_splits"),
+                                         ("simulate", "splits")])
+# 0.4999999999 makes the row sum 1 - 1e-10: within 1e-9 of 1 but not within
+# the simulator's 1e-12; a NaN fraction makes a NaN sum, which no check refused
+@pytest.mark.parametrize("fraction", [0.4999999999, math.nan])
+def test_row_off_by_more_than_the_simulator_tolerance_is_schema_error(
+        kind, field, fraction, tmp_path, capsys):
+    doc = json.loads(EQUILIBRIUM.read_text())
+    if kind == "simulate":
+        doc = {name: doc[name] for name in ("seed", "network", "laws",
+                                            "horizon", "grid")}
+        doc.update(kind="simulate",
+                   commodities=[{"group": "routed", "destination": 4}],
+                   cases=[{"name": "run", "sources": [
+                       {"node": 0, "link": [0, 1], "commodity": 0,
+                        "segments": [[0.0, 2.0, 1.0]]}]}])
+    doc[field] = {"1": {"1-2": 0.5, "1-3": fraction},
+                  "2": {"2-4": 1.0}, "3": {"3-4": 1.0}}
+    scenario = tmp_path / "near_row.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(scenario)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert f"{kind}.{field}.1" in message
+    out = tmp_path / "out"
+    assert main([kind, "--scenario", str(scenario), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)    # exactly one JSON object
+    assert payload["error"] == "schema"
+    assert not out.exists()
 
 
 def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):

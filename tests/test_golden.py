@@ -1,9 +1,13 @@
 """Golden record: the sha256 of every artifact of the bundled scenarios.
 
-Each bundled scenario is rerun in process through ``cli.main`` with its
-own seed, and every artifact listed in its manifest must have the digest
-stored in ``tests/golden/<scenario stem>.json``.  ``run_manifest.json``
-itself is not recorded: its wall time and timestamp are not reproducible.
+Each bundled scenario, and each policy-kind scenario under
+``tests/golden/scenarios/``, is rerun in process through ``cli.main`` with
+its own seed, and every artifact listed in its manifest must have the
+digest stored in ``tests/golden/<scenario stem>.json``.  The policy-kind
+scenarios are small ``equilibrium`` runs that together use every routing
+policy kind the CLI builds besides ``full_information`` and ``static``.
+``run_manifest.json`` itself is not recorded: its wall time and timestamp
+are not reproducible.
 
 The digests pin one platform: numpy 2.4.6 on x86_64.  Another numpy or
 CPU may round a reduction differently and move the last bits of a float.
@@ -26,7 +30,8 @@ from roadflow.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
+SCENARIOS = (sorted(SCENARIO_DIR.glob("*.json"))
+             + sorted((GOLDEN_DIR / "scenarios").glob("*.json")))
 
 
 def run_digests(scenario: Path, out: Path) -> dict:

@@ -97,10 +97,9 @@ def test_split_schedule_rows_and_validation():
                             (1, k): {(1, 3): one},
                             (2, k): {(2, 3): one}})
     assert splits.has_row(0, k)
-    row = splits.row(0, k, 0.7, net.out_links(0))
-    assert row[(0, 1)] == pytest.approx(0.5)
-    grid = splits.grid_row(0, k, np.array([0.0, 1.0]), net.out_links(0))
+    grid = splits.grid_row(0, k, np.array([0.0, 0.7]), net.out_links(0))
     assert grid.shape == (2, 2)
+    assert grid[0, 1] == pytest.approx(0.5)
 
 
 def test_split_schedule_rejects_bad_rows():
@@ -109,7 +108,7 @@ def test_split_schedule_rejects_bad_rows():
     bad = SplitSchedule({(0, k): {(0, 1): PiecewiseConstant.constant(0.7),
                                   (0, 2): PiecewiseConstant.constant(0.7)}})
     with pytest.raises(SplitRowInvalid):
-        bad.row(0, k, 0.0, net.out_links(0))
+        bad.grid_row(0, k, np.array([0.0]), net.out_links(0))
     # positive fraction routed where the destination is unreachable
     k1 = Commodity("non_routed", 1)
     dead = SplitSchedule({(0, k1): {(0, 1): PiecewiseConstant.constant(0.5),
@@ -123,8 +122,9 @@ def test_source_schedule_rates_and_total():
     k = Commodity("non_routed", 3)
     series = PiecewiseConstant([(0.0, 2.0, 1.5)])
     sources = SourceSchedule({(0, (0, 1), k): series})
-    assert sources.rate(0, (0, 1), k, 1.0) == 1.5
-    assert sources.rate(0, (0, 2), k, 1.0) == 0.0
+    rates = dict(sources.items())
+    assert rates[(0, (0, 1), k)].sample(1.0) == 1.5
+    assert (0, (0, 2), k) not in rates
     assert sources.total(k, 0.0, 4.0) == pytest.approx(3.0)
 
 

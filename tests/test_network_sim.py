@@ -111,8 +111,29 @@ def test_window_bounds_change_the_speed_argument():
     # mass sits near the entry early on, so the downstream-only window
     # sees less of it and the link runs faster
     m = len(whole.times) // 4
-    t = whole.times[m]
-    assert ahead.speed_at((0, 1), t) > whole.speed_at((0, 1), t)
+    assert ahead.speeds[(0, 1)][m] > whole.speeds[(0, 1)][m]
+
+
+@pytest.mark.parametrize("window", [None, (0.25, 0.7), (0.0, 0.5),
+                                    (0.3, 1.0), (0.41, 0.43)])
+def test_windowed_mass_over_indices_equals_scalar_calls(window):
+    net = RoadNetwork([0, 1, 2], [(0, 1), (1, 2)])
+    k1, k2 = Commodity("routed", 2), Commodity("non_routed", 2)
+    sources = SourceSchedule({
+        (0, (0, 1), k1): PiecewiseConstant([(0.0, 1.0, 0.7)]),
+        (0, (0, 1), k2): PiecewiseConstant([(0.2, 1.5, 0.4)])})
+    splits = as_split_schedule({1: {(1, 2): 1.0}}, [k1, k2])
+    state = simulate(net, [k1, k2], splits, sources,
+                     congestion_law(1.0, 3.0), horizon=3.0,
+                     grid=GridSpec(cells=20), windows={(1, 2): window})
+    # bounds on and off the cell edges, and inside one cell
+    for link in net.links:
+        idx = np.arange(len(state.times))
+        masses = state.windowed_mass(link, idx)
+        scalar = np.array([state.windowed_mass(link, m) for m in idx.tolist()])
+        assert masses.tobytes() == scalar.tobytes()
+        assert isinstance(state.windowed_mass(link, 3), float)
+    assert np.ptp(masses) > 0.0
 
 
 def test_initial_density_callable_and_array():

@@ -1,14 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from roadflow import routing
-from roadflow.network import Commodity, PiecewiseConstant, RoadNetwork
+from roadflow.errors import SplitRowInvalid
+from roadflow.network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
+                              RoadNetwork, SplitSchedule)
 from roadflow.network_sim import enumerate_paths
 from roadflow.routing import (EquilibriumDemand, LogitRule, RoutingPolicy,
-                              compute_splits, equilibrium_iterate, infer_origin,
-                              mixed_gap, policy_grid_splits, wardrop_gap)
+                              equilibrium_iterate, infer_origin, mixed_gap,
+                              policy_grid_splits, wardrop_gap)
 from roadflow.nonlocal_solver import GridSpec, congestion_law, constant_law
 
 
@@ -93,11 +96,11 @@ def test_full_information_prefers_the_faster_route():
     rounds = run_sweep(alpha=1.0, rounds=3)
     state = rounds[-1].state
     k = Commodity("routed", 5)
-    t = 0.5
-    decision = compute_splits(RoutingPolicy("full_information",
-                                            logit=LogitRule(beta=2.0)),
-                              state, t, k, origin=1)
-    row = decision.rows[1]
+    rows, _ = policy_grid_splits(RoutingPolicy("full_information",
+                                               logit=LogitRule(beta=2.0)),
+                                 state, k, origin=1)
+    column = rows[(1, k)][:, state.step_index(0.5)]
+    row = dict(zip(state.net.out_links(1), column.tolist()))
     # the constant-0.55 route is always slowest; logit must send it the least
     assert row[(1, 4)] < row[(1, 2)]
     assert row[(1, 4)] < row[(1, 3)]
@@ -209,6 +212,69 @@ def test_logit_grid_columns_equal_one_dimensional_calls(n, beta):
 
 
 # --------------------------------------------------- per-time reference
+#
+# The loop that sampled every row one grid time at a time, kept here as the
+# reference the whole-grid rows must equal bit for bit.
+
+def check_row(sampled, v, tol):
+    total = sum(sampled.values())
+    if abs(total - 1.0) > tol or any(x < -1e-12 for x in sampled.values()):
+        raise SplitRowInvalid(f"base row at node {v} sums to {total:.17g}")
+
+
+def reference_base_rows(base, plan, commodity, t):
+    """Base rows at one time; uniform guard where the base is silent."""
+    rows = {}
+    for v in plan.row_nodes:
+        out = plan.net.out_links(v)
+        sampled = None
+        if isinstance(base, SplitSchedule):
+            if base.has_row(v, commodity):
+                entry = base.entries(v, commodity)
+                sampled = {a: (entry[a].sample(t) if a in entry else 0.0)
+                           for a in out}
+                check_row(sampled, v, ROW_SUM_TOL)
+        elif base is not None and v in base:
+            entry = base[v]
+            sampled = {}
+            for a in out:
+                val = entry.get(a, 0.0)
+                sampled[a] = float(val.sample(t)) if isinstance(
+                    val, PiecewiseConstant) else float(val)
+            check_row(sampled, v, 1e-9)
+        if sampled is None:
+            links = plan.preferred[v]
+            sampled = {a: 1.0 / len(links) for a in links}
+        rows[v] = {a: x for a, x in sampled.items() if x != 0.0}
+    return rows
+
+
+def reference_local_rows(policy, state, t, commodity, plan):
+    """Base rows pushed toward emptier downstream neighborhoods."""
+    base_rows = reference_base_rows(policy.base, plan, commodity, t)
+    m = state.step_index(t)
+    net = plan.net
+    rows = {}
+    for v, base_row in base_rows.items():
+        scores = {}
+        for a in base_row:
+            seen = {a}
+            frontier = [a]
+            for _ in range(policy.radius - 1):
+                frontier = [b for lk in frontier for b in net.out_links(lk[1])
+                            if b not in seen]
+                seen.update(frontier)
+            scores[a] = sum(float(state.rho[lk][m].sum() * state.dx)
+                            for lk in seen)
+        weights = {a: base_row[a] * math.exp(-policy.logit.beta * scores[a])
+                   for a in base_row}
+        total = sum(weights.values())
+        if total <= 0.0:
+            rows[v] = base_row
+        else:
+            rows[v] = {a: w / total for a, w in weights.items()}
+    return rows
+
 
 def reference_link_costs(policy, state, t, plan):
     """Per-link costs at one time, as the per-time loop priced them."""
@@ -268,14 +334,14 @@ def reference_path_rows(plan, probs):
 def reference_split_at(policy, state, t, commodity, plan):
     """Rows at one time and whether they fell back to the base rows."""
     if policy.kind == "static":
-        return routing._rows_from_base(policy.base, plan, commodity, t), False
+        return reference_base_rows(policy.base, plan, commodity, t), False
     if policy.kind == "local":
-        return routing._local_rows(policy, state, t, commodity, plan), False
+        return reference_local_rows(policy, state, t, commodity, plan), False
     if policy.kind == "ex_ante":
         t = routing._first_departure(state, commodity)
     costs = reference_link_costs(policy, state, t, plan)
     if costs is None:
-        return routing._rows_from_base(policy.base, plan, commodity, t), True
+        return reference_base_rows(policy.base, plan, commodity, t), True
     path_costs = np.array([sum(costs[a] for a in p) for p in plan.paths])
     return reference_path_rows(plan, policy.logit.split(path_costs)), False
 
@@ -325,14 +391,7 @@ def routed_policies():
     }
 
 
-@pytest.mark.parametrize("name", sorted(routed_policies()))
-def test_policy_grid_splits_equals_per_time_reference(name):
-    policy = routed_policies()[name]
-    state = run_sweep(alpha=0.5, rounds=2)[-1].state
-    if name == "delayed":
-        # a delay on the grid: history starts exactly at one grid time
-        policy = dataclasses.replace(policy, delay=float(state.times[40]))
-    k = Commodity("routed", 5)
+def assert_equals_reference(policy, state, k):
     # origin 1: node 0 has a row but no enumerated path passes through it
     rows, fallback = policy_grid_splits(policy, state, k, origin=1)
     ref_rows, ref_fallback = reference_grid_splits(policy, state, k, 1)
@@ -341,13 +400,69 @@ def test_policy_grid_splits_equals_per_time_reference(name):
     for key, arr in rows.items():
         assert arr.tobytes() == ref_rows[key].tobytes(), key
     assert fallback.tobytes() == ref_fallback.tobytes()
+    return rows, fallback
+
+
+@pytest.mark.parametrize("name", sorted(routed_policies()))
+def test_policy_grid_splits_equals_per_time_reference(name):
+    policy = routed_policies()[name]
+    state = run_sweep(alpha=0.5, rounds=2)[-1].state
+    if name == "delayed":
+        # a delay on the grid: history starts exactly at one grid time
+        policy = dataclasses.replace(policy, delay=float(state.times[40]))
+    _, fallback = assert_equals_reference(policy, state,
+                                          Commodity("routed", 5))
     if name in ("delayed", "database"):
         assert 0 < fallback.sum() < len(fallback)
-    for j in (0, len(state.times) // 2, len(state.times) - 1):
-        decision = compute_splits(policy, state, float(state.times[j]), k,
-                                  origin=1)
-        assert decision.used_fallback == fallback[j]
-        for v, row in decision.rows.items():
-            col = rows[(v, k)][:, j]
-            out = state.net.out_links(v)
-            assert {a: x for a, x in zip(out, col.tolist()) if x != 0.0} == row
+
+
+def switching_base(k):
+    """Rows at node 1 that change at t = 3: a link drops out of the row."""
+    def series(before, after):
+        return PiecewiseConstant([(-math.inf, 3.0, before),
+                                  (3.0, math.inf, after)])
+    return SplitSchedule({(1, k): {(1, 2): series(0.5, 0.5),
+                                   (1, 3): series(0.25, 0.5),
+                                   (1, 4): series(0.25, 0.0)}})
+
+
+@pytest.mark.parametrize("kind", ["static", "local", "delayed"])
+def test_grid_splits_follow_a_base_that_changes_mid_horizon(kind):
+    state = run_sweep(alpha=0.5, rounds=2)[-1].state
+    k = Commodity("routed", 5)
+    # a delay past t = 3 puts both base segments into the fallback times
+    policy = RoutingPolicy(kind, base=switching_base(k), radius=2,
+                           delay=4.0, logit=LogitRule(beta=1.5))
+    rows, fallback = assert_equals_reference(policy, state, k)
+    if kind == "delayed":
+        assert state.times[fallback].max() > 3.0
+        assert not fallback.all()
+    early = rows[(1, k)][:, state.step_index(1.0)]
+    late = rows[(1, k)][:, state.step_index(3.5)]
+    assert early[2] > 0.0 and late[2] == 0.0
+    if kind != "local":
+        assert early.tolist() == [0.5, 0.25, 0.25]
+        assert late.tolist() == [0.5, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_local_rows_sum_neighbourhood_masses_in_reference_order(radius):
+    # two rungs deep, so a neighbourhood holds three or four links and the
+    # order of the mass sum shows in the last bit
+    net = RoadNetwork(range(7), [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5),
+                                 (3, 5), (4, 6), (5, 6)])
+    base = {1: {(1, 2): 0.5, (1, 3): 0.5}, 2: {(2, 4): 0.25, (2, 5): 0.75},
+            3: {(3, 5): 1.0}, 4: {(4, 6): 1.0}, 5: {(5, 6): 1.0}}
+    laws = {a: congestion_law(1.0, 2.0 + 0.5 * i)
+            for i, a in enumerate(net.links)}
+    demand = EquilibriumDemand(entry_link=(0, 1),
+                               rate=PiecewiseConstant([(0.0, 2.0, 1.3)]),
+                               destination=6)
+    policies = (RoutingPolicy("full_information"),
+                RoutingPolicy("static", base=base))
+    state = equilibrium_iterate(net, demand, 0.5, policies, 1, laws=laws,
+                                horizon=6.0, base_splits=base,
+                                grid=GridSpec(cells=16))[-1].state
+    policy = RoutingPolicy("local", base=base, radius=radius,
+                           logit=LogitRule(beta=1.5))
+    assert_equals_reference(policy, state, Commodity("non_routed", 6))

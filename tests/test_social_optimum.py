@@ -118,11 +118,12 @@ def test_build_schedules_sources_hit_demand_total():
     demand = DemandSpec({(0, (0, 1), K): 1.0})
     splits, sources = build_schedules(param, demand)
     assert math.isclose(sources.total(K, 0.0, 2.0), 1.0, rel_tol=1e-12)
+    series = dict(sources.items())[(0, (0, 1), K)]
     # relative weights 3:1 over equal intervals
-    assert math.isclose(sources.rate(0, (0, 1), K, 0.5), 0.75)
-    assert math.isclose(sources.rate(0, (0, 1), K, 1.5), 0.25)
+    assert math.isclose(series.sample(0.5), 0.75)
+    assert math.isclose(series.sample(1.5), 0.25)
     # the last interval stays open so sampling at the horizon works
-    assert math.isclose(sources.rate(0, (0, 1), K, 2.0), 0.25)
+    assert math.isclose(series.sample(2.0), 0.25)
 
 
 def test_build_schedules_theta_overrides_base():
@@ -135,10 +136,11 @@ def test_build_schedules_theta_overrides_base():
     base = {1: {(1, 2): 0.5, (1, 3): 0.5}, 2: {(2, 4): 1.0},
             3: {(3, 4): 1.0}}
     splits, _ = build_schedules(param, demand, base)
-    row = splits.row(1, kd, 0.5, ((1, 2), (1, 3)))
-    assert math.isclose(row[(1, 2)], 0.8) and math.isclose(row[(1, 3)], 0.2)
-    row = splits.row(2, kd, 0.5, ((2, 4),))
-    assert math.isclose(row[(2, 4)], 1.0)
+    at = np.array([0.5])
+    row = splits.grid_row(1, kd, at, ((1, 2), (1, 3)))[:, 0]
+    assert math.isclose(row[0], 0.8) and math.isclose(row[1], 0.2)
+    row = splits.grid_row(2, kd, at, ((2, 4),))[:, 0]
+    assert math.isclose(row[0], 1.0)
 
 
 def test_backlog_objective_no_arrivals():
