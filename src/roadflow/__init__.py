@@ -17,7 +17,7 @@ from .network import (Commodity, PiecewiseConstant, RoadNetwork, SourceSchedule,
 from .network_sim import GridSplits, NetworkState, simulate
 from .nonlocal_solver import (GridSpec, LinkState, NonlocalWindow, VelocityLaw,
                               congestion_law, constant_law, exit_time,
-                              nonlocal_term, outflux, solve_characteristic,
+                              linear_law, nonlocal_term, outflux, solve_characteristic,
                               solve_link)
 from .platoon_flow import (AdmissibleVelocityField, FreightPair,
                            PlatoonSolution, VelocityOptResult,
@@ -58,7 +58,7 @@ __all__ = [
     "default_horizon", "encrypt", "equilibrium_iterate", "errors",
     "exact_gibbs_distribution", "exit_time", "homomorphic_add",
     "infer_origin", "interaction_groups",
-    "keygen", "log_linear_step", "mixed_gap",
+    "keygen", "linear_law", "log_linear_step", "mixed_gap",
     "nonlocal_term", "occupancy_counts", "occupancy_indicator",
     "optimize_social", "optimize_velocity", "outflux",
     "pair_distance_histogram", "pair_distance_ratio",

@@ -72,11 +72,17 @@ class PiecewiseConstant:
         out = np.where(inside, self._values[idx_c], 0.0)
         return out if out.ndim else float(out)
 
-    def integral(self, t0: float, t1: float) -> float:
-        """Exact integral over ``[t0, t1]``."""
-        lo = np.maximum(self._starts, t0)
-        hi = np.minimum(self._ends, t1)
-        return float(np.sum(np.clip(hi - lo, 0.0, None) * self._values))
+    def integral(self, t0, t1):
+        """Exact integral over ``[t0, t1]``; arrays of bounds give an array
+        of integrals, each equal to the scalar call bit for bit (the
+        segment terms are summed along the last axis of a C-contiguous
+        block, in the order of the scalar sum)."""
+        t0_arr = np.asarray(t0, dtype=float)[..., None]
+        t1_arr = np.asarray(t1, dtype=float)[..., None]
+        lo = np.maximum(self._starts, t0_arr)
+        hi = np.minimum(self._ends, t1_arr)
+        out = np.sum(np.clip(hi - lo, 0.0, None) * self._values, axis=-1)
+        return out if out.ndim else float(out)
 
     def scaled(self, factor: float) -> "PiecewiseConstant":
         return PiecewiseConstant([(a, b, v * factor) for a, b, v in self.segments])
@@ -235,14 +241,25 @@ class SplitSchedule:
         for i, a in enumerate(out_links):
             if a in entry:
                 out[i] = entry[a].sample(times)
-        sums = out.sum(axis=0)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad) or np.any(out < -ROW_SUM_TOL):
-            k = int(np.argmax(bad)) if np.any(bad) else 0
-            raise SplitRowInvalid(
-                f"row at node {node} for {commodity.label()} sums to "
-                f"{sums[k]:.17g} at t={times[k]:.6g} (must be 1 within {ROW_SUM_TOL})")
-        return out
+        return _check_grid_row(out, node, commodity, times)
+
+
+def _check_grid_row(row: np.ndarray, node: int, commodity: Commodity,
+                   times: np.ndarray) -> np.ndarray:
+    """Return ``row`` (``(n_out, len(times))``) when every column is a
+    probability row within ``ROW_SUM_TOL``; otherwise raise
+    :class:`SplitRowInvalid` naming the first offending time."""
+    sums = row.sum(axis=0)
+    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL) | np.any(row < -ROW_SUM_TOL,
+                                                        axis=0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SplitRowInvalid(
+            f"row at node {node} for {commodity.label()} sums to "
+            f"{sums[k]:.17g} with smallest fraction {row[:, k].min():.17g} "
+            f"at t={times[k]:.6g} (must be a probability row within "
+            f"{ROW_SUM_TOL})")
+    return row
 
 
 def as_split_schedule(rows, commodities: Sequence[Commodity]) -> SplitSchedule:

@@ -44,16 +44,24 @@ class VelocityLaw:
     ``fn(t, w)`` must be vectorized over numpy arrays, bounded below by
     ``floor`` (> 0) on the operating range, and, when ``decreasing`` is set,
     nonincreasing in ``w`` (congestion behaviour).
+
+    ``coefficients`` is ``(v0, gain, slope, low)`` for the laws built by
+    :func:`congestion_law`, :func:`constant_law` and :func:`linear_law`:
+    their ``fn`` equals ``max(v0 / (1 + gain*w) - slope*w, low)`` bit for
+    bit on every element, so the network simulator evaluates all links'
+    speeds in one expression.  It is ``None`` for other laws.
     """
 
     def __init__(self, fn: Callable, *, floor: float = 1e-9,
-                 decreasing: bool = False, name: str = "custom"):
+                 decreasing: bool = False, name: str = "custom",
+                 coefficients: Optional[tuple] = None):
         if floor <= 0:
             raise ValueError("speed floor must be positive")
         self.fn = fn
         self.floor = float(floor)
         self.decreasing = bool(decreasing)
         self.name = name
+        self.coefficients = coefficients
 
     def __call__(self, t, w):
         return self.fn(t, w)
@@ -88,7 +96,8 @@ def congestion_law(free_speed: float, slope: float) -> VelocityLaw:
         return free_speed / (1.0 + slope * np.asarray(w, dtype=float))
 
     return VelocityLaw(fn, floor=1e-9, decreasing=True,
-                       name=f"{free_speed:g}/(1+{slope:g}W)")
+                       name=f"{free_speed:g}/(1+{slope:g}W)",
+                       coefficients=(free_speed, slope, 0.0, 0.0))
 
 
 def constant_law(speed: float) -> VelocityLaw:
@@ -100,7 +109,22 @@ def constant_law(speed: float) -> VelocityLaw:
         return np.full(t_b.shape, speed) if t_b.ndim else speed
 
     return VelocityLaw(fn, floor=min(speed, 1e-9), decreasing=True,
-                       name=f"const {speed:g}")
+                       name=f"const {speed:g}",
+                       coefficients=(speed, 0.0, 0.0, 0.0))
+
+
+def linear_law(free_speed: float, slope: float, floor: float) -> VelocityLaw:
+    """Speed ``max(free_speed - slope * W, floor)``, clamped at its floor."""
+    if free_speed <= 0 or slope < 0 or floor <= 0:
+        raise ValueError("free_speed and floor must be positive and slope "
+                         "nonnegative")
+
+    def fn(t, w):
+        return np.maximum(free_speed - slope * np.asarray(w, dtype=float),
+                          floor)
+
+    return VelocityLaw(fn, floor=floor, decreasing=True, name="linear",
+                       coefficients=(free_speed, 0.0, slope, floor))
 
 
 class NonlocalWindow:

@@ -10,6 +10,7 @@ simulation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -19,8 +20,9 @@ import numpy as np
 from .errors import SchemaError
 from .network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
                       RoadNetwork, SourceSchedule)
+from .network_sim import _DEFAULT_CELLS, _time_steps
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                              congestion_law, constant_law)
+                              congestion_law, constant_law, linear_law)
 from .platoon_flow import AdmissibleVelocityField, FreightPair
 from .routing import EquilibriumDemand, LogitRule, RoutingPolicy
 from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
@@ -33,6 +35,10 @@ KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
 #: largest Paillier modulus a scenario may ask for: keygen's pure-Python
 #: prime search grows steeply with the key size (about 2 s at 2048 bits)
 MAX_KEY_BITS = 4096
+#: largest density block one network run may ask for, in float64 values
+#: (links x (time steps + 1) x commodities x cells, 128 MiB); the bundled
+#: and benchmark scenarios need at most 480 000
+_MAX_STATE_VALUES = 2 ** 24
 
 _MISSING = object()
 
@@ -86,12 +92,27 @@ def _field(obj: Mapping, name: str, path: str, default=_MISSING):
     return default
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_finite(val) -> bool:
+    """A JSON number that is a finite float (``json`` reads NaN and
+    Infinity, and integers too large for a float)."""
+    try:
+        return _is_number(val) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _number(obj, name, path, default=_MISSING, minimum=None) -> float:
     val = _field(obj, name, path, default)
     if val is default and default is not _MISSING:
         return val
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         _fail(f"{path}.{name}", f"expected a number, got {val!r}")
+    if not _is_finite(val):
+        _fail(f"{path}.{name}", f"expected a finite number, got {val!r}")
     if minimum is not None and val < minimum:
         _fail(f"{path}.{name}", f"must be >= {minimum}")
     return float(val)
@@ -155,10 +176,12 @@ def _segments(value, path) -> PiecewiseConstant:
         _fail(path, "expected a nonempty list of [start, end, value] segments")
     segs = []
     for k, seg in enumerate(value):
+        # bounds may be infinite, values may not; NaN is never a number here
         if (not isinstance(seg, list) or len(seg) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in seg)):
-            _fail(f"{path}[{k}]", "segment must be [start, end, value] numbers")
+                or not all(_is_number(v) and v == v for v in seg[:2])
+                or not _is_finite(seg[2])):
+            _fail(f"{path}[{k}]", "segment must be [start, end, value] "
+                  "numbers with a finite value")
         segs.append((float(seg[0]), float(seg[1]), float(seg[2])))
     try:
         return PiecewiseConstant(segs)
@@ -183,10 +206,7 @@ def build_velocity_law(spec, path) -> VelocityLaw:
         v0 = _number(spec, "free_speed", path, minimum=1e-9)
         slope = _number(spec, "slope", path, minimum=0.0)
         floor = _number(spec, "floor", path, minimum=1e-9)
-        return VelocityLaw(
-            lambda t, w, v0=v0, slope=slope, floor=floor:
-                np.maximum(v0 - slope * np.asarray(w, dtype=float), floor),
-            floor=floor, decreasing=True, name="linear")
+        return linear_law(v0, slope, floor)
     _fail(f"{path}.kind", f"unknown law kind {kind!r}")
 
 
@@ -204,7 +224,9 @@ def build_window(spec, path) -> Optional[NonlocalWindow]:
 
 def build_profile(spec, path):
     """Initial-density profile: scalar, slab, or quadratic bump."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    if _is_number(spec):
+        if not _is_finite(spec):
+            _fail(path, f"expected a finite number, got {spec!r}")
         return float(spec)
     if not isinstance(spec, dict):
         _fail(path, "expected a number or a profile object")
@@ -291,6 +313,29 @@ def build_commodities(spec, path) -> tuple:
     if len(set(out)) != len(out):
         _fail(path, "duplicate commodities")
     return tuple(out)
+
+
+def _state_values(net: RoadNetwork, n_commodities: int, laws, horizon: float,
+                  grid: Optional[GridSpec]) -> int:
+    """Values in the density block of one network run before any CFL
+    halving, with the simulator's step count.  Every law the schema builds
+    is nonincreasing, so the step count needs no mass budget."""
+    grid = grid or GridSpec(cells=_DEFAULT_CELLS)
+    law_list = list(laws.values()) if isinstance(laws, dict) else [laws]
+    steps = _time_steps(law_list, horizon, grid, 0.0)
+    return len(net.links) * (steps + 1) * n_commodities * grid.cells
+
+
+def _check_state_size(built: dict, n_commodities: int, horizon: float,
+                      path: str) -> dict:
+    size = _state_values(built["net"], n_commodities, built["laws"], horizon,
+                         built["grid"])
+    if size > _MAX_STATE_VALUES:
+        _fail(path, f"a run would hold {size} density values (links x "
+              f"(time steps + 1) x commodities x cells), more than the cap "
+              f"of {_MAX_STATE_VALUES}; shorten the horizon or use fewer "
+              "cells")
+    return built
 
 
 def _commodity_ref(obj, name, commodities, path) -> Commodity:
@@ -451,9 +496,10 @@ def build_simulate(payload: dict) -> dict:
     splits_spec = payload.get("splits")
     base_rows = (build_base_rows(splits_spec, net, f"{path}.splits")
                  if splits_spec is not None else None)
-    return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
-            "commodities": commodities, "windows": windows, "cases": cases,
-            "base_rows": base_rows}
+    built = {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
+             "commodities": commodities, "windows": windows, "cases": cases,
+             "base_rows": base_rows}
+    return _check_state_size(built, len(commodities), horizon, path)
 
 
 def build_equilibrium(payload: dict) -> dict:
@@ -488,9 +534,11 @@ def build_equilibrium(payload: dict) -> dict:
         _fail(f"{path}.non_routed_policy.kind", "not a non-routed policy kind")
     demand = EquilibriumDemand(entry_link=entry_link, rate=rate,
                                destination=destination)
-    return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
-            "demand": demand, "alpha": alpha, "rounds": rounds, "eps": eps,
-            "base_rows": base_rows, "policies": (routed, non_routed)}
+    built = {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
+             "demand": demand, "alpha": alpha, "rounds": rounds, "eps": eps,
+             "base_rows": base_rows, "policies": (routed, non_routed)}
+    # the routed and the non-routed commodity
+    return _check_state_size(built, 2, horizon, path)
 
 
 def build_social_opt(payload: dict) -> dict:
@@ -501,10 +549,8 @@ def build_social_opt(payload: dict) -> dict:
     commodities = build_commodities(_list(payload, "commodities", path),
                                     f"{path}.commodities")
     knots_spec = _list(payload, "knots", path)
-    if (len(knots_spec) < 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in knots_spec)):
-        _fail(f"{path}.knots", "expected at least two numeric knots")
+    if len(knots_spec) < 2 or not all(_is_finite(v) for v in knots_spec):
+        _fail(f"{path}.knots", "expected at least two finite numeric knots")
     totals = {}
     for k, entry in enumerate(_list(payload, "demand", path)):
         p = f"{path}.demand[{k}]"
@@ -556,9 +602,11 @@ def build_social_opt(payload: dict) -> dict:
                                         theta=theta, sources=sources)
     except ValueError as exc:
         _fail(path, str(exc))
-    return {"net": net, "laws": laws, "grid": grid, "demand": demand,
-            "param": param, "budget": budget, "fd_step": fd_step,
-            "initial_step": initial_step, "base_rows": base_rows}
+    built = {"net": net, "laws": laws, "grid": grid, "demand": demand,
+             "param": param, "budget": budget, "fd_step": fd_step,
+             "initial_step": initial_step, "base_rows": base_rows}
+    return _check_state_size(built, len(demand.commodities()), param.horizon,
+                             path)
 
 
 def build_platoon_flow(payload: dict) -> dict:
@@ -639,8 +687,10 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
             p = f"{path}.graph.edges[{k}]"
             if (not isinstance(entry, list) or len(entry) != 4
                     or not isinstance(entry[0], str)
-                    or not isinstance(entry[1], str)):
-                _fail(p, "expected [tail, head, weight, dwell]")
+                    or not isinstance(entry[1], str)
+                    or not all(_is_finite(v) for v in entry[2:])):
+                _fail(p, "expected [tail, head, weight, dwell] with finite "
+                      "numbers")
             edges.append((entry[0], entry[1], entry[2], entry[3]))
         try:
             graph = FreightGraph(edges)

@@ -179,6 +179,30 @@ def test_row_off_by_more_than_the_simulator_tolerance_is_schema_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("horizon", math.nan, "equilibrium.horizon: expected a finite number"),
+    ("horizon", math.inf, "equilibrium.horizon: expected a finite number"),
+    ("alpha", math.nan, "equilibrium.alpha: expected a finite number"),
+    # finite, but the state would need ~1.8e13 float64 values
+    ("horizon", 1e9, "more than the cap"),
+])
+def test_non_finite_or_oversized_number_is_schema_error(
+        field, value, expected, tmp_path, capsys):
+    doc = json.loads(EQUILIBRIUM.read_text())
+    doc[field] = value
+    scenario = tmp_path / "bad_number.json"
+    scenario.write_text(json.dumps(doc))      # writes NaN and Infinity
+    for argv in (["validate", "--scenario", str(scenario)],
+                 ["equilibrium", "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        payload = json.loads(err)              # exactly one JSON object
+        assert payload["error"] == "schema"
+        assert expected in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):
     scenario = tmp_path / "scalar_profile.json"
     doc = json.loads(SINGLE_LINK.read_text())

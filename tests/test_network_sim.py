@@ -4,7 +4,7 @@ import pytest
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule, as_split_schedule)
-from roadflow.network_sim import simulate
+from roadflow.network_sim import GridSplits, simulate
 from roadflow.nonlocal_solver import GridSpec, NonlocalWindow, congestion_law, constant_law
 
 
@@ -157,3 +157,26 @@ def test_speeds_respect_law_floor_and_cfl():
     assert np.all(speeds > 0.0)
     assert np.max(speeds) * state.dt <= state.dx * (1.0 + 1e-9)
     assert np.all(state.rho[(0, 1)] >= -1e-12)
+
+
+def test_grid_rows_use_the_row_tolerance_and_name_the_time():
+    net = fork_net()
+    k = Commodity("non_routed", 4)
+    splits = as_split_schedule({1: {(1, 2): 0.3, (1, 3): 0.7},
+                                2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, [k])
+    sources = SourceSchedule({(0, (0, 1), k): PiecewiseConstant([(0.0, 1.0, 1.0)])})
+    kwargs = dict(horizon=2.0, grid=GridSpec(cells=20))
+    state = simulate(net, [k], splits, sources, congestion_law(1.0, 2.0),
+                     **kwargs)
+    # the sampled rows replay bit for bit
+    again = simulate(net, [k], GridSplits(state.split_rows), sources,
+                     congestion_law(1.0, 2.0), **kwargs)
+    for a in net.links:
+        assert again.rho[a].tobytes() == state.rho[a].tobytes()
+    # off by 1e-10 at one time: inside the old 1e-9, outside ROW_SUM_TOL
+    rows = {key: row.copy() for key, row in state.split_rows.items()}
+    rows[(1, k)][0, 7] += 1e-10
+    with pytest.raises(SplitRowInvalid,
+                       match=rf"node 1 .* at t={state.times[7]:.6g} "):
+        simulate(net, [k], GridSplits(rows), sources,
+                 congestion_law(1.0, 2.0), **kwargs)

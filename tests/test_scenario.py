@@ -1,15 +1,21 @@
 """Scenario file loading, schema errors, and the bundled scenario set."""
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from roadflow.errors import SchemaError
-from roadflow.scenario import (KINDS, _parse_link, build_profile,
+from roadflow.network import as_split_schedule
+from roadflow.network_sim import simulate
+from roadflow.scenario import (_MAX_STATE_VALUES, BUILDERS, KINDS,
+                               _parse_link, _state_values, build_profile,
                                load_scenario, validate_scenario)
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def write(tmp_path, payload, name="s.json"):
@@ -192,3 +198,84 @@ def test_bundled_scenarios_all_validate():
         kinds.add(sc.kind)
     # the bundle exercises every scenario kind
     assert kinds == set(KINDS)
+
+
+@pytest.mark.parametrize("spec", [
+    {"horizon": math.nan}, {"horizon": math.inf}, {"horizon": 10 ** 400},
+    {"grid": {"cells": 16, "cfl": math.nan}},
+    {"cases": [{"name": "base", "initial_density": [
+        {"link": [0, 1], "commodity": 0, "profile": math.nan}]}]},
+    {"cases": [{"name": "base", "sources": [
+        {"node": 0, "link": [0, 1], "commodity": 0,
+         "segments": [[0.0, 0.5, math.inf]]}]}]},
+    {"cases": [{"name": "base", "sources": [
+        {"node": 0, "link": [0, 1], "commodity": 0,
+         "segments": [[math.nan, 0.5, 1.0]]}]}]},
+])
+def test_non_finite_numbers_are_refused(spec, tmp_path):
+    with pytest.raises(SchemaError, match="finite"):
+        validate_scenario(load_scenario(write(tmp_path,
+                                              minimal_simulate(**spec))))
+
+
+def test_infinite_segment_bounds_are_kept(tmp_path):
+    doc = minimal_simulate(cases=[{"name": "base", "sources": [
+        {"node": 0, "link": [0, 1], "commodity": 0,
+         "segments": [[0.0, math.inf, 0.5]]}]}])
+    validate_scenario(load_scenario(write(tmp_path, doc)))
+
+
+def network_scenarios(tmp_path) -> list:
+    """Bundled and golden network scenarios, and the full-size benchmark
+    scenarios written for two seeds."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    paths = (sorted(SCENARIO_DIR.glob("*.json"))
+             + sorted((ROOT / "tests" / "golden" / "scenarios").glob("*.json")))
+    for seed in (1, 2):
+        for name in ("day-to-day", "shaping"):
+            paths += [op.scenario for op in workloads.make_ops(
+                name, seed, tmp_path / str(seed))]
+    scenarios = [load_scenario(p) for p in paths]
+    return [sc for sc in scenarios
+            if sc.kind in ("simulate", "equilibrium", "social-opt")]
+
+
+def test_bundled_and_benchmark_scenarios_fit_the_state_cap(tmp_path):
+    scenarios = network_scenarios(tmp_path)
+    assert {sc.kind for sc in scenarios} == {"simulate", "equilibrium",
+                                             "social-opt"}
+    for sc in scenarios:
+        validate_scenario(sc)                   # applies the cap
+        built = BUILDERS[sc.kind](sc.payload)
+        if sc.kind == "social-opt":
+            horizon = built["param"].horizon
+            n_k = len(built["demand"].commodities())
+        elif sc.kind == "simulate":
+            horizon, n_k = built["horizon"], len(built["commodities"])
+        else:
+            horizon, n_k = built["horizon"], 2    # routed and non-routed
+        size = _state_values(built["net"], n_k, built["laws"], horizon,
+                             built["grid"])
+        # the largest, the benchmark's 21-link ladder, needs 479 808
+        assert size <= _MAX_STATE_VALUES // 16, sc.path.name
+
+
+def test_state_cap_counts_the_simulated_grid():
+    # the schema's count uses the simulator's own step count
+    sc = load_scenario(SCENARIO_DIR / "single_link_congestion.json")
+    built = BUILDERS["simulate"](sc.payload)
+    case = built["cases"][0]
+    state = simulate(built["net"], built["commodities"],
+                     as_split_schedule(built["base_rows"],
+                                       built["commodities"]),
+                     case["sources"], built["laws"],
+                     horizon=built["horizon"], grid=built["grid"],
+                     initial_density=case["initial"] or None,
+                     windows=built["windows"])
+    assert _state_values(built["net"], len(built["commodities"]),
+                         built["laws"], built["horizon"], built["grid"]) == (
+        sum(rho.size for rho in state.rho.values()))
