@@ -10,6 +10,11 @@ an independent cross-check).  The control field lives on a coarse knot
 grid with box bounds and a rate-of-change bound in the l1 metric over
 (t, x, mass argument); feasibility is restored by clipping and repeated
 neighbor averaging.
+
+``optimize_velocity`` advances the 2 * dim independent central-difference
+probes of a gradient as one ``(probes, particles)`` block through the kernel
+of ``solve_freight_pair``, keeping per-node moments only; every reduction
+keeps a single solve's order, so each probe's objective keeps its bits.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
 ADMISSIBLE_TOL = 1e-9
 #: neighbor-averaging passes before the projection gives up
 MAX_REPAIR_PASSES = 10_000
+#: most particle positions advanced at once when probes share one block
+PROBE_BLOCK = 1 << 14
 
 
 class AdmissibleVelocityField:
@@ -147,28 +154,38 @@ class AdmissibleVelocityField:
         without a mass axis ignore it.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        tk = self.t_knots
-        tc = min(max(float(t), tk[0]), tk[-1])
-        i = min(int(np.searchsorted(tk, tc, side="right")) - 1, len(tk) - 2)
-        i = max(i, 0)
-        wt = (tc - tk[i]) / (tk[i + 1] - tk[i])
-        plane = (1.0 - wt) * self.values[i] + wt * self.values[i + 1]
-        xk = self.x_knots
-        xc = np.clip(x, xk[0], xk[-1])
-        j = np.clip(np.searchsorted(xk, xc, side="right") - 1, 0, len(xk) - 2)
-        wx = (xc - xk[j]) / (xk[j + 1] - xk[j])
-        if self.y_knots is None:
-            return (1.0 - wx) * plane[j] + wx * plane[j + 1]
-        rows = (1.0 - wx)[:, None] * plane[j] + wx[:, None] * plane[j + 1]
-        if y is None:
-            y = 0.0
-        yv = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+        ys = None if y is None else np.broadcast_to(
+            np.asarray(y, dtype=float), x.shape)[None]
+        ti, wt = _knot_weights(self.t_knots, float(t))
+        return self._speeds(self.values[None], ti, wt, x[None], ys)[0]
+
+    def _speeds(self, values: np.ndarray, ti, wt, xs: np.ndarray,
+                ys=None) -> np.ndarray:
+        """Speeds of the fields ``values`` ``(B, nt, nx[, ny])`` on this knot
+        grid at time-knot index ``ti`` and weight ``wt`` (``_knot_weights``),
+        positions ``xs`` ``(B, P)`` and mass arguments ``ys`` (None reads
+        0); arguments outside the knot range are clamped to it."""
+        plane = ((1.0 - wt) * values[:, ti]
+                 + wt * values[:, ti + 1]).reshape(len(values), -1)
+        j, wx = _knot_weights(self.x_knots, xs)
         yk = self.y_knots
-        yc = np.clip(yv, yk[0], yk[-1])
-        k = np.clip(np.searchsorted(yk, yc, side="right") - 1, 0, len(yk) - 2)
-        wy = (yc - yk[k]) / (yk[k + 1] - yk[k])
-        idx = np.arange(len(x))
-        return (1.0 - wy) * rows[idx, k] + wy * rows[idx, k + 1]
+        ny = 1 if yk is None else len(yk)
+
+        def along_x(k):
+            return ((1.0 - wx) * np.take_along_axis(plane, j * ny + k, axis=1)
+                    + wx * np.take_along_axis(plane, (j + 1) * ny + k, axis=1))
+
+        if yk is None:
+            return along_x(0)
+        k, wy = _knot_weights(yk, 0.0 if ys is None else ys)
+        return (1.0 - wy) * along_x(k) + wy * along_x(k + 1)
+
+
+def _knot_weights(knots: np.ndarray, pts):
+    """Interval index and linear weight of each point, clamped to the knots."""
+    pc = np.minimum(np.maximum(pts, knots[0]), knots[-1])
+    i = np.clip(np.searchsorted(knots, pc, side="right") - 1, 0, len(knots) - 2)
+    return i, (pc - knots[i]) / (knots[i + 1] - knots[i])
 
 
 @dataclass
@@ -260,34 +277,17 @@ class PlatoonSolution:
         density at its position); without a background run the weight is
         identically one.
         """
-        steps1 = len(self.times)
-        out = np.zeros((3, steps1))
-        if self.positions is not None:
-            for m in range(steps1):
-                active = self.release_steps <= m
-                xs = self.positions[m, active]
-                w = self.weights[active]
-                if weighted:
-                    w = w * (1.0 + self._background_at(m, xs))
-                out[0, m] = w.sum()
-                out[1, m] = np.dot(w, xs)
-                out[2, m] = np.dot(w, xs * xs)
-        else:
-            xc = self.x_centers
-            dx = self.dx
-            for m in range(steps1):
-                w = self.grid_fields[m] * dx
-                if weighted:
-                    w = w * (1.0 + self._background_at(m, xc))
-                out[0, m] = w.sum()
-                out[1, m] = np.dot(w, xc)
-                out[2, m] = np.dot(w, xc * xc)
+        out = np.zeros((3, len(self.times)))
+        rows = self.rho_rows if weighted else None
+        for m in range(len(self.times)):
+            if self.positions is not None:
+                n = np.searchsorted(self.release_steps, m, side="right")
+                w, xs = self.weights[:n], self.positions[m, :n]
+            else:
+                w, xs = self.grid_fields[m] * self.dx, self.x_centers
+            out[:, m] = _moments(w, xs, self.x_centers,
+                                 None if rows is None else rows[m])
         return out
-
-    def _background_at(self, m: int, xs: np.ndarray) -> np.ndarray:
-        if self.rho_rows is None:
-            return np.zeros(len(xs))
-        return np.interp(xs, self.x_centers, self.rho_rows[m])
 
     def objectives(self) -> tuple[float, float]:
         """(unweighted, background-weighted) concentration objectives."""
@@ -334,13 +334,96 @@ def _background_rows(pair: FreightPair, times: np.ndarray,
     return rows
 
 
-def _coupling_mass(pair: FreightPair, row: np.ndarray, xs: np.ndarray,
-                   dx: float) -> np.ndarray:
-    """Windowed background mass at each query position."""
-    window = pair.window or NonlocalWindow.whole()
-    lo, up = window.bounds(xs, pair.length)
-    edges, cum = cumulative_mass(row, dx)
-    return np.interp(up, edges, cum) - np.interp(lo, edges, cum)
+def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
+             bg_row: Optional[np.ndarray] = None):
+    """(M0, M1, M2) of mass elements ``w`` at positions ``xs`` (last axis),
+    each element weighted by (1 + background density) when ``bg_row`` is
+    given.  ``np.vecdot`` over rows equals ``np.dot`` per row bit for bit."""
+    if bg_row is not None:
+        w = w * (1.0 + np.interp(xs, centers, bg_row))
+    return np.sum(w, axis=-1), np.vecdot(w, xs), np.vecdot(w, xs * xs)
+
+
+def truck_steps(length: float, horizon: float, cells: int, lam_max: float) -> int:
+    """Time steps of a freight-pair solve on ``cells`` cells: at least 100,
+    and a CFL number of 0.9 at the fastest admissible speed."""
+    return max(100, int(math.ceil(horizon * lam_max / (0.9 * (length / cells)))))
+
+
+class _ParticleRun:
+    """Time nodes, background rows, truck mass elements and time-knot
+    weights shared by the particle solves of one pair, knot grid and cell
+    grid.  Elements (initial cells, then one per step with inflow) are
+    released in step order: the first ``active[m]`` are active at node m."""
+
+    def __init__(self, pair: FreightPair, control: AdmissibleVelocityField,
+                 cells: int, steps: Optional[int]):
+        self.pair, self.control, self.dx = pair, control, pair.length / cells
+        if steps is None:
+            steps = truck_steps(pair.length, pair.horizon, cells, control.lam_max)
+        self.times = times = np.linspace(0.0, pair.horizon, steps + 1)
+        self.dt = dt = times[1] - times[0]
+        self.centers = (np.arange(cells) + 0.5) * self.dx
+        self.rho_rows = _background_rows(pair, times, cells)
+        self.q0 = _sample_initial(pair.truck_initial, self.centers)
+        self.spawn_mass = np.array([_series_step_mass(pair.truck_inflow, t0, t1)
+                                    for t0, t1 in zip(times[:-1], times[1:])])
+        spawn_at = np.nonzero(self.spawn_mass > 0.0)[0]
+        self.weights = np.concatenate((self.q0 * self.dx, self.spawn_mass[spawn_at]))
+        self.release = np.concatenate((np.zeros(cells, dtype=int), spawn_at + 1))
+        self.active = np.searchsorted(self.release, np.arange(steps + 1), "right")
+        self.knots = [_knot_weights(control.t_knots, t)
+                      for t in (times[:-1], times[:-1] + 0.5 * dt)]
+
+    def mass_argument(self, m: int, xs: np.ndarray) -> Optional[np.ndarray]:
+        """Background mass in the window at ``xs``, node ``m``, if read."""
+        if not self.control.depends_on_mass or self.rho_rows is None:
+            return None
+        window = self.pair.window or NonlocalWindow.whole()
+        lo, up = window.bounds(xs, self.pair.length)
+        edges, cum = cumulative_mass(self.rho_rows[m], self.dx)
+        return np.interp(up, edges, cum) - np.interp(lo, edges, cum)
+
+    def advance(self, values: np.ndarray):
+        """Element positions under each field of the stack ``values``
+        ``(B, nt, nx[, ny])`` by midpoint steps, yielded at every time node
+        as one ``(B, elements)`` array that is updated in place afterwards;
+        unreleased elements sit at 0."""
+        if np.any(self.spawn_mass < 0):
+            raise ValueError("truck inflow must be nonnegative")
+        (ti, wt), (ti_mid, wt_mid) = self.knots
+        speeds = self.control._speeds
+        state = np.zeros((len(values), len(self.weights)))
+        state[:, :len(self.centers)] = self.centers
+        yield state
+        for m in range(len(self.times) - 1):
+            xs = state[:, :self.active[m]]
+            k1 = speeds(values, ti[m], wt[m], xs, self.mass_argument(m, xs))
+            mid = xs + 0.5 * self.dt * k1
+            k2 = speeds(values, ti_mid[m], wt_mid[m], mid,
+                        self.mass_argument(m, mid))
+            state[:, :self.active[m]] = xs + self.dt * k2
+            yield state
+
+    def objectives(self, values: np.ndarray, weighted: bool) -> np.ndarray:
+        """Concentration objective of each field in the stack ``values``
+        (background-weighted if ``weighted``) from per-node moments, with
+        no position history.  Fields are advanced in blocks of at most
+        ``PROBE_BLOCK`` positions; they are independent, so the blocking
+        moves no bits."""
+        per = max(1, PROBE_BLOCK // len(self.weights))
+        rows = self.rho_rows if weighted else None
+        out = []
+        for block in (values[i:i + per] for i in range(0, len(values), per)):
+            m1 = np.empty((len(block), len(self.times)))
+            m2 = np.empty_like(m1)
+            for m, state in enumerate(self.advance(block)):
+                n = self.active[m]
+                _, m1[:, m], m2[:, m] = _moments(
+                    self.weights[:n], state[:, :n], self.centers,
+                    None if rows is None else rows[m])
+            out.append(np.trapezoid(m2 - m1 ** 2, self.times, axis=-1))
+        return np.concatenate(out)
 
 
 def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
@@ -353,70 +436,35 @@ def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
     upwind cross-check on the cell grid.
     """
     control.check()
-    dx = pair.length / cells
-    if steps is None:
-        steps = max(100, int(math.ceil(pair.horizon * control.lam_max
-                                       / (0.9 * dx))))
-    times = np.linspace(0.0, pair.horizon, steps + 1)
-    dt = times[1] - times[0]
-    centers = (np.arange(cells) + 0.5) * dx
-    rho_rows = _background_rows(pair, times, cells)
-    use_mass = control.depends_on_mass and rho_rows is not None
-
-    def speed(m: int, t: float, xs: np.ndarray) -> np.ndarray:
-        if use_mass:
-            ys = _coupling_mass(pair, rho_rows[m], xs, dx)
-            return control.evaluate(t, xs, ys)
-        return control.evaluate(t, xs)
-
-    q0 = _sample_initial(pair.truck_initial, centers)
-    initial_mass = float(q0.sum() * dx)
-
+    run = _ParticleRun(pair, control, cells, steps)
+    times, dx, dt = run.times, run.dx, run.dt
+    common = dict(pair=pair, control=control, times=times, method=method,
+                  x_centers=run.centers, rho_rows=run.rho_rows,
+                  initial_mass=float(run.q0.sum() * dx))
     if method == "particles":
-        spawn_mass = np.array([_series_step_mass(pair.truck_inflow,
-                                                 times[m], times[m + 1])
-                               for m in range(steps)])
-        if np.any(spawn_mass < 0):
-            raise ValueError("truck inflow must be nonnegative")
-        spawn_at = np.nonzero(spawn_mass > 0.0)[0]
-        weights = np.concatenate((q0 * dx, spawn_mass[spawn_at]))
-        release = np.concatenate((np.zeros(cells, dtype=int), spawn_at + 1))
-        positions = np.zeros((steps + 1, len(weights)))
-        positions[0, :cells] = centers
-        for m in range(steps):
-            active = release <= m
-            xs = positions[m, active]
-            k1 = speed(m, times[m], xs)
-            mid = xs + 0.5 * dt * k1
-            k2 = speed(m, times[m] + 0.5 * dt, mid)
-            positions[m + 1, active] = xs + dt * k2
-            positions[m + 1, ~active] = 0.0
-        return PlatoonSolution(pair=pair, control=control, times=times,
-                               x_centers=centers, method=method,
-                               weights=weights, positions=positions,
-                               release_steps=release, rho_rows=rho_rows,
-                               injected=float(spawn_mass.sum()),
-                               initial_mass=initial_mass)
-
+        positions = np.empty((len(times), len(run.weights)))
+        for m, state in enumerate(run.advance(control.values[None])):
+            positions[m] = state[0]
+        return PlatoonSolution(weights=run.weights, positions=positions,
+                               release_steps=run.release,
+                               injected=float(run.spawn_mass.sum()), **common)
     if method != "fv":
         raise ValueError(f"unknown method {method!r}")
     edges = np.arange(cells + 1) * dx
-    q = np.zeros((steps + 1, cells))
-    q[0] = q0
+    q = np.zeros((len(times), cells))
+    q[0] = run.q0
     injected = 0.0
     exited = 0.0
-    for m in range(steps):
-        lam_e = speed(m, times[m], edges)
+    for m in range(len(times) - 1):
+        lam_e = control.evaluate(times[m], edges, run.mass_argument(m, edges))
         if float(lam_e.max()) * dt > dx * (1.0 + 1e-12):
             raise ValueError("time step too large for the control bound")
-        inflow = _series_step_mass(pair.truck_inflow, times[m], times[m + 1]) / dt
+        inflow = run.spawn_mass[m] / dt
         q[m + 1], out = upwind_step(q[m], lam_e[1:], inflow, dt, dx)
         injected += inflow * dt
         exited += out * dt
-    return PlatoonSolution(pair=pair, control=control, times=times,
-                           x_centers=centers, method=method, grid_fields=q,
-                           rho_rows=rho_rows, injected=injected,
-                           initial_mass=initial_mass, exited=exited)
+    return PlatoonSolution(grid_fields=q, injected=injected, exited=exited,
+                           **common)
 
 
 def variance_objectives(q_fields: np.ndarray, rho_fields: Optional[np.ndarray],
@@ -471,20 +519,21 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
         raise ValueError("budget must allow at least one solve")
     if objective not in ("unweighted", "background_weighted"):
         raise ValueError(f"unknown objective {objective!r}")
-    pick = 0 if objective == "unweighted" else 1
     evals = 0
-
-    def evaluate(values: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        trial = control0.with_values(values).project()
-        sol = solve_freight_pair(pair, trial, cells=cells, steps=steps,
-                                 method="particles")
-        return sol.objectives()[pick]
-
     current = control0.project()
+    run = _ParticleRun(pair, current, cells, steps)
+
+    def solve(fields: list) -> list:
+        nonlocal evals
+        evals += len(fields)
+        values = np.stack([f.values for f in fields])
+        return run.objectives(values, objective == "background_weighted").tolist()
+
+    def feasible(values: np.ndarray) -> AdmissibleVelocityField:
+        return control0.with_values(values).project()
+
     x = current.values.copy()
-    best_j = evaluate(x)
+    best_j = solve([current])[0]
     trace = [(evals, best_j)]
     span = control0.lam_max - control0.lam_min
     step = initial_step if initial_step is not None else max(0.1 * span, 1e-3)
@@ -493,14 +542,15 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
     while evals < budget:
         if evals + 2 * dim > budget:
             break
-        grad = np.zeros_like(x)
         flat = x.ravel()
+        probes = []
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = fd_step
-            jp = evaluate((flat + e).reshape(x.shape))
-            jm = evaluate((flat - e).reshape(x.shape))
-            grad.ravel()[i] = (jp - jm) / (2.0 * fd_step)
+            probes += [feasible((flat + e).reshape(x.shape)),
+                       feasible((flat - e).reshape(x.shape))]
+        js = np.array(solve(probes))
+        grad = ((js[0::2] - js[1::2]) / (2.0 * fd_step)).reshape(x.shape)
         gmax = float(np.abs(grad).max())
         if gmax == 0.0:
             status = "converged"
@@ -508,11 +558,10 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
         improved = False
         trial_step = step
         while trial_step >= min_step and evals < budget:
-            cand_vals = control0.with_values(
-                x - (trial_step / gmax) * grad).project().values
-            j_cand = evaluate(cand_vals)
+            cand = feasible(x - (trial_step / gmax) * grad)
+            j_cand = solve([cand])[0]
             if j_cand < best_j:
-                x = cand_vals
+                x = cand.values
                 best_j = j_cand
                 trace.append((evals, best_j))
                 improved = True

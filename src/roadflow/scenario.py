@@ -23,7 +23,7 @@ from .network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
 from .network_sim import _DEFAULT_CELLS, _time_steps
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                               congestion_law, constant_law, linear_law)
-from .platoon_flow import AdmissibleVelocityField, FreightPair
+from .platoon_flow import AdmissibleVelocityField, FreightPair, truck_steps
 from .routing import EquilibriumDemand, LogitRule, RoutingPolicy
 from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
                         build_sweden_scenario)
@@ -35,9 +35,10 @@ KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
 #: largest Paillier modulus a scenario may ask for: keygen's pure-Python
 #: prime search grows steeply with the key size (about 2 s at 2048 bits)
 MAX_KEY_BITS = 4096
-#: largest density block one network run may ask for, in float64 values
-#: (links x (time steps + 1) x commodities x cells, 128 MiB); the bundled
-#: and benchmark scenarios need at most 480 000
+#: largest array one run may ask for, in float64 values (128 MiB): a network
+#: run's density block (links x (time steps + 1) x commodities x cells) or a
+#: platoon-flow solve's particle positions ((time steps + 1) x particles);
+#: the bundled and benchmark scenarios need at most 480 000
 _MAX_STATE_VALUES = 2 ** 24
 
 _MISSING = object()
@@ -656,6 +657,15 @@ def build_platoon_flow(payload: dict) -> dict:
         _fail(f"{path}.objective",
               "background_weighted objective needs a background section")
     fd_step = _number(payload, "fd_step", path, default=1e-3, minimum=1e-12)
+    try:
+        steps = truck_steps(length, horizon, cells, lam_max)
+    except ArithmeticError:                 # the step count overflows
+        steps = math.inf
+    positions = (steps + 1) * (cells + (steps if inflow is not None else 0))
+    if positions > _MAX_STATE_VALUES:
+        _fail(path, f"a solve would hold {positions} particle positions "
+              "((time steps + 1) x particles), more than the cap of "
+              f"{_MAX_STATE_VALUES}; shorten the horizon or use fewer cells")
 
     pair = FreightPair(length=length, horizon=horizon, truck_initial=initial,
                        truck_inflow=inflow_series, **bg_kwargs)

@@ -203,6 +203,25 @@ def test_non_finite_or_oversized_number_is_schema_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [("horizon", 1e9),
+                                          ("cells", 10 ** 9)])
+def test_oversized_platoon_flow_is_schema_error(field, value, tmp_path,
+                                                capsys):
+    # finite and valid, but one solve would hold ~1e12 or more positions
+    doc = json.loads((SCENARIO_DIR / "platoon_velocity.json").read_text())
+    doc[field] = value
+    scenario = tmp_path / "huge_platoon.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["validate", "--scenario", str(scenario)],
+                 ["platoon-flow", "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)  # one JSON object
+        assert payload["error"] == "schema"
+        assert "particle positions" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):
     scenario = tmp_path / "scalar_profile.json"
     doc = json.loads(SINGLE_LINK.read_text())

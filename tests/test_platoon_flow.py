@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from roadflow import platoon_flow
 from roadflow.errors import InadmissibleVelocityField
 from roadflow.network import PiecewiseConstant
-from roadflow.nonlocal_solver import NonlocalWindow, congestion_law
+from roadflow.nonlocal_solver import (NonlocalWindow, _sample_initial,
+                                      congestion_law, cumulative_mass)
 from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
                                    VelocityOptResult, optimize_velocity,
                                    solve_freight_pair, variance_objectives)
@@ -229,3 +231,264 @@ def test_optimize_velocity_argument_errors():
     out = optimize_velocity(coupled, constant_control(0.75, horizon=1.0), 3,
                             objective="background_weighted", cells=40)
     assert out.evaluations <= 3
+
+
+# -- the batched gradient against the per-probe loop it replaced --------------
+#
+# ``reference_evaluate``, ``reference_solve`` and ``reference_optimize`` keep
+# the scalar-time evaluator, the per-step particle loop with boolean active
+# masks and ``np.dot`` moments, and the optimiser that solved one
+# finite-difference probe at a time.  The batched code must agree with them
+# bit for bit.
+
+def reference_evaluate(field, t, x, y=None):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    tk = field.t_knots
+    tc = min(max(float(t), tk[0]), tk[-1])
+    i = min(int(np.searchsorted(tk, tc, side="right")) - 1, len(tk) - 2)
+    i = max(i, 0)
+    wt = (tc - tk[i]) / (tk[i + 1] - tk[i])
+    plane = (1.0 - wt) * field.values[i] + wt * field.values[i + 1]
+    xk = field.x_knots
+    xc = np.clip(x, xk[0], xk[-1])
+    j = np.clip(np.searchsorted(xk, xc, side="right") - 1, 0, len(xk) - 2)
+    wx = (xc - xk[j]) / (xk[j + 1] - xk[j])
+    if field.y_knots is None:
+        return (1.0 - wx) * plane[j] + wx * plane[j + 1]
+    rows = (1.0 - wx)[:, None] * plane[j] + wx[:, None] * plane[j + 1]
+    if y is None:
+        y = 0.0
+    yv = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+    yk = field.y_knots
+    yc = np.clip(yv, yk[0], yk[-1])
+    k = np.clip(np.searchsorted(yk, yc, side="right") - 1, 0, len(yk) - 2)
+    wy = (yc - yk[k]) / (yk[k + 1] - yk[k])
+    idx = np.arange(len(x))
+    return (1.0 - wy) * rows[idx, k] + wy * rows[idx, k + 1]
+
+
+def reference_solve(pair, control, cells):
+    """Positions, weights, release steps, times, centers, background rows."""
+    dx = pair.length / cells
+    steps = max(100, int(math.ceil(pair.horizon * control.lam_max
+                                   / (0.9 * dx))))
+    times = np.linspace(0.0, pair.horizon, steps + 1)
+    dt = times[1] - times[0]
+    centers = (np.arange(cells) + 0.5) * dx
+    rho_rows = platoon_flow._background_rows(pair, times, cells)
+    use_mass = control.depends_on_mass and rho_rows is not None
+
+    def speed(m, t, xs):
+        if use_mass:
+            window = pair.window or NonlocalWindow.whole()
+            lo, up = window.bounds(xs, pair.length)
+            edges, cum = cumulative_mass(rho_rows[m], dx)
+            ys = np.interp(up, edges, cum) - np.interp(lo, edges, cum)
+            return reference_evaluate(control, t, xs, ys)
+        return reference_evaluate(control, t, xs)
+
+    q0 = _sample_initial(pair.truck_initial, centers)
+    spawn_mass = np.array([platoon_flow._series_step_mass(
+        pair.truck_inflow, times[m], times[m + 1]) for m in range(steps)])
+    spawn_at = np.nonzero(spawn_mass > 0.0)[0]
+    weights = np.concatenate((q0 * dx, spawn_mass[spawn_at]))
+    release = np.concatenate((np.zeros(cells, dtype=int), spawn_at + 1))
+    positions = np.zeros((steps + 1, len(weights)))
+    positions[0, :cells] = centers
+    for m in range(steps):
+        active = release <= m
+        xs = positions[m, active]
+        k1 = speed(m, times[m], xs)
+        mid = xs + 0.5 * dt * k1
+        k2 = speed(m, times[m] + 0.5 * dt, mid)
+        positions[m + 1, active] = xs + dt * k2
+        positions[m + 1, ~active] = 0.0
+    return positions, weights, release, times, centers, rho_rows
+
+
+def reference_objectives(pair, control, cells):
+    positions, weights, release, times, centers, rho_rows = reference_solve(
+        pair, control, cells)
+    js = []
+    for weighted in (False, True):
+        m1 = np.zeros(len(times))
+        m2 = np.zeros(len(times))
+        for m in range(len(times)):
+            active = release <= m
+            xs = positions[m, active]
+            w = weights[active]
+            if weighted:
+                bg = (np.zeros(len(xs)) if rho_rows is None
+                      else np.interp(xs, centers, rho_rows[m]))
+                w = w * (1.0 + bg)
+            m1[m] = np.dot(w, xs)
+            m2[m] = np.dot(w, xs * xs)
+        js.append(float(np.trapezoid(m2 - m1 ** 2, times)))
+    return js
+
+
+def reference_optimize(pair, control0, budget, *, objective, cells,
+                       fd_step=1e-3, min_step=1e-4):
+    pick = 0 if objective == "unweighted" else 1
+    evals = 0
+
+    def evaluate(values):
+        nonlocal evals
+        evals += 1
+        trial = control0.with_values(values).project()
+        return reference_objectives(pair, trial, cells)[pick]
+
+    current = control0.project()
+    x = current.values.copy()
+    best_j = evaluate(x)
+    trace = [(evals, best_j)]
+    step = max(0.1 * (control0.lam_max - control0.lam_min), 1e-3)
+    dim = x.size
+    status = "budget_exhausted"
+    while evals < budget:
+        if evals + 2 * dim > budget:
+            break
+        grad = np.zeros_like(x)
+        flat = x.ravel()
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = fd_step
+            jp = evaluate((flat + e).reshape(x.shape))
+            jm = evaluate((flat - e).reshape(x.shape))
+            grad.ravel()[i] = (jp - jm) / (2.0 * fd_step)
+        gmax = float(np.abs(grad).max())
+        if gmax == 0.0:
+            status = "converged"
+            break
+        improved = False
+        trial_step = step
+        while trial_step >= min_step and evals < budget:
+            cand_vals = control0.with_values(
+                x - (trial_step / gmax) * grad).project().values
+            j_cand = evaluate(cand_vals)
+            if j_cand < best_j:
+                x = cand_vals
+                best_j = j_cand
+                trace.append((evals, best_j))
+                improved = True
+                break
+            trial_step *= 0.5
+        if not improved:
+            step *= 0.5
+            if step < min_step:
+                status = "converged"
+                break
+    final = control0.with_values(x).project()
+    return status, final, best_j, trace, evals
+
+
+def random_field(rng, shape, *, horizon, length, y_max=None, lip=0.3):
+    y_knots = (None if len(shape) == 2
+               else np.linspace(0.0, y_max, shape[2]))
+    return AdmissibleVelocityField(
+        np.linspace(0.0, horizon, shape[0]), np.linspace(0.0, length, shape[1]),
+        rng.uniform(0.4, 1.0, shape), lam_min=0.4, lam_max=1.0, lip=lip,
+        y_knots=y_knots)
+
+
+def parity_pair(background, inflow):
+    kwargs = {}
+    if background:
+        kwargs = dict(background_law=congestion_law(1.0, 1.5),
+                      background_initial=slab(0.5, 3.0, 0.6),
+                      background_inflow=PiecewiseConstant([(0.0, 1.0, 0.3)]),
+                      window=(NonlocalWindow(lambda x: x, lambda x: x + 1.0)
+                              if background == "callable"
+                              else NonlocalWindow(lower=0.0, upper=None)))
+    return FreightPair(
+        length=5.0, horizon=2.0,
+        truck_initial=lambda x: max(0.0, (2.6 - x) * (x - 1.0)),
+        truck_inflow=(PiecewiseConstant([(0.1, 0.7, 0.5), (1.2, 1.25, 0.2)])
+                      if inflow else None), **kwargs)
+
+
+# (knot shape, background, inflow, objective, probes per block or None)
+PARITY_CASES = [
+    ((2, 2), None, False, "unweighted", None),
+    ((3, 3), None, True, "unweighted", None),
+    ((4, 4), "whole", False, "background_weighted", None),
+    ((5, 5), "whole", True, "background_weighted", None),
+    ((4, 2), None, False, "background_weighted", None),
+    ((3, 4, 3), "whole", False, "unweighted", None),
+    ((2, 3, 2), "callable", True, "background_weighted", None),
+    ((3, 3, 2), None, False, "unweighted", None),
+    ((5, 3), "callable", False, "unweighted", 4),
+    ((2, 5, 3), "whole", True, "background_weighted", 7),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PARITY_CASES)))
+def test_batched_gradient_matches_per_probe_loop(case, monkeypatch):
+    shape, background, inflow, objective, per_block = PARITY_CASES[case]
+    rng = np.random.default_rng(100 + case)
+    pair = parity_pair(background, inflow)
+    control0 = random_field(rng, shape, horizon=2.0, length=5.0, y_max=1.5)
+    cells = 24
+    n_elements = len(reference_solve(pair, control0.project(), cells)[1])
+    if per_block is not None:
+        # several blocks per gradient, the last one short
+        monkeypatch.setattr(platoon_flow, "PROBE_BLOCK",
+                            per_block * n_elements)
+        assert (2 * control0.values.size) % per_block != 0
+    dim = control0.values.size
+    budget = 1 + 2 * (2 * dim) + 6
+    status, final, best_j, trace, evals = reference_optimize(
+        pair, control0, budget, objective=objective, cells=cells)
+    got = optimize_velocity(pair, control0, budget, objective=objective,
+                            cells=cells)
+    assert len(trace) > 1, "the reference never accepted a step"
+    assert got.trace == trace
+    assert got.objective == best_j
+    assert np.array_equal(got.control.values, final.values)
+    assert got.evaluations == evals
+    assert got.status == status
+
+
+@pytest.mark.parametrize("case", [1, 3, 6, 7])
+def test_particle_solve_matches_per_step_loop(case):
+    shape, background, inflow, _, _ = PARITY_CASES[case]
+    rng = np.random.default_rng(200 + case)
+    pair = parity_pair(background, inflow)
+    control = random_field(rng, shape, horizon=2.0, length=5.0,
+                           y_max=1.5).project()
+    positions, weights, release, *_ = reference_solve(pair, control, 24)
+    sol = solve_freight_pair(pair, control, cells=24)
+    assert np.array_equal(sol.positions, positions)
+    assert np.array_equal(sol.weights, weights)
+    assert np.array_equal(sol.release_steps, release)
+    assert list(sol.objectives()) == reference_objectives(pair, control, 24)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 3, 3), (2, 2, 4)])
+def test_evaluate_matches_scalar_reference_inside_and_outside_knots(shape):
+    rng = np.random.default_rng(sum(shape))
+    field = random_field(rng, shape, horizon=2.0, length=5.0, y_max=1.5,
+                         lip=10.0)
+    xs = np.concatenate((rng.uniform(-2.0, 7.0, 40), [0.0, 5.0, -1e-300]))
+    ys = rng.uniform(-1.0, 3.0, len(xs))
+    for t in (-1.0, 0.0, 0.37, 1.0, 2.0, 3.5):
+        for y in (None, 0.8, -4.0, ys):
+            assert np.array_equal(field.evaluate(t, xs, y),
+                                  reference_evaluate(field, t, xs, y))
+
+
+def test_background_solved_once_per_optimization(monkeypatch):
+    calls = []
+    real = platoon_flow.solve_link
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(platoon_flow, "solve_link", counting)
+    pair = parity_pair("whole", False)
+    control0 = constant_control(0.75, shape=(3, 3))
+    result = optimize_velocity(pair, control0, 40,
+                               objective="background_weighted", cells=24)
+    assert result.evaluations > 20
+    assert len(calls) == 1

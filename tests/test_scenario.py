@@ -10,6 +10,7 @@ import pytest
 from roadflow.errors import SchemaError
 from roadflow.network import as_split_schedule
 from roadflow.network_sim import simulate
+from roadflow.platoon_flow import solve_freight_pair, truck_steps
 from roadflow.scenario import (_MAX_STATE_VALUES, BUILDERS, KINDS,
                                _parse_link, _state_values, build_profile,
                                load_scenario, validate_scenario)
@@ -279,3 +280,47 @@ def test_state_cap_counts_the_simulated_grid():
     assert _state_values(built["net"], len(built["commodities"]),
                          built["laws"], built["horizon"], built["grid"]) == (
         sum(rho.size for rho in state.rho.values()))
+
+
+def platoon_positions(built) -> int:
+    """Particle positions the schema counts for a built platoon-flow run."""
+    pair = built["pair"]
+    steps = truck_steps(pair.length, pair.horizon, built["cells"],
+                        built["control0"].lam_max)
+    particles = built["cells"] + (steps if pair.truck_inflow else 0)
+    return (steps + 1) * particles
+
+
+def test_bundled_and_benchmark_platoon_scenarios_fit_the_particle_cap(
+        tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    paths = [SCENARIO_DIR / "platoon_velocity.json"]
+    for seed in (1, 2):
+        paths += [op.scenario for op in workloads.make_ops(
+            "shaping", seed, tmp_path / str(seed)) if op.kind == "platoon-flow"]
+    assert len(paths) == 3
+    for path in paths:
+        sc = load_scenario(path)
+        validate_scenario(sc)                   # applies the cap
+        # the bundled scenario needs 101 x 100 positions
+        assert platoon_positions(BUILDERS[sc.kind](sc.payload)) <= 10_100
+
+
+def test_particle_cap_counts_inflow_particles(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "platoon_velocity.json").read_text())
+    # 4000 steps on 4096 cells: 16 388 096 positions, just under the cap
+    doc.update(cells=4096, horizon=4.39453125, budget=1)
+    validate_scenario(load_scenario(write(tmp_path, doc)))
+    # one particle per step with inflow doubles that
+    doc["inflow_segments"] = [[0.0, 10.0, 0.1]]
+    with pytest.raises(SchemaError, match="particle positions"):
+        validate_scenario(load_scenario(write(tmp_path, doc)))
+    # a small run with inflow at every step holds exactly the counted array
+    doc.update(cells=40, horizon=2.0)
+    built = BUILDERS["platoon-flow"](load_scenario(write(tmp_path, doc)).payload)
+    sol = solve_freight_pair(built["pair"], built["baseline"], cells=40)
+    assert sol.positions.size == platoon_positions(built)
