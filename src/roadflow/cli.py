@@ -238,13 +238,17 @@ def _schedule_artifacts(built, result, out: Path) -> list:
 
 
 def _run_schedule(built, out: Path, seed: int) -> list:
-    result = run_learning(built["state"], built["iterations"], seed)
+    # the learning driver raises on a cost that overflows to an infinity or
+    # NaN (exit 1); numpy's warning would be a second message on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_learning(built["state"], built["iterations"], seed)
     return _schedule_artifacts(built, result, out)
 
 
 def _run_schedule_private(built, out: Path, seed: int) -> list:
-    result = run_private_learning(built["state"], built["iterations"], seed,
-                                  bits=built["bits"])
+    with np.errstate(over="ignore", invalid="ignore"):     # as above
+        result = run_private_learning(built["state"], built["iterations"],
+                                      seed, bits=built["bits"])
     names = _schedule_artifacts(built, result, out)
     # one demonstration ring pass at the best profile, fresh keypair
     assignments = built["assignments"]

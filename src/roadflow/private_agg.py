@@ -308,9 +308,7 @@ def occupancy_indicator(vehicle: VehicleAssignment, tau: int,
                         n_edges: int, horizon: int) -> np.ndarray:
     """0/1 matrix of the vehicle's delayed walk, truncated to the horizon."""
     grid = np.zeros((n_edges, horizon), dtype=int)
-    cols = vehicle.occupied_steps + int(tau)
-    keep = (cols >= 0) & (cols < horizon)
-    grid[vehicle.occupied_edges[keep], cols[keep]] = 1
+    grid.reshape(-1)[vehicle.cells(tau, n_edges, horizon)] = 1
     return grid
 
 

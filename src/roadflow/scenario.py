@@ -26,7 +26,7 @@ from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
 from .platoon_flow import AdmissibleVelocityField, FreightPair, truck_steps
 from .routing import EquilibriumDemand, LogitRule, RoutingPolicy
 from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
-                        build_sweden_scenario)
+                        build_sweden_scenario, default_horizon)
 from .social_optimum import (ControlParameterization, DemandSpec,
                              SourceControl, ThetaControl)
 
@@ -36,9 +36,10 @@ KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
 #: prime search grows steeply with the key size (about 2 s at 2048 bits)
 MAX_KEY_BITS = 4096
 #: largest array one run may ask for, in float64 values (128 MiB): a network
-#: run's density block (links x (time steps + 1) x commodities x cells) or a
-#: platoon-flow solve's particle positions ((time steps + 1) x particles);
-#: the bundled and benchmark scenarios need at most 480 000
+#: run's density block (links x (time steps + 1) x commodities x cells), a
+#: platoon-flow solve's particle positions ((time steps + 1) x particles), or
+#: a schedule run's trajectory ((iterations + 1) x vehicles) or count grid
+#: (edges x horizon); the bundled and benchmark scenarios need at most 480 000
 _MAX_STATE_VALUES = 2 ** 24
 
 _MISSING = object()
@@ -680,7 +681,15 @@ def build_platoon_flow(payload: dict) -> dict:
             "fd_step": fd_step}
 
 
+def _check_schedule_size(path: str, name: str, size: int, shape: str) -> None:
+    if size > _MAX_STATE_VALUES:
+        _fail(path, f"a run would hold a {name} of {size} values ({shape}), "
+              f"more than the cap of {_MAX_STATE_VALUES}; use fewer "
+              "iterations, vehicles, delays or steps")
+
+
 def _build_schedule_common(payload: dict, path: str) -> dict:
+    iterations = _integer(payload, "iterations", path, minimum=1)
     preset = payload.get("preset")
     if preset is not None:
         if preset != "sweden":
@@ -688,6 +697,9 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
         max_delay = _integer(payload, "max_delay", path, default=3, minimum=0)
         per_flow = _integer(payload, "vehicles_per_flow", path, default=40,
                             minimum=1)
+        # checked before the build, which makes one object per vehicle
+        _check_schedule_size(path, "trajectory", (iterations + 1) * 2 * per_flow,
+                             "(iterations + 1) x vehicles")
         graph, assignments = build_sweden_scenario(max_delay, per_flow)
     else:
         graph_spec = _dict(payload, "graph", path)
@@ -706,8 +718,12 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
             graph = FreightGraph(edges)
         except ValueError as exc:
             _fail(f"{path}.graph", str(exc))
+        vehicles = _list(payload, "vehicles", path)
+        _check_schedule_size(path, "trajectory",
+                             (iterations + 1) * len(vehicles),
+                             "(iterations + 1) x vehicles")
         assignments = []
-        for k, entry in enumerate(_list(payload, "vehicles", path)):
+        for k, entry in enumerate(vehicles):
             p = f"{path}.vehicles[{k}]"
             if not isinstance(entry, dict):
                 _fail(p, "expected an object")
@@ -725,14 +741,16 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
                 assignments.append(VehicleAssignment.from_hub_path(
                     graph, hubs, depart, (window_spec[0], window_spec[1]),
                     cost))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, OverflowError) as exc:
                 _fail(p, str(exc))
         if not assignments:
             _fail(f"{path}.vehicles", "need at least one vehicle")
+    _check_schedule_size(path, "count grid",
+                         len(graph) * default_horizon(assignments),
+                         "edges x horizon")
     gamma = _number(payload, "gamma", path, default=1.0, minimum=0.0)
     temperature = _number(payload, "temperature", path, default=100.0,
                           minimum=1e-12)
-    iterations = _integer(payload, "iterations", path, minimum=1)
     tau0 = np.array([v.window[0] for v in assignments], dtype=int)
     state = ScheduleState(graph, tuple(assignments), tau0, gamma=gamma,
                           temperature=temperature)

@@ -18,16 +18,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleDelay, InstanceTooLarge
+from .errors import ComputeError, InfeasibleDelay, InstanceTooLarge
 
 #: brute force refuses joint spaces larger than this
 BRUTE_FORCE_CAP = 10 ** 6
 #: conditional distributions are cached when the joint space is at most this big
 CACHE_JOINT_CAP = 4096
+#: most count cells (delays x edges x horizon) one scoring block holds
+SCORE_BLOCK = 1 << 16
 
 
 def square_reward(z):
@@ -78,6 +80,14 @@ class FreightGraph:
             raise KeyError(f"no edge {tail}->{head}") from None
 
 
+class CellTable(NamedTuple):
+    """Delay ``lo + k`` of a window occupies ``cells[starts[k]:starts[k + 1]]``;
+    ``block`` adds ``k * edges * horizon``, its row of a scoring block."""
+    cells: np.ndarray
+    starts: list
+    block: np.ndarray
+
+
 class VehicleAssignment:
     """One vehicle's walk, delay window and delay cost.
 
@@ -113,6 +123,7 @@ class VehicleAssignment:
         self.entry_steps = self.depart + np.concatenate(([0], np.cumsum(dwells[:-1])))
         self.occupied_edges = np.repeat(np.array(edge_seq, dtype=int), dwells)
         self.occupied_steps = self.depart + np.arange(int(dwells.sum()))
+        self._cell_tables: dict = {}
 
     @classmethod
     def from_hub_path(cls, graph: FreightGraph, hubs: Sequence[str], depart: int,
@@ -137,6 +148,38 @@ class VehicleAssignment:
         lo, hi = self.window
         if not lo <= tau <= hi:
             raise InfeasibleDelay(f"delay {tau} outside window [{lo}, {hi}]")
+
+    def _shifted_cells(self, delays: np.ndarray, horizon: int):
+        """Flat cells ``edge * horizon + step`` of the walk, one row per
+        delay, and the mask of the steps inside ``[0, horizon)``."""
+        cols = self.occupied_steps + delays[:, None]
+        keep = (cols >= 0) & (cols < horizon)
+        return self.occupied_edges * horizon + cols, keep
+
+    def cell_table(self, n_edges: int, horizon: int) -> CellTable:
+        """The walk's cells at every delay of the window, built on first use
+        (not when a scenario is built) and kept per grid shape.  A walk
+        occupies each step once, so a fancy-index ``+=`` over one delay's
+        cells equals ``np.add.at``."""
+        key = (int(n_edges), int(horizon))
+        table = self._cell_tables.get(key)
+        if table is None:
+            flat, keep = self._shifted_cells(self.delays(), key[1])
+            rows = np.arange(len(flat))[:, None] * (key[0] * key[1])
+            starts = [0] + np.cumsum(keep.sum(axis=1)).tolist()
+            table = CellTable(flat[keep], starts, (flat + rows)[keep])
+            self._cell_tables[key] = table
+        return table
+
+    def cells(self, tau: int, n_edges: int, horizon: int) -> np.ndarray:
+        """Flat cells of the walk at delay ``tau``, which may lie outside
+        the window; steps shifted outside ``[0, horizon)`` drop out."""
+        k = int(tau) - self.window[0]
+        if 0 <= k <= self.window[1] - self.window[0]:
+            table = self.cell_table(n_edges, horizon)
+            return table.cells[table.starts[k]:table.starts[k + 1]]
+        flat, keep = self._shifted_cells(np.array([int(tau)]), int(horizon))
+        return flat[keep]
 
 
 @dataclass(frozen=True)
@@ -187,30 +230,11 @@ def occupancy_counts(graph: FreightGraph,
     """
     horizon = default_horizon(assignments) if horizon is None else int(horizon)
     counts = np.zeros((len(graph), horizon), dtype=int)
+    flat = counts.reshape(-1)
     for i, veh in enumerate(assignments):
-        if i == exclude:
-            continue
-        cols = veh.occupied_steps + int(tau[i])
-        keep = (cols >= 0) & (cols < horizon)
-        np.add.at(counts, (veh.occupied_edges[keep], cols[keep]), 1)
+        if i != exclude:
+            flat[veh.cells(int(tau[i]), len(graph), horizon)] += 1
     return counts
-
-
-def platoon_term(weights: np.ndarray, counts: np.ndarray, gamma: float,
-                 reward: Callable) -> float:
-    """-gamma * sum over edge-steps of w_e * reward(count)."""
-    return -float(gamma) * float(np.sum(weights[:, None] * reward(counts)))
-
-
-def occupancy_with_vehicle(vehicle: VehicleAssignment, counts_excl: np.ndarray,
-                           tau: int) -> np.ndarray:
-    """Counts of the other vehicles plus this one placed at delay ``tau``."""
-    horizon = counts_excl.shape[1]
-    cols = vehicle.occupied_steps + int(tau)
-    keep = (cols >= 0) & (cols < horizon)
-    total = counts_excl.copy()
-    np.add.at(total, (vehicle.occupied_edges[keep], cols[keep]), 1)
-    return total
 
 
 def coordination_cost(graph: FreightGraph,
@@ -223,7 +247,8 @@ def coordination_cost(graph: FreightGraph,
     for veh, t in zip(assignments, tau):
         veh.check_delay(int(t))
     counts = occupancy_counts(graph, assignments, tau, horizon)
-    total = platoon_term(graph.weights, counts, gamma, reward)
+    # the platooning term: -gamma * sum over edge-steps of w_e * reward(count)
+    total = -float(gamma) * float(np.sum(graph.weights[:, None] * reward(counts)))
     for veh, t in zip(assignments, tau):
         if veh.delay_cost is not None:
             total += float(veh.delay_cost(int(t)))
@@ -237,13 +262,29 @@ def conditional_scores(graph: FreightGraph, vehicle: VehicleAssignment,
 
     ``counts_excl`` are the occupancy counts of the other vehicles; the
     private aggregation path produces the same matrix by decryption, so
-    both paths share this evaluation bit for bit.
+    both paths share this evaluation bit for bit.  The window is scored
+    in blocks of at most ``SCORE_BLOCK`` cells, one row of ``edges *
+    horizon`` counts per delay, with one ``reward`` call per block.  Each
+    weighted row is summed along its own contiguous axis, the pairwise
+    order ``np.sum`` takes over one ``(edges, horizon)`` grid, so each
+    platooning term equals the one ``coordination_cost`` takes of that
+    delay's grid, bit for bit.
     """
-    h_vals = vehicle.delay_costs()
-    scores = np.empty(len(h_vals))
-    for k, tau in enumerate(vehicle.delays()):
-        total = occupancy_with_vehicle(vehicle, counts_excl, int(tau))
-        scores[k] = h_vals[k] + platoon_term(graph.weights, total, gamma, reward)
+    n_edges, horizon = counts_excl.shape
+    size = n_edges * horizon
+    table = vehicle.cell_table(n_edges, horizon)
+    scores = vehicle.delay_costs()
+    weights = graph.weights[:, None]
+    per = max(1, SCORE_BLOCK // size)
+    for k0 in range(0, len(scores), per):
+        k1 = min(k0 + per, len(scores))
+        total = np.empty((k1 - k0, size), dtype=counts_excl.dtype)
+        total[...] = counts_excl.reshape(-1)
+        cells = table.block[table.starts[k0]:table.starts[k1]] - k0 * size
+        total.reshape(-1)[cells] += 1
+        r = reward(total.reshape(k1 - k0, n_edges, horizon))
+        scores[k0:k1] += (-float(gamma)) * (weights * r).reshape(
+            k1 - k0, -1).sum(axis=-1)
     return scores
 
 
@@ -255,7 +296,7 @@ def gibbs_row(scores: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _sample_index(cum: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cum, u, side="right").clip(max=len(cum) - 1))
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
 
 @dataclass
@@ -294,18 +335,15 @@ class _LiveCounts:
 
     def __init__(self, state: ScheduleState, horizon: int):
         self.assignments = state.assignments
-        self.horizon = int(horizon)
+        self.shape = (len(state.graph), int(horizon))
         self.tau = state.tau.copy()
         self.counts = occupancy_counts(state.graph, state.assignments,
-                                       self.tau, self.horizon)
+                                       self.tau, self.shape[1])
         self.out: Optional[int] = None
 
     def _shift(self, j: int, delay: int, step: int) -> None:
-        veh = self.assignments[j]
-        cols = veh.occupied_steps + delay
-        keep = (cols >= 0) & (cols < self.horizon)
-        # a walk occupies each step once, so no cell repeats within a vehicle
-        self.counts[veh.occupied_edges[keep], cols[keep]] += step
+        self.counts.reshape(-1)[self.assignments[j].cells(delay,
+                                                          *self.shape)] += step
 
     def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
         if self.out is not None:
@@ -333,7 +371,9 @@ def drive_learning(state: ScheduleState, iterations: int,
     counts are scored by ``conditional_scores``.  With ``cache`` on, the
     conditional row of vehicle ``i`` is kept per frozen delays of the
     others and the oracle is asked only on a miss.  Tracks the best
-    profile seen by exact coordination cost.
+    profile seen by exact coordination cost.  An initial cost or a freshly
+    scored row that is not finite has no Gibbs distribution and raises
+    ``ComputeError``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -344,6 +384,9 @@ def drive_learning(state: ScheduleState, iterations: int,
     trajectory[0] = state.tau
     cost_trace = np.empty(iterations + 1)
     cost = state.cost()
+    if not math.isfinite(cost):
+        raise ComputeError(f"the initial coordination cost is {cost}; gamma, "
+                           "the edge weights or the delay costs are too large")
     cost_trace[0] = cost
     best_tau = state.tau.copy()
     best_cost = cost
@@ -365,6 +408,11 @@ def drive_learning(state: ScheduleState, iterations: int,
                                         counts_without(i, tau),
                                         gamma=state.gamma,
                                         reward=state.reward)
+            if not np.isfinite(scores).all():
+                raise ComputeError(
+                    f"vehicle {i} scored a non-finite cost at iteration "
+                    f"{step}; gamma, the edge weights or the delay costs are "
+                    "too large")
             row = (gibbs_row(scores, state.temperature), scores)
             if cache:
                 rows[key] = row
@@ -410,13 +458,15 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     The plaintext driver.  Occupancy counts are built once from the
     initial profile and then kept incrementally (``_LiveCounts``): each
     query takes the moving vehicle's cells out, and the next puts them
-    back at its new delay.  The counts, scores and trajectory are exactly
-    those of a full rebuild per iteration.  On small instances (a joint
-    space of at most ``CACHE_JOINT_CAP`` profiles) conditional rows are
-    cached, keyed by the frozen delays of the other vehicles.  A cache hit
-    touches no counts; the next miss brings them up to date with every
-    move made since.  The cache never changes sampled values, only skips
-    their recomputation.
+    back at its new delay.  A row is scored as one block of delays, each
+    summed in the order of a delay-by-delay ``np.sum`` (see
+    ``conditional_scores``), so the counts, scores and trajectory are
+    exactly those of a full rebuild and per-delay scoring per iteration.
+    On small instances (a joint space of at most ``CACHE_JOINT_CAP``
+    profiles) conditional rows are cached, keyed by the frozen delays of
+    the other vehicles.  A cache hit touches no counts; the next miss
+    brings them up to date with every move made since.  The cache never
+    changes sampled values, only skips their recomputation.
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
     cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP

@@ -18,6 +18,7 @@ SINGLE_LINK = SCENARIO_DIR / "single_link_congestion.json"
 SOCIAL = SCENARIO_DIR / "departure_spread_social.json"
 PRIVATE = SCENARIO_DIR / "private_ring_demo.json"
 EQUILIBRIUM = SCENARIO_DIR / "parallel_routes_equilibrium.json"
+SWEDEN = SCENARIO_DIR / "sweden_corridor.json"
 
 
 def sha256(path: Path) -> str:
@@ -220,6 +221,63 @@ def test_oversized_platoon_flow_is_schema_error(field, value, tmp_path,
         assert payload["error"] == "schema"
         assert "particle positions" in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _first_vehicle(doc, **fields):
+    doc["vehicles"][0].update(fields)
+
+
+@pytest.mark.parametrize("source, edit, expected", [
+    # 10**9 iterations of 80 vehicles: an 8e10-value trajectory
+    (SWEDEN, lambda d: d.update(iterations=10 ** 9), "trajectory"),
+    # 2e9 vehicles are refused before one of them is built
+    (SWEDEN, lambda d: d.update(vehicles_per_flow=10 ** 9), "trajectory"),
+    (SWEDEN, lambda d: d.update(max_delay=10 ** 8), "count grid"),
+    (PRIVATE, lambda d: _first_vehicle(d, depart=10 ** 9), "count grid"),
+    (PRIVATE, lambda d: _first_vehicle(d, window=[0, 10 ** 12]),
+     "count grid"),
+    (PRIVATE, lambda d: _first_vehicle(d, depart=10 ** 30), "vehicles[0]"),
+])
+def test_oversized_schedule_is_schema_error(source, edit, expected, tmp_path,
+                                            capsys):
+    doc = json.loads(source.read_text())
+    edit(doc)
+    scenario = tmp_path / "huge_schedule.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["validate", "--scenario", str(scenario)],
+                 [doc["kind"], "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)  # one JSON object
+        assert payload["error"] == "schema"
+        assert expected in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["schedule", "schedule-private"])
+@pytest.mark.parametrize("tau0, expected", [
+    (1, "initial coordination cost is -inf"),
+    (0, "scored a non-finite cost"),
+])
+def test_non_finite_cost_is_compute_error(kind, tau0, expected, tmp_path,
+                                          capsys):
+    # weight 0.5 and gamma 1e308: apart, the two vehicles cost -1e308;
+    # aligned, -2e308 overflows.  A window of [1, 1] starts them aligned.
+    doc = {"kind": kind, "seed": 3, "gamma": 1e308, "iterations": 20,
+           "graph": {"edges": [["A", "B", 0.5, 1]]},
+           "vehicles": [{"hubs": ["A", "B"], "depart": 0,
+                         "window": [tau0, 1]},
+                        {"hubs": ["A", "B"], "depart": 1, "window": [0, 1]}]}
+    if kind == "schedule-private":
+        doc["bits"] = 256
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([kind, "--scenario", str(scenario), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err)      # one JSON object
+    assert payload["error"] == "compute"
+    assert expected in payload["message"]
+    assert not (out / "cost_trace.csv").exists()
 
 
 def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):

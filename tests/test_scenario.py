@@ -14,6 +14,7 @@ from roadflow.platoon_flow import solve_freight_pair, truck_steps
 from roadflow.scenario import (_MAX_STATE_VALUES, BUILDERS, KINDS,
                                _parse_link, _state_values, build_profile,
                                load_scenario, validate_scenario)
+from roadflow.scheduler import default_horizon
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -324,3 +325,53 @@ def test_particle_cap_counts_inflow_particles(tmp_path):
     built = BUILDERS["platoon-flow"](load_scenario(write(tmp_path, doc)).payload)
     sol = solve_freight_pair(built["pair"], built["baseline"], cells=40)
     assert sol.positions.size == platoon_positions(built)
+
+
+def schedule_sizes(built) -> tuple:
+    """Trajectory and count-grid values the schema counts for a schedule."""
+    assignments = built["assignments"]
+    return ((built["iterations"] + 1) * len(assignments),
+            len(built["graph"]) * default_horizon(assignments))
+
+
+def test_bundled_and_benchmark_schedule_scenarios_fit_the_schedule_cap(
+        tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    paths = [SCENARIO_DIR / "sweden_corridor.json",
+             SCENARIO_DIR / "private_ring_demo.json"]
+    for seed in (1, 2):
+        for name in ("freight", "freight-private"):
+            paths += [op.scenario for op in workloads.make_ops(
+                name, seed, tmp_path / str(seed))]
+    assert len(paths) == 6
+    for path in paths:
+        sc = load_scenario(path)
+        validate_scenario(sc)                   # applies the cap
+        # the largest, the bundled Sweden run, holds 4001 x 80 delays
+        assert max(schedule_sizes(BUILDERS[sc.kind](sc.payload))) <= 320_080
+
+
+def test_schedule_cap_counts_trajectory_and_grid(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "sweden_corridor.json").read_text())
+    # 64 vehicles: (262 143 + 1) x 64 is the cap exactly
+    doc.update(vehicles_per_flow=32, iterations=262_143)
+    built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
+    assert schedule_sizes(built)[0] == _MAX_STATE_VALUES
+    doc["iterations"] += 1
+    with pytest.raises(SchemaError, match="trajectory"):
+        validate_scenario(load_scenario(write(tmp_path, doc)))
+    # 8 edges x 2**21 steps is the cap exactly; the window is 2 million
+    # delays wide, and validation builds no cell table for it
+    doc.update(iterations=10, max_delay=0)
+    built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
+    doc["max_delay"] = 2 ** 21 - default_horizon(built["assignments"])
+    built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
+    assert schedule_sizes(built)[1] == _MAX_STATE_VALUES
+    assert all(v._cell_tables == {} for v in built["assignments"])
+    doc["max_delay"] += 1
+    with pytest.raises(SchemaError, match="count grid"):
+        validate_scenario(load_scenario(write(tmp_path, doc)))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from roadflow.errors import InfeasibleDelay, InstanceTooLarge
+from roadflow import scheduler
+from roadflow.errors import ComputeError, InfeasibleDelay, InstanceTooLarge
+from roadflow.private_agg import chain_aggregate, keygen
 from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
                                 ScheduleState, VehicleAssignment,
                                 brute_force_schedule, build_sweden_scenario,
@@ -17,6 +19,36 @@ from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
                                 pair_distance_histogram, pair_distance_ratio,
                                 platoon_opportunity_gain, run_learning,
                                 square_reward)
+
+
+def reference_counts(graph, assignments, tau, horizon, exclude=None):
+    """Edge-step counts, one ``np.add.at`` per vehicle on its shifted walk."""
+    counts = np.zeros((len(graph), horizon), dtype=int)
+    for i, veh in enumerate(assignments):
+        if i == exclude:
+            continue
+        cols = veh.occupied_steps + int(tau[i])
+        keep = (cols >= 0) & (cols < horizon)
+        np.add.at(counts, (veh.occupied_edges[keep], cols[keep]), 1)
+    return counts
+
+
+def reference_scores(graph, vehicle, counts_excl, *, gamma,
+                     reward=square_reward):
+    """Conditional scores one delay at a time: the others' counts copied,
+    the vehicle's walk added with ``np.add.at``, and the weighted reward
+    summed over the whole grid."""
+    horizon = counts_excl.shape[1]
+    h_vals = vehicle.delay_costs()
+    scores = np.empty(len(h_vals))
+    for k, tau in enumerate(vehicle.delays()):
+        cols = vehicle.occupied_steps + int(tau)
+        keep = (cols >= 0) & (cols < horizon)
+        total = counts_excl.copy()
+        np.add.at(total, (vehicle.occupied_edges[keep], cols[keep]), 1)
+        scores[k] = h_vals[k] + -float(gamma) * float(
+            np.sum(graph.weights[:, None] * reward(total)))
+    return scores
 
 
 def chain_graph():
@@ -126,6 +158,12 @@ def test_occupancy_counts_truncate_and_exclude():
     # the second vehicle's step 2 fell off the horizon
     counts = occupancy_counts(g, vehs, [0, 0], horizon=2, exclude=0)
     assert np.array_equal(counts, [[0, 1]])
+    # delays outside the window are counted by the same truncation rule
+    for tau in ([7, 0], [0, 6], [1, 9]):
+        for horizon in (2, 8, 12):
+            assert np.array_equal(
+                occupancy_counts(g, vehs, tau, horizon=horizon),
+                reference_counts(g, vehs, tau, horizon))
 
 
 def test_potential_equals_unilateral_utility_change():
@@ -314,7 +352,8 @@ def test_sweden_scenario_shape():
 
 def rebuilt_learning(state, iterations, seed):
     """Learning with the counts rebuilt from scratch at every step and no
-    conditional-row cache; draws and best-profile rule as in run_learning."""
+    conditional-row cache, counted and scored by the reference helpers above;
+    draws and best-profile rule as in run_learning."""
     rng = np.random.default_rng(seed)
     horizon = default_horizon(state.assignments)
     tau = state.tau.copy()
@@ -324,10 +363,10 @@ def rebuilt_learning(state, iterations, seed):
     for _ in range(iterations):
         i = int(rng.integers(len(tau)))
         u = float(rng.random())
-        counts = occupancy_counts(state.graph, state.assignments, tau,
+        counts = reference_counts(state.graph, state.assignments, tau,
                                   horizon, exclude=i)
-        scores = conditional_scores(state.graph, state.assignments[i], counts,
-                                    gamma=state.gamma, reward=state.reward)
+        scores = reference_scores(state.graph, state.assignments[i], counts,
+                                  gamma=state.gamma, reward=state.reward)
         cum = gibbs_row(scores, state.temperature)
         k = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
         lo = state.assignments[i].window[0]
@@ -388,3 +427,114 @@ def test_incremental_counts_match_rebuild_with_cache():
     state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), temperature=2.0)
     assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
     assert_matches_rebuilt(state, 3000, 17)
+
+
+def assert_scores_match_reference(graph, vehicle, counts, **kwargs):
+    block = conditional_scores(graph, vehicle, counts, **kwargs)
+    reference = reference_scores(graph, vehicle, counts, **kwargs)
+    assert block.tobytes() == reference.tobytes()
+
+
+def random_sweden(rng, max_delay, horizon=None, gamma=1.0, weights=None,
+                  reward=square_reward, costs=False):
+    """A random Sweden profile and one vehicle's view of the others."""
+    edges = SWEDEN_EDGES if weights is None else [
+        (a, b, w, d) for (a, b, _, d), w in zip(SWEDEN_EDGES, weights)]
+    graph = FreightGraph(edges)
+    _, sweden = build_sweden_scenario(max_delay)
+    vehs = [VehicleAssignment(
+        graph, v.edge_seq, v.depart, v.window,
+        (lambda d, s=float(rng.uniform(0.0, 3.0)): s * d * d) if costs
+        else None) for v in sweden]
+    tau = rng.integers(0, max_delay + 1, len(vehs))
+    i = int(rng.integers(len(vehs)))
+    horizon = default_horizon(vehs) if horizon is None else horizon
+    counts = reference_counts(graph, vehs, tau, horizon, exclude=i)
+    return graph, vehs[i], counts, dict(gamma=gamma, reward=reward)
+
+
+@pytest.mark.parametrize("case", [
+    dict(),                                         # the workload's game
+    dict(horizon=150),                              # walks cut by the horizon
+    dict(horizon=40),
+    dict(costs=True),                               # delay costs
+    dict(gamma=0.7, weights=[0.37 * w + 0.11 for _, _, w, _ in SWEDEN_EDGES]),
+    dict(reward=lambda z: np.sqrt(np.asarray(z, dtype=float)) * 1.3),
+    dict(reward=lambda z: np.minimum(z, 3) * z),    # integer-valued
+    dict(max_delay=1100),                           # 8 x 1372 cells > 8192,
+], ids=["sweden", "horizon-150", "horizon-40", "delay-costs", "gamma-0.7",
+        "sqrt-reward", "capped-reward", "wide-window"])  # 1101 delays, 11 blocks
+def test_block_scores_equal_reference_bit_for_bit(case):
+    rng = np.random.default_rng(20261018)
+    case = dict(case)
+    max_delay = case.pop("max_delay", 3)
+    for _ in range(6 if max_delay < 10 else 1):
+        graph, vehicle, counts, kwargs = random_sweden(rng, max_delay, **case)
+        assert_scores_match_reference(graph, vehicle, counts, **kwargs)
+
+
+@pytest.mark.parametrize("block", [1, 2200, 2 * 2200 + 7, 3 * 2200, 7 * 2200])
+def test_block_scores_do_not_depend_on_the_block_size(block, monkeypatch):
+    # 7 delays of 8 x 275 cells: a block smaller than one delay still holds
+    # one, and blocks of two or three delays leave a short last block
+    monkeypatch.setattr(scheduler, "SCORE_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        graph, vehicle, counts, kwargs = random_sweden(rng, 6, costs=True)
+        assert counts.size == 2200
+        assert_scores_match_reference(graph, vehicle, counts, **kwargs)
+
+
+def test_block_scores_read_non_contiguous_and_decrypted_counts():
+    rng = np.random.default_rng(3)
+    graph, vehicle, counts, kwargs = random_sweden(rng, 3, gamma=0.7)
+    wide = np.zeros((counts.shape[0], 2 * counts.shape[1]), dtype=counts.dtype)
+    wide[:, ::2] = counts
+    assert not wide[:, ::2].flags.c_contiguous
+    assert_scores_match_reference(graph, vehicle, wide[:, ::2], **kwargs)
+    assert_scores_match_reference(graph, vehicle, np.asfortranarray(counts),
+                                  **kwargs)
+    # the private driver's counts: unpacked from a decrypted ring pass
+    g = FreightGraph([("A", "B", 1.5, 2), ("B", "C", 0.5, 3)])
+    vehs = [VehicleAssignment(g, [0, 1], 0, (0, 3)),
+            VehicleAssignment(g, [0, 1], 1, (0, 2), lambda d: 0.25 * d),
+            VehicleAssignment(g, [1], 2, (1, 4))]
+    tau = [2, 1, 3]
+    horizon = default_horizon(vehs)
+    crypto = np.random.default_rng(11)
+    zeta = chain_aggregate([(vehs[j], tau[j]) for j in (1, 2, 0)], g, horizon,
+                           keygen(256, crypto), crypto)
+    assert np.array_equal(zeta, reference_counts(g, vehs, tau, horizon,
+                                                 exclude=1))
+    assert_scores_match_reference(g, vehs[1], zeta, gamma=0.7)
+
+
+def test_cell_table_is_built_on_first_use_per_grid_shape():
+    g = FreightGraph([("A", "B", 1.0, 2), ("B", "C", 1.0, 1)])
+    veh = VehicleAssignment(g, [0, 1], depart=1, window=(1, 3))
+    assert veh._cell_tables == {}
+    table = veh.cell_table(2, 5)
+    # delays 1, 2, 3 put the walk at steps 2-4, 3-5 and 4-6 of a 5-step grid
+    assert table.cells.tolist() == [2, 3, 9, 3, 4, 4]
+    assert table.starts == [0, 3, 5, 6]
+    assert table.block.tolist() == [2, 3, 9, 13, 14, 24]
+    assert veh.cell_table(2, 5) is table
+    assert veh.cell_table(2, 7) is not table
+    assert veh.cells(2, 2, 5).tolist() == [3, 4]
+    assert veh.cells(0, 2, 5).tolist() == [1, 2, 8]     # outside the window
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_cost_is_a_compute_error():
+    g = FreightGraph([("A", "B", 0.5, 1)])
+    vehs = (VehicleAssignment(g, [0], 0, (0, 1)),
+            VehicleAssignment(g, [0], 1, (0, 1)))
+    # apart, the cost is -1e308; a delay that aligns the two doubles it
+    state = ScheduleState(g, vehs, np.array([0, 0]), gamma=1e308)
+    assert state.cost() == -1e308
+    with pytest.raises(ComputeError, match="non-finite"):
+        run_learning(state, 5, rng_seed=1)
+    state = ScheduleState(g, vehs, np.array([1, 0]), gamma=1e308)
+    assert state.cost() == -math.inf
+    with pytest.raises(ComputeError, match="initial coordination cost"):
+        run_learning(state, 5, rng_seed=1)
