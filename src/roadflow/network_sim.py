@@ -1,9 +1,13 @@
 """Explicit multi-commodity simulation on an acyclic road network.
 
 Every link carries the same uniform cell grid and shares one global time
-step.  The state is one block of shape ``(links, steps + 1, commodities,
-cells)``, links in topological order, and each time step is a fixed
-number of array operations on the ``(links, commodities, cells)`` slice:
+step.  A run advances a batch of members: runs on the same network,
+laws, windows, grid, horizon and step count that differ in their split
+rows and sources.  The members lead the link axis, member-major, so the
+density state has shape ``(members × links, slots, commodities, cells)``,
+each member's links in topological order, and each time step is a fixed
+number of array operations on the ``(members × links, commodities,
+cells)`` slice of every member at once:
 
 * the aggregate density is the sum over commodities, and each link's
   windowed mass is its row sum (averaging windows have constant bounds,
@@ -22,7 +26,14 @@ number of array operations on the ``(links, commodities, cells)`` slice:
 Junction coupling is explicit: inflows at step ``m`` use outfluxes
 evaluated on the state at step ``m``, so mass moves across a junction
 with one step of lag and the per-commodity budget telescopes exactly.
-The per-link arrays of :class:`NetworkState` are views into the blocks.
+
+Every reduction runs within one member's rows, so a member's values do
+not depend on the batch it ran in.  :func:`simulate` is a batch of one
+whose ``steps + 1`` slots keep the whole history; the per-link arrays of
+:class:`NetworkState` are views into those blocks.
+:class:`ArrivalSimulator` runs objective-only batches in two slots and
+returns only the arrivals, equal bit for bit to each member's own
+:func:`simulate` run.
 """
 
 from __future__ import annotations
@@ -71,26 +82,37 @@ class GridSplits:
 
 
 @dataclass
-class NetworkState:
+class ArrivalRecord:
+    """What the destinations absorbed during one run."""
+
+    commodities: tuple[Commodity, ...]
+    times: np.ndarray
+    arrivals: dict       # commodity -> (steps+1,) absorbed flux at destination
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    def cumulative_arrivals(self, commodity: Commodity) -> np.ndarray:
+        """Arrived mass up to each time node (left Riemann of the flux)."""
+        flux = self.arrivals[commodity]
+        return np.concatenate(([0.0], np.cumsum(flux[:-1]) * self.dt))
+
+
+@dataclass
+class NetworkState(ArrivalRecord):
     """Full space-time record of one network run."""
 
     net: RoadNetwork
-    commodities: tuple[Commodity, ...]
-    times: np.ndarray
     cells: np.ndarray
     rho: dict            # link -> (steps+1, K, N)
     speeds: dict         # link -> (steps+1,)
     inflow: dict         # link -> (steps+1, K) boundary flux per commodity
     outflow: dict        # link -> (steps+1, K)
-    arrivals: dict       # commodity -> (steps+1,) absorbed flux at destination
     split_rows: dict     # (node, commodity) -> (n_out, steps+1)
     source_grid: dict    # (link, commodity) -> (steps+1,)
     laws: dict           # link -> VelocityLaw used for that link
     windows: dict        # link -> (lower, upper) or None for whole link
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def dx(self) -> float:
@@ -122,11 +144,6 @@ class NetworkState:
         edges, cum = cumulative_mass(rows, self.dx)
         return (_interp_rows(bounds[1], edges, cum)
                 - _interp_rows(bounds[0], edges, cum))
-
-    def cumulative_arrivals(self, commodity: Commodity) -> np.ndarray:
-        """Arrived mass up to each time node (left Riemann of the flux)."""
-        flux = self.arrivals[commodity]
-        return np.concatenate(([0.0], np.cumsum(flux[:-1]) * self.dt))
 
     def mass_report(self) -> dict:
         """Per-commodity budget: initial + injected - arrived - stored."""
@@ -206,6 +223,32 @@ def _time_steps(laws: Iterable[VelocityLaw], horizon: float, grid: GridSpec,
     return max(4, int(math.ceil(horizon * vmax / (grid.cfl * dx))))
 
 
+def _checked_steps(law_map: Mapping[Link, VelocityLaw], horizon: float,
+                   grid: GridSpec, budget: float) -> int:
+    """Check every link's law up to ``budget`` mass, then size the step."""
+    for law in law_map.values():
+        law.check(horizon, budget)
+    return _time_steps(law_map.values(), horizon, grid, budget)
+
+
+def _setup(net: RoadNetwork, commodities, laws, horizon: float,
+           grid: GridSpec | None, windows) -> tuple:
+    """What a run fixes before any demand: grid, commodities, links in
+    topological order, per-link laws and windows, and cell centres."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    grid = grid or GridSpec(cells=_DEFAULT_CELLS)
+    commodities = tuple(commodities)
+    if len(set(commodities)) != len(commodities):
+        raise ValueError("duplicate commodities")
+    topo_links = validate_acyclic(net)
+    law_map = {a: (laws[a] if isinstance(laws, Mapping) else laws)
+               for a in net.links}
+    window_map = _resolve_windows(net, windows)
+    centers = (np.arange(grid.cells) + 0.5) * (1.0 / grid.cells)
+    return grid, commodities, topo_links, law_map, window_map, centers
+
+
 def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
              splits: SplitSchedule | GridSplits, sources: SourceSchedule,
              laws: VelocityLaw | Mapping[Link, VelocityLaw], *,
@@ -220,21 +263,10 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
     sized from the sampled maximum speed and halved on an observed CFL
     violation, at most ``MAX_DT_HALVINGS`` times.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    grid = grid or GridSpec(cells=_DEFAULT_CELLS)
-    commodities = tuple(commodities)
-    if len(set(commodities)) != len(commodities):
-        raise ValueError("duplicate commodities")
-    topo_links = validate_acyclic(net)
-    law_map = {a: (laws[a] if isinstance(laws, Mapping) else laws)
-               for a in net.links}
-    window_map = _resolve_windows(net, windows)
+    grid, commodities, topo_links, law_map, window_map, centers = _setup(
+        net, commodities, laws, horizon, grid, windows)
     sources.validate(net, commodities)
-
-    n = grid.cells
-    dx = 1.0 / n
-    centers = (np.arange(n) + 0.5) * dx
+    dx = 1.0 / grid.cells
 
     init = {}
     total_initial = 0.0
@@ -253,9 +285,7 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
             total_initial += float(vals.sum() * dx)
 
     budget = total_initial + sum(sources.total(k, 0.0, horizon) for k in commodities)
-    for a in net.links:
-        law_map[a].check(horizon, budget)
-    steps = _time_steps(law_map.values(), horizon, grid, budget)
+    steps = _checked_steps(law_map, horizon, grid, budget)
 
     for _ in range(MAX_DT_HALVINGS + 1):
         try:
@@ -268,121 +298,23 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
 
 def _run(net, commodities, splits, sources, law_map, window_map, horizon,
          steps, centers, init, topo_links) -> NetworkState:
-    times = np.linspace(0.0, horizon, steps + 1)
-    dt = times[1] - times[0]
-    n = len(centers)
-    dx = 1.0 / n
-    n_k = len(commodities)
-    n_l = len(topo_links)
-    k_index = {k: i for i, k in enumerate(commodities)}
-    pos = {a: i for i, a in enumerate(topo_links)}
-    nodes = net.nodes
-    node_pos = {v: i for i, v in enumerate(nodes)}
-
-    split_rows = {}
-    for node in nodes:
-        out = net.out_links(node)
-        if not out:
-            continue
-        for commodity in commodities:
-            if node == commodity.destination:
-                continue
-            if node not in net.reaches(commodity.destination):
-                continue
-            if not splits.has_row(node, commodity):
-                continue  # tolerated while no flow arrives there
-            split_rows[(node, commodity)] = splits.grid_row(node, commodity,
-                                                            times, out)
-    # frac[m, l, k]: the share of commodity k at link l's tail sent onto l;
-    # refuse fractions routed toward nodes that cannot reach the destination
-    frac = np.zeros((steps + 1, n_l, n_k))
-    for (node, commodity), row in split_rows.items():
-        for i, link in enumerate(net.out_links(node)):
-            if not net.link_leads_to(link, commodity.destination):
-                if np.any(row[i] > 1e-12):
-                    raise SplitRowInvalid(
-                        f"fraction on link {link} routes {commodity.label()} "
-                        "toward a node that cannot reach the destination")
-            frac[:, pos[link], k_index[commodity]] = row[i]
-
-    # per-step average rates, so the injected total is the exact series
-    # integral regardless of where the breakpoints fall on the grid
-    source_grid = {}
-    src = np.zeros((steps + 1, n_l, n_k))
-    for (node, link, commodity), series in sources.items():
-        vals = np.zeros(steps + 1)
-        vals[:steps] = series.integral(times[:-1], times[1:]) / dt
-        source_grid[(link, commodity)] = vals
-        src[:, pos[link], k_index[commodity]] = vals
-
-    # junction incidence: each node's in-links in ``net.in_links`` order,
-    # padded with the index of a zero row
-    width = max(len(net.in_links(v)) for v in nodes)
-    in_idx = np.full((len(nodes), width), n_l)
-    for i, v in enumerate(nodes):
-        in_idx[i, :len(net.in_links(v))] = [pos[a] for a in net.in_links(v)]
-    tail = np.array([node_pos[a[0]] for a in topo_links])
-    # (node, commodity) pairs, node-major, where arriving flow is an error:
-    # a sink that is not the destination, or a junction without a row
-    guard = np.flatnonzero([
-        bool(net.in_links(v)) and v != k.destination
-        and (v, k) not in split_rows
-        for v in nodes for k in commodities])
-
-    # links whose speed is one elementwise expression of the windowed mass
-    v0, gain, slope, low = np.array(
-        [law_map[a].coefficients or (1.0, 0.0, 0.0, 0.0)
-         for a in topo_links]).T
-    custom = [(i, law_map[a]) for i, a in enumerate(topo_links)
-              if law_map[a].coefficients is None]
-    partial = [(i, window_map[a]) for i, a in enumerate(topo_links)
-               if window_map[a] is not None]
-
-    rho = _mapped_zeros((n_l, steps + 1, n_k, n))
+    """One full-state run: a batch of one member whose density history is
+    the ``(links, steps + 1, commodities, cells)`` block."""
+    plan = _StepPlan(net, commodities, law_map, window_map, horizon, steps,
+                     centers, topo_links)
+    split_rows, frac, source_grid, src, need = plan.member(splits, sources)
+    pos = plan.pos
+    n_l, n_k = len(topo_links), len(commodities)
+    rho = _mapped_zeros((n_l, steps + 1, n_k, len(centers)))
     for (link, commodity), vals in init.items():
-        rho[pos[link], 0, k_index[commodity]] = vals
+        rho[pos[link], 0, plan.k_index[commodity]] = vals
     speeds = np.zeros((n_l, steps + 1))
     inflow = np.zeros((n_l, steps + 1, n_k))
     outflow = np.zeros((n_l, steps + 1, n_k))
-    totals = np.zeros((steps + 1, len(nodes), n_k))   # flow into each node
-    out_pad = np.zeros((n_l + 1, n_k))
-    cfl_limit = dx * (1.0 + 1e-12)
-
-    for m in range(steps + 1):
-        # speeds and outfluxes from the state at this step
-        rho_m = rho[:, m]
-        agg = rho_m.sum(axis=1)
-        w = agg.sum(axis=-1) * dx
-        for i, bounds in partial:
-            w[i] = _link_window_mass(agg[i], bounds, dx)
-        c = np.maximum(v0 / (1.0 + gain * w) - slope * w, low)
-        for i, law in custom:
-            c[i] = float(law(times[m], float(w[i])))
-        if (c * dt > cfl_limit).any():
-            raise _CflRetry
-        speeds[:, m] = c
-        out_pad[:n_l] = c[:, None] * rho_m[:, :, -1]
-        outflow[:, m] = out_pad[:n_l]
-        # junction exchange: in-link outfluxes added in order to 0.0
-        total = out_pad[in_idx].sum(axis=1, initial=0.0, out=totals[m])
-        if guard.size:
-            hot = total.ravel()[guard] > 1e-12
-            if hot.any():
-                _junction_error(net, commodities, guard[np.argmax(hot)])
-        into = total[tail]
-        inflow[:, m] = src[m] + np.where(into > 0.0, frac[m] * into, 0.0)
-        # advance every link one step
-        if m < steps:
-            rho[:, m + 1] = upwind_step(rho_m, c[:, None, None],
-                                        inflow[:, m], dt, dx)[0]
-
-    # the destinations absorb what reaches them
-    arrivals = np.zeros((n_k, steps + 1))
-    for i, k in enumerate(commodities):
-        if k.destination in node_pos:
-            arrivals[i] = totals[:, node_pos[k.destination], i]
+    totals = plan.advance(frac, src, need, rho, (speeds, inflow, outflow))
+    arrivals = plan.arrivals(totals)[0]
     return NetworkState(
-        net=net, commodities=commodities, times=times, cells=centers,
+        net=net, commodities=commodities, times=plan.times, cells=centers,
         rho={a: rho[pos[a]] for a in net.links},
         speeds={a: speeds[pos[a]] for a in net.links},
         inflow={a: inflow[pos[a]] for a in net.links},
@@ -390,6 +322,251 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
         arrivals={k: arrivals[i] for i, k in enumerate(commodities)},
         split_rows=split_rows, source_grid=source_grid,
         laws=dict(law_map), windows=dict(window_map))
+
+
+class _MemberCflRetry(_CflRetry):
+    """Members ``members`` of a batch broke the CFL bound."""
+
+    def __init__(self, members: np.ndarray):
+        super().__init__(members)
+        self.members = members
+
+
+class _StepPlan:
+    """What every member of a run with ``steps`` time steps shares: the
+    time grid, the junction incidence and the per-link law coefficients,
+    and the one time loop."""
+
+    def __init__(self, net, commodities, law_map, window_map, horizon, steps,
+                 centers, topo_links):
+        self.net, self.commodities, self.steps = net, commodities, steps
+        self.times = np.linspace(0.0, horizon, steps + 1)
+        self.dt = self.times[1] - self.times[0]
+        self.cells = len(centers)
+        self.pos = {a: i for i, a in enumerate(topo_links)}
+        self.k_index = {k: i for i, k in enumerate(commodities)}
+        nodes = net.nodes
+        self.node_pos = {v: i for i, v in enumerate(nodes)}
+        n_l = len(topo_links)
+        # junction incidence: each node's in-links in ``net.in_links``
+        # order, padded with the index of a zero row
+        width = max(len(net.in_links(v)) for v in nodes)
+        self.in_idx = np.full((len(nodes), width), n_l)
+        for i, v in enumerate(nodes):
+            self.in_idx[i, :len(net.in_links(v))] = [self.pos[a]
+                                                     for a in net.in_links(v)]
+        self.tail = np.array([self.node_pos[a[0]] for a in topo_links])
+        # links whose speed is one elementwise expression of the windowed mass
+        self.coefficients = np.array(
+            [law_map[a].coefficients or (1.0, 0.0, 0.0, 0.0)
+             for a in topo_links]).T
+        self.custom = [(i, law_map[a]) for i, a in enumerate(topo_links)
+                       if law_map[a].coefficients is None]
+        self.partial = [(i, window_map[a]) for i, a in enumerate(topo_links)
+                        if window_map[a] is not None]
+
+    def member(self, splits, sources) -> tuple:
+        """One member's rows and sources on the time grid: ``split_rows``,
+        ``frac[m, l, k]`` (the share of commodity k at link l's tail sent
+        onto l), ``source_grid``, ``src[m, l, k]``, and ``need``, the
+        node-major (node, commodity) pairs where arriving flow is an error:
+        a sink that is not the destination, or a junction without a row."""
+        net, commodities, times = self.net, self.commodities, self.times
+        split_rows = {}
+        for node in net.nodes:
+            out = net.out_links(node)
+            if not out:
+                continue
+            for commodity in commodities:
+                if node == commodity.destination:
+                    continue
+                if node not in net.reaches(commodity.destination):
+                    continue
+                if not splits.has_row(node, commodity):
+                    continue  # tolerated while no flow arrives there
+                split_rows[(node, commodity)] = splits.grid_row(
+                    node, commodity, times, out)
+        # refuse fractions routed toward nodes that cannot reach the
+        # destination
+        shape = (self.steps + 1, len(self.pos), len(commodities))
+        frac = np.zeros(shape)
+        for (node, commodity), row in split_rows.items():
+            for i, link in enumerate(net.out_links(node)):
+                if not net.link_leads_to(link, commodity.destination):
+                    if np.any(row[i] > 1e-12):
+                        raise SplitRowInvalid(
+                            f"fraction on link {link} routes "
+                            f"{commodity.label()} toward a node that cannot "
+                            "reach the destination")
+                frac[:, self.pos[link], self.k_index[commodity]] = row[i]
+
+        # per-step average rates, so the injected total is the exact series
+        # integral regardless of where the breakpoints fall on the grid
+        source_grid = {}
+        src = np.zeros(shape)
+        for (node, link, commodity), series in sources.items():
+            vals = np.zeros(self.steps + 1)
+            vals[:-1] = series.integral(times[:-1], times[1:]) / self.dt
+            source_grid[(link, commodity)] = vals
+            src[:, self.pos[link], self.k_index[commodity]] = vals
+
+        need = np.array([bool(net.in_links(v)) and v != k.destination
+                         and (v, k) not in split_rows
+                         for v in net.nodes for k in commodities])
+        return split_rows, frac, source_grid, src, need
+
+    def advance(self, frac, src, need, rho, record=None) -> np.ndarray:
+        """Advance a batch of members through every time step.
+
+        The members are stacked along the link axis, member-major: row
+        ``b * links + l`` is link ``l`` of member ``b``, so each member's
+        rows keep the layout of a run of its own, every reduction runs
+        along the same axes in the same order, and each member's values
+        equal those of its own run bit for bit.  ``frac`` and ``src`` are
+        ``(steps + 1, rows, commodities)`` and ``need`` is the members'
+        node-major (node, commodity) flags, all stacked from
+        :meth:`member`.  ``rho`` is ``(rows, slots, commodities, cells)``
+        with the initial densities in slot 0: step ``m`` lives in slot
+        ``m % slots``, so ``steps + 1`` slots keep the history and 2 keep
+        only the current and next step.  ``record``, when given, is
+        ``(speeds, inflow, outflow)`` shaped ``(rows, steps + 1[,
+        commodities])`` and filled step by step.  Returns the flow into
+        each node, ``(steps + 1, members × nodes, commodities)``.
+        """
+        n_rows, slots, n_k = rho.shape[:3]
+        n_l, n_v = len(self.tail), len(self.node_pos)
+        n_b = n_rows // n_l
+        times, dt, steps = self.times, self.dt, self.steps
+        dx = 1.0 / self.cells
+        # each member's junctions read its own rows; padding reads row n_rows
+        shift = np.arange(n_b)[:, None, None] * n_l
+        in_idx = np.where(self.in_idx < n_l, self.in_idx + shift,
+                          n_rows).reshape(-1, self.in_idx.shape[1])
+        tail = (self.tail + np.arange(n_b)[:, None] * n_v).ravel()
+        v0, gain, slope, low = np.tile(self.coefficients, n_b)
+        partial = [(b * n_l + i, bounds) for b in range(n_b)
+                   for i, bounds in self.partial]
+        custom = [(b * n_l + i, law) for b in range(n_b)
+                  for i, law in self.custom]
+        guard = np.flatnonzero(need)
+        totals = np.zeros((steps + 1, n_b * n_v, n_k))
+        out_pad = np.zeros((n_rows + 1, n_k))
+        cfl_limit = dx * (1.0 + 1e-12)
+
+        for m in range(steps + 1):
+            # speeds and outfluxes from the state at this step
+            rho_m = rho[:, m % slots]
+            agg = rho_m.sum(axis=1)
+            w = agg.sum(axis=-1) * dx
+            for i, bounds in partial:
+                w[i] = _link_window_mass(agg[i], bounds, dx)
+            c = np.maximum(v0 / (1.0 + gain * w) - slope * w, low)
+            for i, law in custom:
+                c[i] = float(law(times[m], float(w[i])))
+            over = c * dt > cfl_limit
+            if over.any():
+                raise _MemberCflRetry(
+                    np.flatnonzero(over.reshape(n_b, n_l).any(axis=1)))
+            out_pad[:n_rows] = c[:, None] * rho_m[:, :, -1]
+            # junction exchange: in-link outfluxes added in order to 0.0
+            total = out_pad[in_idx].sum(axis=1, initial=0.0, out=totals[m])
+            if guard.size:
+                hot = total.ravel()[guard] > 1e-12
+                if hot.any():
+                    _junction_error(self.net, self.commodities,
+                                    guard[np.argmax(hot)] % (n_v * n_k))
+            into = total[tail]
+            inflow = src[m] + np.where(into > 0.0, frac[m] * into, 0.0)
+            if record:
+                record[0][:, m] = c
+                record[1][:, m] = inflow
+                record[2][:, m] = out_pad[:n_rows]
+            # advance every link one step
+            if m < steps:
+                rho[:, (m + 1) % slots] = upwind_step(
+                    rho_m, c[:, None, None], inflow, dt, dx)[0]
+        return totals
+
+    def arrivals(self, totals: np.ndarray) -> np.ndarray:
+        """What the destinations absorb, ``(members, commodities, steps +
+        1)``, from :meth:`advance`'s node inflows."""
+        n_v = len(self.node_pos)
+        by_member = totals.reshape(len(totals), -1, n_v, len(self.commodities))
+        out = np.zeros((by_member.shape[1], len(self.commodities),
+                        self.steps + 1))
+        for i, k in enumerate(self.commodities):
+            if k.destination in self.node_pos:
+                out[:, i] = by_member[:, :, self.node_pos[k.destination], i].T
+        return out
+
+
+class ArrivalSimulator:
+    """Objective-only runs of a batch of members on one network.
+
+    Members share the network, commodities, laws, windows, grid and
+    horizon, start empty, and differ in their split rows and sources.
+    Members with the same step count advance together as one
+    ``(members × links, commodities, cells)`` block through the time loop
+    :func:`simulate` uses, keeping two steps of density instead of the
+    history.  A member that breaks the CFL bound is rerun alone with the
+    step halved, as :func:`simulate` would, so every member's arrivals
+    equal those of its own :func:`simulate` run bit for bit.  The laws are
+    checked and the step sized once per distinct mass budget.
+    """
+
+    def __init__(self, net: RoadNetwork, commodities: Sequence[Commodity],
+                 laws: VelocityLaw | Mapping[Link, VelocityLaw], *,
+                 horizon: float, grid: GridSpec | None = None, windows=None):
+        (self.grid, self.commodities, self.topo_links, self.law_map,
+         self.window_map, self.centers) = _setup(net, commodities, laws,
+                                                 horizon, grid, windows)
+        self.net, self.horizon = net, horizon
+        self._steps: dict[float, int] = {}       # mass budget -> steps
+
+    def run(self, members: Sequence[tuple[SplitSchedule | GridSplits,
+                                          SourceSchedule]]
+            ) -> list[ArrivalRecord]:
+        """Arrivals of each ``(splits, sources)`` member, in order."""
+        groups: dict[int, list[int]] = {}
+        for b, (_, sources) in enumerate(members):
+            sources.validate(self.net, self.commodities)
+            budget = 0.0 + sum(sources.total(k, 0.0, self.horizon)
+                               for k in self.commodities)
+            if budget not in self._steps:
+                self._steps[budget] = _checked_steps(
+                    self.law_map, self.horizon, self.grid, budget)
+            groups.setdefault(self._steps[budget], []).append(b)
+        records: list = [None] * len(members)
+        pending = [(steps, group, 0) for steps, group in groups.items()]
+        while pending:
+            steps, group, halvings = pending.pop()
+            plan = _StepPlan(self.net, self.commodities, self.law_map,
+                             self.window_map, self.horizon, steps,
+                             self.centers, self.topo_links)
+            parts = [plan.member(*members[b]) for b in group]
+            rho = np.zeros((len(group) * len(self.topo_links), 2,
+                            len(self.commodities), len(self.centers)))
+            try:
+                totals = plan.advance(
+                    np.concatenate([p[1] for p in parts], axis=1),
+                    np.concatenate([p[3] for p in parts], axis=1),
+                    np.concatenate([p[4] for p in parts]), rho)
+            except _MemberCflRetry as retry:
+                if halvings == MAX_DT_HALVINGS:
+                    raise CflViolated(f"time step still too large after "
+                                      f"{MAX_DT_HALVINGS} halvings") from None
+                hot = [group[j] for j in retry.members]
+                pending += [(2 * steps, [b], halvings + 1) for b in hot]
+                rest = [b for b in group if b not in hot]
+                if rest:
+                    pending.append((steps, rest, halvings))
+                continue
+            for b, arrivals in zip(group, plan.arrivals(totals)):
+                records[b] = ArrivalRecord(
+                    commodities=self.commodities, times=plan.times,
+                    arrivals={k: arrivals[i]
+                              for i, k in enumerate(self.commodities)})
+        return records
 
 
 def _mapped_zeros(shape: tuple) -> np.ndarray:

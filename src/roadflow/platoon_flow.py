@@ -170,10 +170,13 @@ class AdmissibleVelocityField:
         j, wx = _knot_weights(self.x_knots, xs)
         yk = self.y_knots
         ny = 1 if yk is None else len(yk)
+        # flat indices into the C-contiguous plane: row b starts at b * nx*ny
+        left = j * ny + np.arange(len(plane))[:, None] * plane.shape[1]
+        flat = plane.ravel()
 
         def along_x(k):
-            return ((1.0 - wx) * np.take_along_axis(plane, j * ny + k, axis=1)
-                    + wx * np.take_along_axis(plane, (j + 1) * ny + k, axis=1))
+            return ((1.0 - wx) * np.take(flat, left + k)
+                    + wx * np.take(flat, left + (ny + k)))
 
         if yk is None:
             return along_x(0)
@@ -184,7 +187,8 @@ class AdmissibleVelocityField:
 def _knot_weights(knots: np.ndarray, pts):
     """Interval index and linear weight of each point, clamped to the knots."""
     pc = np.minimum(np.maximum(pts, knots[0]), knots[-1])
-    i = np.clip(np.searchsorted(knots, pc, side="right") - 1, 0, len(knots) - 2)
+    # pc >= knots[0] keeps i >= 0; only pc == knots[-1] (or NaN) needs capping
+    i = np.minimum(np.searchsorted(knots, pc, side="right") - 1, len(knots) - 2)
     return i, (pc - knots[i]) / (knots[i + 1] - knots[i])
 
 

@@ -716,7 +716,7 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
             edges.append((entry[0], entry[1], entry[2], entry[3]))
         try:
             graph = FreightGraph(edges)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:   # dwell beyond int64
             _fail(f"{path}.graph", str(exc))
         vehicles = _list(payload, "vehicles", path)
         _check_schedule_size(path, "trajectory",
@@ -738,6 +738,11 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
                             minimum=0.0)
             cost = (lambda t, s=slope: s * t) if slope > 0.0 else None
             try:
+                # checked before the build, which holds every step of the walk
+                walk = [graph.edge_index(a, b) for a, b in zip(hubs, hubs[1:])]
+                _check_schedule_size(p, "walk",
+                                     sum(int(graph.dwells[e]) for e in walk),
+                                     "the sum of its dwells")
                 assignments.append(VehicleAssignment.from_hub_path(
                     graph, hubs, depart, (window_spec[0], window_spec[1]),
                     cost))

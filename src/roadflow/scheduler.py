@@ -247,8 +247,12 @@ def coordination_cost(graph: FreightGraph,
     for veh, t in zip(assignments, tau):
         veh.check_delay(int(t))
     counts = occupancy_counts(graph, assignments, tau, horizon)
-    # the platooning term: -gamma * sum over edge-steps of w_e * reward(count)
-    total = -float(gamma) * float(np.sum(graph.weights[:, None] * reward(counts)))
+    # the platooning term: -gamma * sum over edge-steps of w_e * reward(count);
+    # with gamma 0 it is -0.0 even where the weighted sum overflows
+    total = -0.0
+    if gamma != 0.0:
+        total = -float(gamma) * float(np.sum(graph.weights[:, None]
+                                             * reward(counts)))
     for veh, t in zip(assignments, tau):
         if veh.delay_cost is not None:
             total += float(veh.delay_cost(int(t)))
@@ -272,8 +276,10 @@ def conditional_scores(graph: FreightGraph, vehicle: VehicleAssignment,
     """
     n_edges, horizon = counts_excl.shape
     size = n_edges * horizon
-    table = vehicle.cell_table(n_edges, horizon)
     scores = vehicle.delay_costs()
+    if gamma == 0.0:
+        return scores   # adding -0.0 platooning terms changes no bit
+    table = vehicle.cell_table(n_edges, horizon)
     weights = graph.weights[:, None]
     per = max(1, SCORE_BLOCK // size)
     for k0 in range(0, len(scores), per):

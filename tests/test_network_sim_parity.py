@@ -5,9 +5,15 @@ as an oracle.  It takes the arguments of ``network_sim._run``, so
 ``simulate`` runs either one behind the same set-up and step sizing, and
 every array of the two states must agree bit for bit on seeded random
 acyclic networks of up to six nodes.
+
+Batches of members on the same networks must give each member the
+arrivals of its own ``simulate`` run, and ``sequential_search`` keeps the
+social-opt search as it ran one simulation at a time, as the reference
+for the batched ``optimize_social``.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +22,17 @@ from roadflow import network_sim
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule)
-from roadflow.network_sim import NetworkState, _link_window_mass, simulate
+from roadflow.network_sim import (ArrivalSimulator, NetworkState,
+                                  _link_window_mass, simulate)
 from roadflow.nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                                       _CflRetry, congestion_law, constant_law,
                                       linear_law, upwind_step)
+from roadflow.scenario import build_social_opt, load_scenario
+from roadflow.social_optimum import (SocialOptResult, backlog_objective,
+                                     build_schedules, optimize_social,
+                                     project_controls)
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def reference_run(net, commodities, splits, sources, law_map, window_map,
@@ -174,6 +187,22 @@ def random_case(seed: int) -> dict:
     if windows:
         windows[next(iter(windows))] = NonlocalWindow(lower=0.5)
 
+    splits = random_splits(net, commodities, horizon, rng)
+    sources = random_sources(net, commodities, horizon, rng)
+    initial = {}
+    for link in net.links:
+        for k in commodities:
+            if net.link_leads_to(link, k.destination) and rng.random() < 0.3:
+                initial[(link, k)] = rng.uniform(0.0, 0.5, cells)
+    return {"net": net, "commodities": commodities,
+            "splits": splits, "sources": sources,
+            "laws": laws, "horizon": horizon, "grid": GridSpec(cells=cells),
+            "initial_density": initial or None, "windows": windows}
+
+
+def random_splits(net, commodities, horizon, rng) -> SplitSchedule:
+    """Rows at every junction that can reach each destination, switching
+    between two random rows at a random time."""
     rows = {}
     for v in net.nodes:
         for k in commodities:
@@ -188,7 +217,11 @@ def random_case(seed: int) -> dict:
                 a: PiecewiseConstant([(-math.inf, cut, float(p1[i])),
                                       (cut, math.inf, float(p2[i]))])
                 for i, a in enumerate(good)}
+    return SplitSchedule(rows)
 
+
+def random_sources(net, commodities, horizon, rng) -> SourceSchedule:
+    """One source per commodity at node 0, of four to seven segments."""
     entries = {}
     for k in commodities:
         link = next(a for a in net.out_links(0)
@@ -201,15 +234,7 @@ def random_case(seed: int) -> dict:
         entries[(0, link, k)] = PiecewiseConstant(
             [(float(a), float(b), float(rng.uniform(0.2, 0.8)))
              for a, b in zip(edges[:-1], edges[1:])])
-    initial = {}
-    for link in net.links:
-        for k in commodities:
-            if net.link_leads_to(link, k.destination) and rng.random() < 0.3:
-                initial[(link, k)] = rng.uniform(0.0, 0.5, cells)
-    return {"net": net, "commodities": commodities,
-            "splits": SplitSchedule(rows), "sources": SourceSchedule(entries),
-            "laws": laws, "horizon": horizon, "grid": GridSpec(cells=cells),
-            "initial_density": initial or None, "windows": windows}
+    return SourceSchedule(entries)
 
 
 def run_case(case: dict) -> NetworkState:
@@ -313,3 +338,242 @@ def test_sink_error_matches_per_link_loop(monkeypatch):
     got = error_message(case, monkeypatch, reference=False)
     assert got == "non_routed->2 flow reaches sink node 3 that is not its destination"
     assert got == error_message(case, monkeypatch, reference=True)
+
+
+# ---------------------------------------------------------------- batches
+
+def batch_members(case: dict, count: int) -> list:
+    """The case's own rows and sources, then ``count - 1`` members with
+    rows and sources drawn afresh on the same network."""
+    members = [(case["splits"], case["sources"])]
+    for b in range(1, count):
+        rng = np.random.default_rng([len(case["net"].links), b])
+        members.append((random_splits(case["net"], case["commodities"],
+                                      case["horizon"], rng),
+                        random_sources(case["net"], case["commodities"],
+                                       case["horizon"], rng)))
+    return members
+
+
+def run_alone(case: dict, splits, sources) -> NetworkState:
+    return simulate(case["net"], case["commodities"], splits, sources,
+                    case["laws"], horizon=case["horizon"], grid=case["grid"],
+                    windows=case["windows"])
+
+
+def run_batch(case: dict, members: list) -> list:
+    runs = ArrivalSimulator(case["net"], case["commodities"], case["laws"],
+                            horizon=case["horizon"], grid=case["grid"],
+                            windows=case["windows"])
+    return runs.run(members)
+
+
+def assert_same_arrivals(record, state: NetworkState) -> None:
+    assert record.times.tobytes() == state.times.tobytes()
+    assert list(record.arrivals) == list(state.arrivals)
+    for k, flux in state.arrivals.items():
+        assert record.arrivals[k].tobytes() == flux.tobytes(), k
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_arrivals_match_single_runs(seed):
+    case = random_case(seed)
+    members = batch_members(case, 4)
+    records = run_batch(case, members)
+    # the members share one step count, so they ran as one block
+    assert len({len(r.times) for r in records}) == 1
+    for record, (splits, sources) in zip(records, members):
+        assert_same_arrivals(record, run_alone(case, splits, sources))
+        assert all(record.arrivals[k].max() > 0.0
+                   for k in case["commodities"])
+
+
+def striped_law(budget: float, speed: float, peak: float) -> VelocityLaw:
+    """``peak`` on stripes of the mass between the 65 points at which
+    ``max_speed`` samples ``[0, budget]``, ``speed`` on and near them: the
+    step is sized for ``speed`` and too long wherever the mass on the link
+    lies on a stripe."""
+    def fn(t, w):
+        phase = np.mod(np.asarray(w, dtype=float) * 64.0 / budget, 1.0)
+        stripe = (phase > 0.1) & (phase < 0.9)
+        return speed + (peak - speed) * stripe + 0.0 * np.asarray(t)
+    return VelocityLaw(fn, floor=0.1, name="striped")
+
+
+def test_batch_reruns_a_cfl_member_alone_with_half_the_step():
+    # seed 3 has one commodity and the shortcut (n-3, n-1) next to the
+    # chain link (n-3, n-2); members 0 and 2 send nothing onto the
+    # shortcut, member 1 sends half, so only member 1 sees the stripes
+    case = random_case(3)
+    case["initial_density"] = None
+    net, (k,) = case["net"], case["commodities"]
+    last = len(net.nodes) - 1
+    fork, shortcut = last - 2, (last - 2, last)
+    case["windows"].pop(shortcut, None)
+    members = batch_members(case, 3)
+    sources = members[0][1]
+    budget = sources.total(k, 0.0, case["horizon"])
+    vmax = max(law.max_speed(case["horizon"], budget)
+               for law in case["laws"].values())
+    case["laws"][shortcut] = striped_law(budget, 0.5 * vmax,
+                                         1.8 * vmax / case["grid"].cfl)
+    for b, share in enumerate([0.0, 0.5, 0.0]):
+        rows = dict(members[b][0]._rows)
+        rows[(fork, k)] = {
+            (fork, fork + 1): PiecewiseConstant.constant(1.0 - share),
+            shortcut: PiecewiseConstant.constant(share)}
+        members[b] = (SplitSchedule(rows), sources)
+    records = run_batch(case, members)
+    steps = [len(r.times) - 1 for r in records]
+    assert steps[1] == 2 * steps[0] == 2 * steps[2]
+    for record, (splits, sources) in zip(records, members):
+        assert_same_arrivals(record, run_alone(case, splits, sources))
+
+
+def test_batch_groups_members_by_step_count():
+    # a law that speeds up with mass sizes the step by the mass budget, so
+    # the member with four times the demand runs with more, shorter steps
+    case = random_case(0)
+    first = case["net"].links[0]
+    case["laws"][first] = VelocityLaw(lambda t, w: 0.5 + 0.5 * np.asarray(w),
+                                      floor=0.1, name="rising")
+    members = batch_members(case, 4)
+    splits, sources = members[2]
+    members[2] = (splits, SourceSchedule({key: series.scaled(4.0)
+                                          for key, series in sources.items()}))
+    records = run_batch(case, members)
+    steps = [len(r.times) - 1 for r in records]
+    assert steps[2] > max(steps[0], steps[1], steps[3])
+    for record, (splits, sources) in zip(records, members):
+        assert_same_arrivals(record, run_alone(case, splits, sources))
+
+
+# ------------------------------------------------ the social-opt search
+
+def sequential_search(net, demand, param, budget, *, laws, base_splits=None,
+                      grid=None, fd_step=1e-3, initial_step=0.25,
+                      min_fd_step=1e-6, log=None) -> SocialOptResult:
+    """``optimize_social`` as it ran before batching: one ``simulate`` per
+    evaluation.  ``log`` collects what each evaluation was: "start",
+    "probe" or "move" (the first move of a line search) or "backtrack"."""
+    commodities = demand.commodities()
+    evals = 0
+
+    def evaluate(x, kind):
+        nonlocal evals
+        evals += 1
+        if log is not None:
+            log.append(kind)
+        trial = project_controls(param.with_vector(x), demand)
+        splits, sources = build_schedules(trial, demand, base_splits,
+                                          commodities)
+        state = simulate(net, commodities, splits, sources, laws,
+                         horizon=param.horizon, grid=grid)
+        return backlog_objective(state, demand)
+
+    x = project_controls(param, demand).pack()
+    best_j = evaluate(x, "start")
+    trace = [(evals, best_j)]
+    h = fd_step
+    step = initial_step
+    dim = len(x)
+    status = "budget_exhausted"
+    while evals < budget:
+        improved = False
+        for i in range(dim):
+            if evals + 2 > budget:
+                break
+            e = np.zeros(dim)
+            e[i] = 1.0
+            jp = evaluate(x + h * e, "probe")
+            jm = evaluate(x - h * e, "probe")
+            g = (jp - jm) / (2.0 * h)
+            if g == 0.0:
+                continue
+            trial_step = step
+            kind = "move"
+            while evals < budget:
+                cand = x.copy()
+                cand[i] -= trial_step * math.copysign(1.0, g)
+                j_cand = evaluate(cand, kind)
+                kind = "backtrack"
+                if j_cand < best_j:
+                    x = project_controls(param.with_vector(cand),
+                                         demand).pack()
+                    best_j = j_cand
+                    trace.append((evals, best_j))
+                    improved = True
+                    break
+                trial_step *= 0.5
+                if trial_step < 1e-4:
+                    break
+        if evals >= budget:
+            break
+        if not improved:
+            h *= 0.5
+            step *= 0.5
+            if h < min_fd_step:
+                status = "converged"
+                break
+    controls = project_controls(param.with_vector(x), demand)
+    return SocialOptResult(status=status, controls=controls, objective=best_j,
+                           trace=trace, evaluations=evals)
+
+
+def social_case() -> dict:
+    scenario = load_scenario(SCENARIO_DIR / "departure_spread_social.json")
+    built = build_social_opt(scenario.payload)
+    return dict(net=built["net"], demand=built["demand"],
+                param=built["param"], laws=built["laws"],
+                base_splits=built["base_rows"], grid=built["grid"],
+                fd_step=built["fd_step"], initial_step=built["initial_step"])
+
+
+def assert_same_search(got: SocialOptResult, want: SocialOptResult) -> None:
+    assert got.trace == want.trace
+    assert got.evaluations == want.evaluations
+    assert got.status == want.status
+    assert got.objective == want.objective
+    assert got.controls.pack().tobytes() == want.controls.pack().tobytes()
+
+
+def test_batched_search_matches_the_sequential_search():
+    case = social_case()
+    log: list = []
+    # a coarser stopping step, so the search converges in ~500 evaluations
+    full = sequential_search(budget=1000, min_fd_step=6e-4, log=log, **case)
+    assert full.status == "converged"
+    assert_same_search(optimize_social(budget=1000, min_fd_step=6e-4, **case),
+                       full)
+    # budgets that stop the search inside a batch: right after a probe
+    # pair (evals + 2 == budget when the pair ran, so no move was run
+    # ahead), right after a failed first move whose other sign was run
+    # ahead and discarded, and two backtracking moves into a longer run,
+    # where the budget cut the batch run ahead to those two
+    after_pair = [n for n in range(2, len(log))
+                  if log[n - 2:n] == ["probe", "probe"] and log[n] == "move"]
+    after_move = [n + 1 for n in range(len(log) - 1)
+                  if log[n:n + 2] == ["move", "backtrack"]]
+    mid_backtrack = [n + 3 for n in range(len(log) - 3)
+                     if log[n:n + 4] == ["move"] + ["backtrack"] * 3]
+    budgets = sorted({*after_pair[:2], *after_move[:2], *mid_backtrack[:2]})
+    assert len(budgets) == 6
+    for budget in budgets:
+        assert_same_search(optimize_social(budget=budget, **case),
+                           sequential_search(budget=budget, **case))
+
+
+def test_failed_batch_falls_back_to_single_runs(monkeypatch):
+    # a batch that raises is rerun one point at a time as the search reads
+    # them, so an error in a discarded member never surfaces
+    case = social_case()
+    run = ArrivalSimulator.run
+
+    def fail_batches(self, members):
+        if len(members) > 1:
+            raise SplitRowInvalid("batch refused")
+        return run(self, members)
+
+    monkeypatch.setattr(ArrivalSimulator, "run", fail_batches)
+    assert_same_search(optimize_social(budget=30, **case),
+                       sequential_search(budget=30, **case))
