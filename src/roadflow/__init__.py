@@ -16,25 +16,21 @@ from .network import (Commodity, PiecewiseConstant, RoadNetwork, SourceSchedule,
                       SplitSchedule, validate_acyclic)
 from .network_sim import GridSplits, NetworkState, simulate
 from .nonlocal_solver import (GridSpec, LinkState, NonlocalWindow, VelocityLaw,
-                              congestion_law, constant_law, exit_time,
-                              linear_law, nonlocal_term, outflux, solve_characteristic,
+                              congestion_law, constant_law, linear_law,
                               solve_link)
 from .platoon_flow import (AdmissibleVelocityField, FreightPair,
                            PlatoonSolution, VelocityOptResult,
-                           optimize_velocity, solve_freight_pair,
-                           variance_objectives)
+                           optimize_velocity, solve_freight_pair)
 from .private_agg import (Ciphertext, CipherMatrix, Keypair, PrivateKey,
-                          PublicKey, chain_aggregate, decrypt, encrypt,
-                          homomorphic_add, keygen, occupancy_indicator,
+                          PublicKey, chain_aggregate, decrypt, encrypt, keygen,
                           run_private_learning)
 from .routing import (EquilibriumDemand, EquilibriumRound, LogitRule,
-                      RoutingPolicy, equilibrium_iterate, infer_origin,
-                      mixed_gap, policy_grid_splits, wardrop_gap)
+                      RoutingPolicy, equilibrium_iterate, mixed_gap,
+                      policy_grid_splits)
 from .scheduler import (FreightGraph, LearningResult, ScheduleState,
                         VehicleAssignment, brute_force_schedule,
                         build_sweden_scenario, coordination_cost,
                         default_horizon, exact_gibbs_distribution,
-                        interaction_groups, log_linear_step,
                         occupancy_counts, pair_distance_histogram,
                         pair_distance_ratio, platoon_opportunity_gain,
                         potential_check, run_learning, square_reward)
@@ -56,16 +52,11 @@ __all__ = [
     "build_schedules", "build_sweden_scenario", "chain_aggregate",
     "congestion_law", "constant_law", "coordination_cost", "decrypt",
     "default_horizon", "encrypt", "equilibrium_iterate", "errors",
-    "exact_gibbs_distribution", "exit_time", "homomorphic_add",
-    "infer_origin", "interaction_groups",
-    "keygen", "linear_law", "log_linear_step", "mixed_gap",
-    "nonlocal_term", "occupancy_counts", "occupancy_indicator",
-    "optimize_social", "optimize_velocity", "outflux",
+    "exact_gibbs_distribution", "keygen", "linear_law", "mixed_gap",
+    "occupancy_counts", "optimize_social", "optimize_velocity",
     "pair_distance_histogram", "pair_distance_ratio",
     "platoon_opportunity_gain", "policy_grid_splits", "potential_check",
-    "project_controls", "run_learning",
-    "run_private_learning", "simulate", "solve_characteristic",
-    "wardrop_gap",
+    "project_controls", "run_learning", "run_private_learning", "simulate",
     "solve_freight_pair", "solve_link", "square_reward", "validate_acyclic",
-    "variance_objectives", "__version__",
+    "__version__",
 ]

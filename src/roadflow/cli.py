@@ -116,7 +116,7 @@ def _run_simulate(built, out: Path, seed: int) -> list:
         _write_csv(out / fname,
                    ["commodity", "injected", "arrived", "stored_initial",
                     "stored_final", "residual", "relative_residual"],
-                   [[k.label(), r["injected"], r["arrived"],
+                   [[k.label(), r["injected"], r["exited"],
                      r["stored_initial"], r["stored_final"], r["residual"],
                      r["relative_residual"]]
                     for k, r in report.items()])

@@ -45,13 +45,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CflViolated, HorizonExceeded, NoPath, PathCapExceeded,
-                     SplitRowInvalid)
+from .errors import HorizonExceeded, NoPath, PathCapExceeded, SplitRowInvalid
 from .network import (Commodity, Link, RoadNetwork, SourceSchedule,
                       SplitSchedule, _check_grid_row, validate_acyclic)
-from .nonlocal_solver import (MAX_DT_HALVINGS, GridSpec, NonlocalWindow,
-                              VelocityLaw, _CflRetry, _sample_initial,
-                              cumulative_mass, upwind_step)
+from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
+                              _CflRetry, _retry, _sample_initial,
+                              cumulative_mass, mass_row, upwind_step)
 
 #: default cap on enumerated simple paths
 PATH_CAP = 64
@@ -131,22 +130,14 @@ class NetworkState(ArrivalRecord):
         return int(idx) if idx.ndim == 0 else idx
 
     def windowed_mass(self, link: Link, index):
-        """Mass inside the link's averaging window at time index ``index``;
-        an array of indices gives an array of masses, each equal to the
-        scalar call bit for bit."""
-        idx = np.asarray(index)
-        rows = self.rho[link][idx].sum(axis=-2)
-        bounds = self.windows.get(link)
-        if idx.ndim == 0:
-            return _link_window_mass(rows, bounds, self.dx)
-        if bounds is None:
-            return rows.sum(axis=-1) * self.dx
-        edges, cum = cumulative_mass(rows, self.dx)
-        return (_interp_rows(bounds[1], edges, cum)
-                - _interp_rows(bounds[0], edges, cum))
+        """Mass inside the link's averaging window at time index ``index``,
+        or at each index of an array of them."""
+        return _window_mass(self.rho[link][index].sum(axis=-2),
+                            self.windows.get(link), self.dx)
 
     def mass_report(self) -> dict:
-        """Per-commodity budget: initial + injected - arrived - stored."""
+        """Per-commodity :func:`mass_row`, the destinations' absorbed mass
+        as what exited."""
         report = {}
         dt = self.dt
         for k_idx, commodity in enumerate(self.commodities):
@@ -159,23 +150,19 @@ class NetworkState(ArrivalRecord):
             stored1 = sum(float(self.rho[a][-1, k_idx].sum() * self.dx)
                           for a in self.net.links)
             arrived = float(self.arrivals[commodity][:-1].sum() * dt)
-            residual = stored0 + injected - arrived - stored1
-            scale = max(stored0 + injected, stored1, 1e-30)
-            report[commodity] = {
-                "injected": injected, "arrived": arrived,
-                "stored_initial": stored0, "stored_final": stored1,
-                "residual": residual, "relative_residual": residual / scale,
-            }
+            report[commodity] = mass_row(stored0, injected, arrived, stored1)
         return report
 
 
-def _link_window_mass(row: np.ndarray, window_bounds, dx: float) -> float:
-    """Aggregate windowed mass for one link (constant window bounds)."""
-    if window_bounds is None:
-        return float(row.sum() * dx)
-    lo, up = window_bounds
-    edges, cum = cumulative_mass(row, dx)
-    return float(np.interp(up, edges, cum) - np.interp(lo, edges, cum))
+def _window_mass(rows: np.ndarray, bounds, dx: float):
+    """Mass inside the constant window ``bounds`` (``None`` for the whole
+    link) of every row of a ``(..., cells)`` block; each value equals
+    ``np.interp`` of its row's cumulative mass at the bounds bit for bit."""
+    if bounds is None:
+        return rows.sum(axis=-1) * dx
+    edges, cum = cumulative_mass(rows, dx)
+    return (_interp_rows(bounds[1], edges, cum)
+            - _interp_rows(bounds[0], edges, cum))
 
 
 def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -286,14 +273,9 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
 
     budget = total_initial + sum(sources.total(k, 0.0, horizon) for k in commodities)
     steps = _checked_steps(law_map, horizon, grid, budget)
-
-    for _ in range(MAX_DT_HALVINGS + 1):
-        try:
-            return _run(net, commodities, splits, sources, law_map, window_map,
-                        horizon, steps, centers, init, topo_links)
-        except _CflRetry:
-            steps *= 2
-    raise CflViolated(f"time step still too large after {MAX_DT_HALVINGS} halvings")
+    return _retry(steps, [0], lambda n, _: [_run(
+        net, commodities, splits, sources, law_map, window_map, horizon, n,
+        centers, init, topo_links)])[0]
 
 
 def _run(net, commodities, splits, sources, law_map, window_map, horizon,
@@ -322,14 +304,6 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
         arrivals={k: arrivals[i] for i, k in enumerate(commodities)},
         split_rows=split_rows, source_grid=source_grid,
         laws=dict(law_map), windows=dict(window_map))
-
-
-class _MemberCflRetry(_CflRetry):
-    """Members ``members`` of a batch broke the CFL bound."""
-
-    def __init__(self, members: np.ndarray):
-        super().__init__(members)
-        self.members = members
 
 
 class _StepPlan:
@@ -459,13 +433,13 @@ class _StepPlan:
             agg = rho_m.sum(axis=1)
             w = agg.sum(axis=-1) * dx
             for i, bounds in partial:
-                w[i] = _link_window_mass(agg[i], bounds, dx)
+                w[i] = _window_mass(agg[i], bounds, dx)
             c = np.maximum(v0 / (1.0 + gain * w) - slope * w, low)
             for i, law in custom:
                 c[i] = float(law(times[m], float(w[i])))
             over = c * dt > cfl_limit
             if over.any():
-                raise _MemberCflRetry(
+                raise _CflRetry(
                     np.flatnonzero(over.reshape(n_b, n_l).any(axis=1)))
             out_pad[:n_rows] = c[:, None] * rho_m[:, :, -1]
             # junction exchange: in-link outfluxes added in order to 0.0
@@ -536,37 +510,27 @@ class ArrivalSimulator:
                 self._steps[budget] = _checked_steps(
                     self.law_map, self.horizon, self.grid, budget)
             groups.setdefault(self._steps[budget], []).append(b)
-        records: list = [None] * len(members)
-        pending = [(steps, group, 0) for steps, group in groups.items()]
-        while pending:
-            steps, group, halvings = pending.pop()
-            plan = _StepPlan(self.net, self.commodities, self.law_map,
-                             self.window_map, self.horizon, steps,
-                             self.centers, self.topo_links)
-            parts = [plan.member(*members[b]) for b in group]
-            rho = np.zeros((len(group) * len(self.topo_links), 2,
-                            len(self.commodities), len(self.centers)))
-            try:
-                totals = plan.advance(
-                    np.concatenate([p[1] for p in parts], axis=1),
-                    np.concatenate([p[3] for p in parts], axis=1),
-                    np.concatenate([p[4] for p in parts]), rho)
-            except _MemberCflRetry as retry:
-                if halvings == MAX_DT_HALVINGS:
-                    raise CflViolated(f"time step still too large after "
-                                      f"{MAX_DT_HALVINGS} halvings") from None
-                hot = [group[j] for j in retry.members]
-                pending += [(2 * steps, [b], halvings + 1) for b in hot]
-                rest = [b for b in group if b not in hot]
-                if rest:
-                    pending.append((steps, rest, halvings))
-                continue
-            for b, arrivals in zip(group, plan.arrivals(totals)):
-                records[b] = ArrivalRecord(
-                    commodities=self.commodities, times=plan.times,
-                    arrivals={k: arrivals[i]
-                              for i, k in enumerate(self.commodities)})
-        return records
+        records: dict = {}
+        for steps, group in groups.items():
+            records.update(_retry(steps, group, lambda n, part: self._advance(
+                n, [members[b] for b in part])))
+        return [records[b] for b in range(len(members))]
+
+    def _advance(self, steps: int, members: list) -> list:
+        """Arrivals of ``members`` advanced together with ``steps`` steps."""
+        plan = _StepPlan(self.net, self.commodities, self.law_map,
+                         self.window_map, self.horizon, steps, self.centers,
+                         self.topo_links)
+        parts = [plan.member(*member) for member in members]
+        rho = np.zeros((len(members) * len(self.topo_links), 2,
+                        len(self.commodities), len(self.centers)))
+        totals = plan.advance(np.concatenate([p[1] for p in parts], axis=1),
+                              np.concatenate([p[3] for p in parts], axis=1),
+                              np.concatenate([p[4] for p in parts]), rho)
+        return [ArrivalRecord(commodities=self.commodities, times=plan.times,
+                              arrivals={k: arrivals[i]
+                                        for i, k in enumerate(self.commodities)})
+                for arrivals in plan.arrivals(totals)]
 
 
 def _mapped_zeros(shape: tuple) -> np.ndarray:

@@ -223,13 +223,19 @@ class LinkState:
         else:
             injected = float(self.inflow[:-1].sum() * dt)
         exited = float(self.outflow[:-1].sum() * dt)
-        stored0 = self.total_mass(0)
-        stored1 = self.total_mass(len(self.times) - 1)
-        residual = stored0 + injected - exited - stored1
-        scale = max(stored0 + injected, stored1, 1e-30)
-        return {"injected": injected, "exited": exited, "stored_initial": stored0,
-                "stored_final": stored1, "residual": residual,
-                "relative_residual": residual / scale}
+        return mass_row(self.total_mass(0), injected, exited,
+                        self.total_mass(len(self.times) - 1))
+
+
+def mass_row(stored_initial: float, injected: float, exited: float,
+             stored_final: float) -> dict:
+    """One mass budget: what was stored at the start plus what was
+    injected, less what exited and what is stored at the end."""
+    residual = stored_initial + injected - exited - stored_final
+    scale = max(stored_initial + injected, stored_final, 1e-30)
+    return {"injected": injected, "exited": exited,
+            "stored_initial": stored_initial, "stored_final": stored_final,
+            "residual": residual, "relative_residual": residual / scale}
 
 
 def cumulative_mass(rho_row: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -462,7 +468,35 @@ def _solve_link_transport(law: VelocityLaw, inflow, rho_init: np.ndarray,
 
 
 class _CflRetry(Exception):
-    """An observed speed broke the CFL bound; the caller halves the step."""
+    """An observed speed broke the CFL bound; the caller halves the step.
+    ``members``, when given, are the positions in the attempted group of
+    the members that broke it; otherwise every member did."""
+
+    def __init__(self, members=None):
+        super().__init__(members)
+        self.members = members
+
+
+def _retry(steps: int, group: list, attempt: Callable,
+           halvings: int = 0) -> dict:
+    """``{member: result}`` of ``attempt(steps, group)``, which returns one
+    result per member of ``group`` or raises :class:`_CflRetry`.  Members
+    that broke the CFL bound rerun alone at twice the steps, the rest rerun
+    together at ``steps``; a member still breaking it after
+    ``MAX_DT_HALVINGS`` halvings raises :class:`CflViolated`."""
+    try:
+        return dict(zip(group, attempt(steps, group)))
+    except _CflRetry as retry:
+        if halvings == MAX_DT_HALVINGS:
+            raise CflViolated(f"time step still too large after "
+                              f"{MAX_DT_HALVINGS} halvings") from None
+        hot = (group if retry.members is None
+               else [group[j] for j in retry.members])
+        rest = [b for b in group if b not in hot]
+        done = _retry(steps, rest, attempt, halvings) if rest else {}
+        for b in hot:
+            done.update(_retry(2 * steps, [b], attempt, halvings + 1))
+        return done
 
 
 def upwind_step(rho: np.ndarray, speed, inflow, dt: float,
@@ -557,14 +591,8 @@ def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
     if method == "characteristics":
         return _solve_link_transport(law, inflow, rho_init, horizon, grid,
                                      length, steps)
-    for _ in range(MAX_DT_HALVINGS + 1):
-        try:
-            return _solve_link_upwind(law, window, inflow, rho_init, horizon,
-                                      grid, length, steps)
-        except _CflRetry:
-            steps *= 2
-    raise CflViolated(
-        f"time step still too large after {MAX_DT_HALVINGS} halvings")
+    return _retry(steps, [0], lambda n, _: [_solve_link_upwind(
+        law, window, inflow, rho_init, horizon, grid, length, n)])[0]
 
 
 def outflux(state: LinkState, t: float) -> float:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InadmissibleVelocityField
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                              _sample_initial, cumulative_mass, solve_link,
-                              upwind_step)
+                              _sample_initial, mass_row, nonlocal_term,
+                              solve_link, upwind_step)
 
 #: tolerance for the sampled feasibility conditions
 ADMISSIBLE_TOL = 1e-9
@@ -309,17 +309,13 @@ class PlatoonSolution:
         return float(m2[-1] / m0[-1] - mean ** 2)
 
     def mass_report(self) -> dict:
+        """The run's :func:`mass_row`; a particle run counts every
+        released element as stored."""
         if self.positions is not None:
-            stored = float(self.weights[self.release_steps <= len(self.times) - 1].sum())
-            final = stored
-            residual = self.initial_mass + self.injected - final
+            final = float(self.weights[self.release_steps <= len(self.times) - 1].sum())
         else:
             final = float(self.grid_fields[-1].sum() * self.dx)
-            residual = self.initial_mass + self.injected - self.exited - final
-        scale = max(self.initial_mass + self.injected, final, 1e-30)
-        return {"initial": self.initial_mass, "injected": self.injected,
-                "final": final, "exited": self.exited,
-                "residual": residual, "relative_residual": residual / scale}
+        return mass_row(self.initial_mass, self.injected, self.exited, final)
 
 
 def _background_rows(pair: FreightPair, times: np.ndarray,
@@ -383,10 +379,8 @@ class _ParticleRun:
         """Background mass in the window at ``xs``, node ``m``, if read."""
         if not self.control.depends_on_mass or self.rho_rows is None:
             return None
-        window = self.pair.window or NonlocalWindow.whole()
-        lo, up = window.bounds(xs, self.pair.length)
-        edges, cum = cumulative_mass(self.rho_rows[m], self.dx)
-        return np.interp(up, edges, cum) - np.interp(lo, edges, cum)
+        return nonlocal_term(self.rho_rows[m], self.pair.length,
+                             self.pair.window or NonlocalWindow.whole(), xs)
 
     def advance(self, values: np.ndarray):
         """Element positions under each field of the stack ``values``
@@ -469,31 +463,6 @@ def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
         exited += out * dt
     return PlatoonSolution(grid_fields=q, injected=injected, exited=exited,
                            **common)
-
-
-def variance_objectives(q_fields: np.ndarray, rho_fields: Optional[np.ndarray],
-                        x_centers: np.ndarray, times: np.ndarray
-                        ) -> tuple[float, float]:
-    """Grid quadrature of the concentration objectives.
-
-    First value: time integral of (second moment - first moment squared)
-    of the truck field.  Second value: the same with every mass element
-    weighted by (1 + background density).  Trapezoidal in time, midpoint
-    in space.  With no background field the two are identical.
-    """
-    q = np.asarray(q_fields, dtype=float)
-    x = np.asarray(x_centers, dtype=float)
-    dx = float(x[1] - x[0])
-    rho = np.zeros_like(q) if rho_fields is None else np.asarray(rho_fields)
-    if rho.shape != q.shape:
-        raise ValueError("background field shape does not match the truck field")
-    out = []
-    for weight in (np.ones_like(q), 1.0 + rho):
-        wq = q * weight * dx
-        m1 = wq @ x
-        m2 = wq @ (x * x)
-        out.append(float(np.trapezoid(m2 - m1 ** 2, times)))
-    return out[0], out[1]
 
 
 @dataclass

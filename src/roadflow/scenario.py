@@ -36,11 +36,14 @@ KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
 #: prime search grows steeply with the key size (about 2 s at 2048 bits)
 MAX_KEY_BITS = 4096
 #: largest array one run may ask for, in float64 values (128 MiB): a network
-#: run's density block (links x (time steps + 1) x commodities x cells), a
-#: platoon-flow solve's particle positions ((time steps + 1) x particles), or
-#: a schedule run's trajectory ((iterations + 1) x vehicles) or count grid
-#: (edges x horizon); the bundled and benchmark scenarios need at most 480 000
+#: run's density block (links x (time steps + 1) x commodities x cells; an
+#: equilibrium keeps rounds + 1 of them), a platoon-flow solve's particle
+#: positions ((time steps + 1) x particles) or knot grid, or a schedule run's
+#: trajectory ((iterations + 1) x vehicles), walk or count grid (edges x
+#: horizon); the bundled and benchmark scenarios need at most 2 878 848
 _MAX_STATE_VALUES = 2 ** 24
+#: how a network run's density block is counted
+_DENSITY_SHAPE = "links x (time steps + 1) x commodities x cells"
 
 _MISSING = object()
 
@@ -84,6 +87,14 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def _fail(path: str, message: str) -> None:
     raise SchemaError(f"{path}: {message}")
+
+
+def _check_size(path: str, what: str, size, shape: str) -> None:
+    """Refuse a run that would hold ``what`` of ``size`` float64 values,
+    counted as ``shape`` by its solver's own formula, above the cap."""
+    if size > _MAX_STATE_VALUES:
+        _fail(path, f"a run would hold {what} of {size} values ({shape}), "
+              f"more than the cap of {_MAX_STATE_VALUES}")
 
 
 def _field(obj: Mapping, name: str, path: str, default=_MISSING):
@@ -212,7 +223,10 @@ def build_velocity_law(spec, path) -> VelocityLaw:
     _fail(f"{path}.kind", f"unknown law kind {kind!r}")
 
 
-def build_window(spec, path) -> Optional[NonlocalWindow]:
+def build_window(spec, path, length: Optional[float] = None
+                 ) -> NonlocalWindow:
+    """Window bounds with ``lower <= upper``; with a ``length``, on a link
+    of that length (an absent ``upper`` is the link's end)."""
     if spec is None or spec == "whole":
         return NonlocalWindow()
     if not isinstance(spec, dict):
@@ -220,7 +234,9 @@ def build_window(spec, path) -> Optional[NonlocalWindow]:
     lower = _number(spec, "lower", path, default=0.0, minimum=0.0)
     upper = spec.get("upper")
     if upper is not None:
-        upper = _number(spec, "upper", path, minimum=0.0)
+        upper = _number(spec, "upper", path, minimum=lower)
+    if length is not None and (lower if upper is None else upper) > length:
+        _fail(path, f"window reaches beyond the link's length {length:g}")
     return NonlocalWindow(lower=lower, upper=upper)
 
 
@@ -326,18 +342,6 @@ def _state_values(net: RoadNetwork, n_commodities: int, laws, horizon: float,
     law_list = list(laws.values()) if isinstance(laws, dict) else [laws]
     steps = _time_steps(law_list, horizon, grid, 0.0)
     return len(net.links) * (steps + 1) * n_commodities * grid.cells
-
-
-def _check_state_size(built: dict, n_commodities: int, horizon: float,
-                      path: str) -> dict:
-    size = _state_values(built["net"], n_commodities, built["laws"], horizon,
-                         built["grid"])
-    if size > _MAX_STATE_VALUES:
-        _fail(path, f"a run would hold {size} density values (links x "
-              f"(time steps + 1) x commodities x cells), more than the cap "
-              f"of {_MAX_STATE_VALUES}; shorten the horizon or use fewer "
-              "cells")
-    return built
 
 
 def _commodity_ref(obj, name, commodities, path) -> Commodity:
@@ -449,19 +453,19 @@ def build_simulate(payload: dict) -> dict:
     grid = build_grid(payload.get("grid"), f"{path}.grid")
     commodities = build_commodities(_list(payload, "commodities", path),
                                     f"{path}.commodities")
+    # network links have unit length
     windows_spec = payload.get("windows")
-    windows = None
-    if windows_spec is not None:
-        if isinstance(windows_spec, dict) and (
-                "lower" in windows_spec or "upper" in windows_spec):
-            windows = build_window(windows_spec, f"{path}.windows")
-        elif isinstance(windows_spec, dict):
-            windows = {}
-            for key, sub in windows_spec.items():
-                link = _parse_link(key, f"{path}.windows.{key}")
-                windows[link] = build_window(sub, f"{path}.windows.{key}")
-        else:
-            windows = build_window(windows_spec, f"{path}.windows")
+    if isinstance(windows_spec, dict) and not (
+            "lower" in windows_spec or "upper" in windows_spec):
+        windows = {}
+        for key, sub in windows_spec.items():
+            link = _parse_link(key, f"{path}.windows.{key}")
+            if link not in net.links:
+                _fail(f"{path}.windows.{key}",
+                      "window given for a link not in the network")
+            windows[link] = build_window(sub, f"{path}.windows.{key}", 1.0)
+    else:
+        windows = build_window(windows_spec, f"{path}.windows", 1.0)
 
     cases_spec = payload.get("cases", [{"name": "run"}])
     if not isinstance(cases_spec, list) or not cases_spec:
@@ -498,10 +502,11 @@ def build_simulate(payload: dict) -> dict:
     splits_spec = payload.get("splits")
     base_rows = (build_base_rows(splits_spec, net, f"{path}.splits")
                  if splits_spec is not None else None)
-    built = {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
-             "commodities": commodities, "windows": windows, "cases": cases,
-             "base_rows": base_rows}
-    return _check_state_size(built, len(commodities), horizon, path)
+    _check_size(path, "a density block", _state_values(
+        net, len(commodities), laws, horizon, grid), _DENSITY_SHAPE)
+    return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
+            "commodities": commodities, "windows": windows, "cases": cases,
+            "base_rows": base_rows}
 
 
 def build_equilibrium(payload: dict) -> dict:
@@ -536,11 +541,12 @@ def build_equilibrium(payload: dict) -> dict:
         _fail(f"{path}.non_routed_policy.kind", "not a non-routed policy kind")
     demand = EquilibriumDemand(entry_link=entry_link, rate=rate,
                                destination=destination)
-    built = {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
-             "demand": demand, "alpha": alpha, "rounds": rounds, "eps": eps,
-             "base_rows": base_rows, "policies": (routed, non_routed)}
-    # the routed and the non-routed commodity
-    return _check_state_size(built, 2, horizon, path)
+    # every round keeps its state; two commodities, routed and non-routed
+    _check_size(path, "density blocks", (rounds + 1) * _state_values(
+        net, 2, laws, horizon, grid), f"(rounds + 1) x {_DENSITY_SHAPE}")
+    return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
+            "demand": demand, "alpha": alpha, "rounds": rounds, "eps": eps,
+            "base_rows": base_rows, "policies": (routed, non_routed)}
 
 
 def build_social_opt(payload: dict) -> dict:
@@ -604,11 +610,12 @@ def build_social_opt(payload: dict) -> dict:
                                         theta=theta, sources=sources)
     except ValueError as exc:
         _fail(path, str(exc))
-    built = {"net": net, "laws": laws, "grid": grid, "demand": demand,
-             "param": param, "budget": budget, "fd_step": fd_step,
-             "initial_step": initial_step, "base_rows": base_rows}
-    return _check_state_size(built, len(demand.commodities()), param.horizon,
-                             path)
+    _check_size(path, "a density block", _state_values(
+        net, len(demand.commodities()), laws, param.horizon, grid),
+        _DENSITY_SHAPE)
+    return {"net": net, "laws": laws, "grid": grid, "demand": demand,
+            "param": param, "budget": budget, "fd_step": fd_step,
+            "initial_step": initial_step, "base_rows": base_rows}
 
 
 def build_platoon_flow(payload: dict) -> dict:
@@ -641,6 +648,7 @@ def build_platoon_flow(payload: dict) -> dict:
     cp = f"{path}.control"
     nt = _integer(control, "t_knots", cp, minimum=2)
     nx = _integer(control, "x_knots", cp, minimum=2)
+    _check_size(cp, "a knot grid", nt * nx, "t_knots x x_knots")
     lam_min = _number(control, "lam_min", cp, minimum=1e-9)
     lam_max = _number(control, "lam_max", cp)
     lip = _number(control, "lip", cp, minimum=0.0)
@@ -662,11 +670,9 @@ def build_platoon_flow(payload: dict) -> dict:
         steps = truck_steps(length, horizon, cells, lam_max)
     except ArithmeticError:                 # the step count overflows
         steps = math.inf
-    positions = (steps + 1) * (cells + (steps if inflow is not None else 0))
-    if positions > _MAX_STATE_VALUES:
-        _fail(path, f"a solve would hold {positions} particle positions "
-              "((time steps + 1) x particles), more than the cap of "
-              f"{_MAX_STATE_VALUES}; shorten the horizon or use fewer cells")
+    _check_size(path, "particle positions",
+                (steps + 1) * (cells + (steps if inflow is not None else 0)),
+                "(time steps + 1) x particles")
 
     pair = FreightPair(length=length, horizon=horizon, truck_initial=initial,
                        truck_inflow=inflow_series, **bg_kwargs)
@@ -681,13 +687,6 @@ def build_platoon_flow(payload: dict) -> dict:
             "fd_step": fd_step}
 
 
-def _check_schedule_size(path: str, name: str, size: int, shape: str) -> None:
-    if size > _MAX_STATE_VALUES:
-        _fail(path, f"a run would hold a {name} of {size} values ({shape}), "
-              f"more than the cap of {_MAX_STATE_VALUES}; use fewer "
-              "iterations, vehicles, delays or steps")
-
-
 def _build_schedule_common(payload: dict, path: str) -> dict:
     iterations = _integer(payload, "iterations", path, minimum=1)
     preset = payload.get("preset")
@@ -698,8 +697,8 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
         per_flow = _integer(payload, "vehicles_per_flow", path, default=40,
                             minimum=1)
         # checked before the build, which makes one object per vehicle
-        _check_schedule_size(path, "trajectory", (iterations + 1) * 2 * per_flow,
-                             "(iterations + 1) x vehicles")
+        _check_size(path, "a trajectory", (iterations + 1) * 2 * per_flow,
+                    "(iterations + 1) x vehicles")
         graph, assignments = build_sweden_scenario(max_delay, per_flow)
     else:
         graph_spec = _dict(payload, "graph", path)
@@ -719,9 +718,8 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
         except (ValueError, OverflowError) as exc:   # dwell beyond int64
             _fail(f"{path}.graph", str(exc))
         vehicles = _list(payload, "vehicles", path)
-        _check_schedule_size(path, "trajectory",
-                             (iterations + 1) * len(vehicles),
-                             "(iterations + 1) x vehicles")
+        _check_size(path, "a trajectory", (iterations + 1) * len(vehicles),
+                    "(iterations + 1) x vehicles")
         assignments = []
         for k, entry in enumerate(vehicles):
             p = f"{path}.vehicles[{k}]"
@@ -740,9 +738,9 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
             try:
                 # checked before the build, which holds every step of the walk
                 walk = [graph.edge_index(a, b) for a, b in zip(hubs, hubs[1:])]
-                _check_schedule_size(p, "walk",
-                                     sum(int(graph.dwells[e]) for e in walk),
-                                     "the sum of its dwells")
+                _check_size(p, "a walk",
+                            sum(int(graph.dwells[e]) for e in walk),
+                            "the sum of its dwells")
                 assignments.append(VehicleAssignment.from_hub_path(
                     graph, hubs, depart, (window_spec[0], window_spec[1]),
                     cost))
@@ -750,9 +748,8 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
                 _fail(p, str(exc))
         if not assignments:
             _fail(f"{path}.vehicles", "need at least one vehicle")
-    _check_schedule_size(path, "count grid",
-                         len(graph) * default_horizon(assignments),
-                         "edges x horizon")
+    _check_size(path, "a count grid",
+                len(graph) * default_horizon(assignments), "edges x horizon")
     gamma = _number(payload, "gamma", path, default=1.0, minimum=0.0)
     temperature = _number(payload, "temperature", path, default=100.0,
                           minimum=1e-12)

@@ -19,6 +19,7 @@ SOCIAL = SCENARIO_DIR / "departure_spread_social.json"
 PRIVATE = SCENARIO_DIR / "private_ring_demo.json"
 EQUILIBRIUM = SCENARIO_DIR / "parallel_routes_equilibrium.json"
 SWEDEN = SCENARIO_DIR / "sweden_corridor.json"
+PLATOON = SCENARIO_DIR / "platoon_velocity.json"
 
 
 def sha256(path: Path) -> str:
@@ -220,6 +221,41 @@ def test_oversized_platoon_flow_is_schema_error(field, value, tmp_path,
         payload = json.loads(capsys.readouterr().err)  # one JSON object
         assert payload["error"] == "schema"
         assert "particle positions" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _background_window(doc, window):
+    doc["background"] = {"law": {"kind": "constant", "speed": 1.0},
+                         "initial": 0.0, "window": window}
+
+
+@pytest.mark.parametrize("source, edit, expected", [
+    # np.linspace could not allocate 10**15 time knots
+    (PLATOON, lambda d: d["control"].update(t_knots=10 ** 15),
+     "platoon-flow.control: a run would hold a knot grid of "
+     "5000000000000000 values"),
+    (PLATOON, lambda d: _background_window(d, {"lower": 0.7, "upper": 0.3}),
+     "platoon-flow.background.window.upper: must be >= 0.7"),
+    (SINGLE_LINK, lambda d: d.update(windows={"lower": 0.7, "upper": 0.3}),
+     "simulate.windows.upper: must be >= 0.7"),
+    (SINGLE_LINK, lambda d: d.update(windows={"upper": 5.0}),
+     "simulate.windows: window reaches beyond the link's length 1"),
+    (SINGLE_LINK, lambda d: d.update(windows={"7-8": {"lower": 0.5}}),
+     "simulate.windows.7-8: window given for a link not in the network"),
+])
+def test_knot_grid_and_window_faults_are_schema_errors(source, edit, expected,
+                                                        tmp_path, capsys):
+    doc = json.loads(source.read_text())
+    edit(doc)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["validate", "--scenario", str(scenario)],
+                 [doc["kind"], "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)  # one JSON object
+        assert payload["error"] == "schema"
+        assert expected in payload["message"]
     assert not (tmp_path / "out").exists()
 
 

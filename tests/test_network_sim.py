@@ -4,7 +4,7 @@ import pytest
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule, as_split_schedule)
-from roadflow.network_sim import GridSplits, simulate
+from roadflow.network_sim import GridSplits, _window_mass, simulate
 from roadflow.nonlocal_solver import GridSpec, NonlocalWindow, congestion_law, constant_law
 
 
@@ -62,7 +62,7 @@ def test_destination_absorbs_all_mass_eventually():
                      horizon=6.0, grid=GridSpec(cells=40))
     rep = state.mass_report()[k]
     # links are unit length at unit speed; everything is through by t=6
-    assert rep["arrived"] == pytest.approx(0.5, rel=1e-9)
+    assert rep["exited"] == pytest.approx(0.5, rel=1e-9)
     assert rep["stored_final"] == pytest.approx(0.0, abs=1e-12)
     arrivals = state.cumulative_arrivals(k)
     assert np.all(np.diff(arrivals) >= -1e-15)
@@ -94,8 +94,8 @@ def test_two_commodities_stay_separate():
     state = simulate(net, [ka, kb], splits, sources, constant_law(1.0),
                      horizon=5.0, grid=GridSpec(cells=30))
     rep = state.mass_report()
-    assert rep[ka]["arrived"] == pytest.approx(0.3, rel=1e-9)
-    assert rep[kb]["arrived"] == pytest.approx(0.7, rel=1e-9)
+    assert rep[ka]["exited"] == pytest.approx(0.3, rel=1e-9)
+    assert rep[kb]["exited"] == pytest.approx(0.7, rel=1e-9)
 
 
 def test_window_bounds_change_the_speed_argument():
@@ -134,6 +134,27 @@ def test_windowed_mass_over_indices_equals_scalar_calls(window):
         assert masses.tobytes() == scalar.tobytes()
         assert isinstance(state.windowed_mass(link, 3), float)
     assert np.ptp(masses) > 0.0
+
+
+def test_window_mass_equals_np_interp_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cells = 12              # not a power of two, so dx rounds
+    dx = 1.0 / cells
+    edges = np.arange(cells + 1) * dx
+    rows = rng.uniform(0.0, 3.0, (4, 3, cells))
+    # bounds at 0 and 1, on cell edges, inside one cell, and drawn at random
+    bounds = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 5 * dx),
+              (3 * dx, 1.0), (3 * dx, 11 * dx), (0.41, 0.43),
+              *[tuple(np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(5)]]
+    for lo, up in bounds:
+        block = _window_mass(rows, (lo, up), dx)
+        assert block.shape == rows.shape[:-1]
+        for idx in np.ndindex(rows.shape[:-1]):
+            cum = np.concatenate(([0.0], np.cumsum(rows[idx]) * dx))
+            want = np.interp(up, edges, cum) - np.interp(lo, edges, cum)
+            assert block[idx].tobytes() == want.tobytes(), (lo, up, idx)
+            assert _window_mass(rows[idx], (lo, up), dx) == want
+    assert (_window_mass(rows, None, dx) == rows.sum(axis=-1) * dx).all()
 
 
 def test_initial_density_callable_and_array():

@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roadflow import network_sim
-from roadflow.errors import SplitRowInvalid
+from roadflow import network_sim, nonlocal_solver
+from roadflow.errors import CflViolated, SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule)
-from roadflow.network_sim import (ArrivalSimulator, NetworkState,
-                                  _link_window_mass, simulate)
-from roadflow.nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                                      _CflRetry, congestion_law, constant_law,
-                                      linear_law, upwind_step)
+from roadflow.network_sim import ArrivalSimulator, NetworkState, simulate
+from roadflow.nonlocal_solver import (MAX_DT_HALVINGS, GridSpec,
+                                      NonlocalWindow, VelocityLaw, _CflRetry,
+                                      _retry, congestion_law, constant_law,
+                                      linear_law, solve_link, upwind_step)
 from roadflow.scenario import build_social_opt, load_scenario
 from roadflow.social_optimum import (SocialOptResult, backlog_objective,
                                      build_schedules, optimize_social,
@@ -89,7 +89,13 @@ def reference_run(net, commodities, splits, sources, law_map, window_map,
         t = times[m]
         for a in topo_links:
             row_agg = rho[a][m].sum(axis=0)
-            w = _link_window_mass(row_agg, window_map[a], dx)
+            if window_map[a] is None:
+                w = float(row_agg.sum() * dx)
+            else:
+                cum = np.concatenate(([0.0], np.cumsum(row_agg) * dx))
+                edges = np.arange(n + 1) * dx
+                lo, up = window_map[a]
+                w = float(np.interp(up, edges, cum) - np.interp(lo, edges, cum))
             c = float(law_map[a](t, w))
             if c * dt > dx * (1.0 + 1e-12):
                 raise _CflRetry
@@ -446,6 +452,70 @@ def test_batch_groups_members_by_step_count():
     assert steps[2] > max(steps[0], steps[1], steps[3])
     for record, (splits, sources) in zip(records, members):
         assert_same_arrivals(record, run_alone(case, splits, sources))
+
+
+def test_retry_halves_each_member_as_often_as_it_needs():
+    # members 0, 1 and 2 fit the CFL bound at 10, 20 and 40 steps
+    need = {0: 10, 1: 20, 2: 40}
+    calls = []
+
+    def attempt(steps, group):
+        calls.append((steps, list(group)))
+        over = [j for j, b in enumerate(group) if need[b] > steps]
+        if over:
+            raise _CflRetry(over)
+        return [(b, steps) for b in group]
+
+    assert _retry(10, [0, 1, 2], attempt) == {0: (0, 10), 1: (1, 20),
+                                              2: (2, 40)}
+    # the member that fits reruns at the same steps, the others alone
+    assert calls == [(10, [0, 1, 2]), (10, [0]), (20, [1]), (20, [2]),
+                     (40, [2])]
+
+
+def never_fits(budget: float) -> VelocityLaw:
+    """A speed of 1 where ``max_speed`` samples the mass, 1e12 between:
+    too fast for every step count the halvings reach."""
+    return striped_law(budget, 1.0, 1e12)
+
+
+def counted(patch, owner, name: str) -> list:
+    """Count the calls of ``owner.name`` while ``patch`` is active."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    patch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("runner", ["solve_link", "simulate", "batch"])
+def test_cfl_violated_after_every_halving(runner, monkeypatch):
+    inflow = PiecewiseConstant([(0.0, 1.0, 0.8)])
+    law = never_fits(0.8)
+    net = RoadNetwork([0, 1], [(0, 1)])
+    k = Commodity("non_routed", 1)
+    sources = SourceSchedule({(0, (0, 1), k): inflow})
+    grid = GridSpec(cells=10)
+    with monkeypatch.context() as patch:
+        if runner == "solve_link":
+            calls = counted(patch, nonlocal_solver, "_solve_link_upwind")
+            run = lambda: solve_link(law, NonlocalWindow(), inflow, 0.0,
+                                     horizon=2.0, grid=grid, method="fv")
+        elif runner == "simulate":
+            calls = counted(patch, network_sim, "_run")
+            run = lambda: simulate(net, [k], SplitSchedule({}), sources, law,
+                                   horizon=2.0, grid=grid)
+        else:
+            calls = counted(patch, ArrivalSimulator, "_advance")
+            runs = ArrivalSimulator(net, [k], law, horizon=2.0, grid=grid)
+            run = lambda: runs.run([(SplitSchedule({}), sources)])
+        with pytest.raises(CflViolated):
+            run()
+    assert len(calls) == MAX_DT_HALVINGS + 1
 
 
 # ------------------------------------------------ the social-opt search

@@ -11,8 +11,8 @@ from roadflow.network import PiecewiseConstant
 from roadflow.nonlocal_solver import (NonlocalWindow, _sample_initial,
                                       congestion_law, cumulative_mass)
 from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
-                                   VelocityOptResult, optimize_velocity,
-                                   solve_freight_pair, variance_objectives)
+                                   PlatoonSolution, VelocityOptResult,
+                                   optimize_velocity, solve_freight_pair)
 
 
 def slab(lo, hi, height=1.0):
@@ -108,7 +108,7 @@ def test_inflow_spawns_mass_and_balances():
     sol = solve_freight_pair(pair, constant_control(0.75), cells=40)
     report = sol.mass_report()
     assert math.isclose(report["injected"], 0.4, rel_tol=1e-12)
-    assert math.isclose(report["initial"], 1.0, rel_tol=1e-12)
+    assert math.isclose(report["stored_initial"], 1.0, rel_tol=1e-12)
     assert abs(report["relative_residual"]) < 1e-12
 
 
@@ -141,19 +141,26 @@ def test_fv_density_fields_match_particle_deposit_mass():
     assert np.allclose(fields.sum(axis=1) * dx, 1.0, atol=1e-12)
 
 
-def test_variance_objectives_grid_quadrature():
+def test_grid_objectives_quadrature():
     times = np.array([0.0, 1.0])
     x = np.array([0.25, 0.75])
     q = np.array([[1.0, 1.0], [1.0, 1.0]])     # dx = 0.5, mass 1 each step
-    j1, j2 = variance_objectives(q, None, x, times)
+
+    def grid_solution(rho):
+        return PlatoonSolution(
+            pair=FreightPair(length=1.0, horizon=1.0),
+            control=constant_control(0.75, horizon=1.0, length=1.0),
+            times=times, x_centers=x, method="fv", grid_fields=q,
+            rho_rows=rho)
+
+    j1, j2 = grid_solution(None).objectives()
     # moments: m1 = 0.5, m2 = 0.3125, integrand = 0.0625 at both nodes
     assert math.isclose(j1, 0.0625, rel_tol=1e-12)
     assert j1 == j2
-    rho = np.ones_like(q)
-    _, jw = variance_objectives(q, rho, x, times)
-    assert not math.isclose(jw, j1, rel_tol=1e-6)
-    with pytest.raises(ValueError):
-        variance_objectives(q, np.ones((3, 2)), x, times)
+    # weights 1 + 1 double each element: m1 = 1, m2 = 0.625, integrand
+    # 0.625 - 1 = -0.375 at both nodes
+    _, jw = grid_solution(np.ones_like(q)).objectives()
+    assert math.isclose(jw, -0.375, rel_tol=1e-12)
 
 
 def test_field_validation_and_interpolation():

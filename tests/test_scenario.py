@@ -283,6 +283,21 @@ def test_state_cap_counts_the_simulated_grid():
         sum(rho.size for rho in state.rho.values()))
 
 
+def test_equilibrium_cap_counts_every_state_it_keeps(tmp_path):
+    # equilibrium_iterate keeps the first state and one per round
+    doc = json.loads((SCENARIO_DIR / "parallel_routes_equilibrium.json")
+                     .read_text())
+    built = BUILDERS["equilibrium"](doc)
+    one = _state_values(built["net"], 2, built["laws"], built["horizon"],
+                        built["grid"])
+    doc["rounds"] = _MAX_STATE_VALUES // one - 1
+    validate_scenario(load_scenario(write(tmp_path, doc)))
+    doc["rounds"] += 1
+    assert one <= _MAX_STATE_VALUES < (doc["rounds"] + 1) * one
+    with pytest.raises(SchemaError, match="density blocks"):
+        validate_scenario(load_scenario(write(tmp_path, doc)))
+
+
 def platoon_positions(built) -> int:
     """Particle positions the schema counts for a built platoon-flow run."""
     pair = built["pair"]
