@@ -52,7 +52,7 @@ from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                               _CflRetry, _retry, _sample_initial,
                               cumulative_mass, mass_row, upwind_step)
 
-#: default cap on enumerated simple paths
+#: most simple paths one enumeration may return
 PATH_CAP = 64
 #: cells per link when a run gives no grid
 _DEFAULT_CELLS = 100
@@ -558,12 +558,11 @@ def _junction_error(net: RoadNetwork, commodities, flat: int):
 
 
 def enumerate_paths(net: RoadNetwork, origin: int, destination: int,
-                    cap: int = PATH_CAP,
                     allowed_links: Optional[set] = None) -> list[tuple[Link, ...]]:
     """All simple link paths from ``origin`` to ``destination``.
 
     Raises :class:`NoPath` when none exists and :class:`PathCapExceeded`
-    when more than ``cap`` paths would be returned.
+    when more than ``PATH_CAP`` paths would be returned.
     """
     if origin == destination:
         raise ValueError("origin equals destination")
@@ -572,8 +571,8 @@ def enumerate_paths(net: RoadNetwork, origin: int, destination: int,
     def walk(node, prefix, visited):
         if node == destination:
             paths.append(tuple(prefix))
-            if len(paths) > cap:
-                raise PathCapExceeded(f"more than {cap} simple paths")
+            if len(paths) > PATH_CAP:
+                raise PathCapExceeded(f"more than {PATH_CAP} simple paths")
             return
         for link in net.out_links(node):
             if allowed_links is not None and link not in allowed_links:

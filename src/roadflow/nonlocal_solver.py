@@ -66,24 +66,26 @@ class VelocityLaw:
     def __call__(self, t, w):
         return self.fn(t, w)
 
-    def check(self, horizon: float, w_max: float, samples: int = 33) -> None:
-        """Sampled positivity (and monotonicity, if declared) check."""
-        ts = np.linspace(0.0, max(horizon, 1e-12), samples)
-        ws = np.linspace(0.0, max(w_max, 1e-12), samples)
-        grid = self.fn(ts[:, None], ws[None, :])
-        vals = np.broadcast_to(grid, (samples, samples))
+    def check(self, horizon: float, w_max: float) -> None:
+        """Sampled positivity (and monotonicity, if declared) check on a
+        33 x 33 grid of times and masses."""
+        ts = np.linspace(0.0, max(horizon, 1e-12), 33)
+        ws = np.linspace(0.0, max(w_max, 1e-12), 33)
+        vals = np.broadcast_to(self.fn(ts[:, None], ws[None, :]), (33, 33))
         if np.any(vals < self.floor):
             raise ValueError(
                 f"velocity law {self.name!r} drops below its floor {self.floor}")
         if self.decreasing and np.any(np.diff(vals, axis=1) > 1e-12):
             raise ValueError(f"velocity law {self.name!r} is not nonincreasing in the mass")
 
-    def max_speed(self, horizon: float, w_max: float, samples: int = 65) -> float:
-        ts = np.linspace(0.0, max(horizon, 1e-12), samples)
+    def max_speed(self, horizon: float, w_max: float) -> float:
+        """Largest speed on a 65 x 65 grid of times and masses (at zero
+        mass for a nonincreasing law)."""
+        ts = np.linspace(0.0, max(horizon, 1e-12), 65)
         if self.decreasing:
             return float(np.max(self.fn(ts, np.zeros_like(ts))))
-        ws = np.linspace(0.0, max(w_max, 1e-12), samples)
-        vals = np.broadcast_to(self.fn(ts[:, None], ws[None, :]), (samples, samples))
+        ws = np.linspace(0.0, max(w_max, 1e-12), 65)
+        vals = np.broadcast_to(self.fn(ts[:, None], ws[None, :]), (65, 65))
         return float(np.max(vals))
 
 
@@ -314,9 +316,8 @@ class CharacteristicResult:
 
 
 def _picard_window(law: VelocityLaw, times_abs: np.ndarray, u_win: np.ndarray,
-                   rho_start: np.ndarray, dx: float, length: float,
-                   tol: float = PICARD_TOL,
-                   max_iter: int = PICARD_MAX_ITER) -> CharacteristicResult:
+                   rho_start: np.ndarray, dx: float,
+                   length: float) -> CharacteristicResult:
     """Solve the displacement fixed point on one window.
 
     The speed argument at local time ``s`` is the inflow mass admitted since
@@ -333,7 +334,7 @@ def _picard_window(law: VelocityLaw, times_abs: np.ndarray, u_win: np.ndarray,
     xi = np.zeros_like(t_loc)
     speed = np.zeros_like(t_loc)
     arg = np.zeros_like(t_loc)
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         remaining = np.interp(np.clip(length - xi, 0.0, length), edges, cum_rho)
         arg = cum_u + remaining
         speed = np.asarray(law(times_abs, arg), dtype=float)
@@ -343,18 +344,17 @@ def _picard_window(law: VelocityLaw, times_abs: np.ndarray, u_win: np.ndarray,
         xi_new = np.concatenate(([0.0], np.cumsum(dxi)))
         err = float(np.max(np.abs(xi_new - xi)))
         xi = xi_new
-        if err <= tol:
+        if err <= PICARD_TOL:
             return CharacteristicResult(times_abs.copy(), xi, speed, arg, it)
     raise FixedPointDiverged(
-        f"no convergence within {max_iter} iterations (last change {err:.3e}); "
-        "retry on a shorter window")
+        f"no convergence within {PICARD_MAX_ITER} iterations (last change "
+        f"{err:.3e}); retry on a shorter window")
 
 
 def solve_characteristic(law: VelocityLaw, inflow, rho0, horizon: float, *,
-                         cells: int = 400, steps: Optional[int] = None,
-                         length: float = 1.0, tol: float = PICARD_TOL,
-                         max_iter: int = PICARD_MAX_ITER) -> CharacteristicResult:
-    """Displacement fixed point on ``[0, horizon]`` as a single window.
+                         cells: int = 400) -> CharacteristicResult:
+    """Displacement fixed point on ``[0, horizon]`` as a single window, on
+    the unit link with ``max(64, 4 * cells)`` time steps.
 
     Valid as a transport description while the displacement stays within the
     link; :func:`solve_link` manages restarts beyond that.  Raises
@@ -363,15 +363,12 @@ def solve_characteristic(law: VelocityLaw, inflow, rho0, horizon: float, *,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if steps is None:
-        steps = max(64, 4 * cells)
-    times = np.linspace(0.0, horizon, steps + 1)
-    dx = length / cells
+    times = np.linspace(0.0, horizon, max(64, 4 * cells) + 1)
+    dx = 1.0 / cells
     centers = (np.arange(cells) + 0.5) * dx
     rho_start = _sample_initial(rho0, centers)
     u = _sample_series(inflow, times)
-    return _picard_window(law, times, u, rho_start, dx, length,
-                          tol=tol, max_iter=max_iter)
+    return _picard_window(law, times, u, rho_start, dx, 1.0)
 
 
 def _transport_rows(law: VelocityLaw, result: CharacteristicResult,

@@ -309,13 +309,16 @@ class PlatoonSolution:
         return float(m2[-1] / m0[-1] - mean ** 2)
 
     def mass_report(self) -> dict:
-        """The run's :func:`mass_row`; a particle run counts every
-        released element as stored."""
-        if self.positions is not None:
-            final = float(self.weights[self.release_steps <= len(self.times) - 1].sum())
-        else:
-            final = float(self.grid_fields[-1].sum() * self.dx)
-        return mass_row(self.initial_mass, self.injected, self.exited, final)
+        """The run's :func:`mass_row`; a particle run counts the released
+        elements at or past the road's end as exited."""
+        if self.positions is None:
+            return mass_row(self.initial_mass, self.injected, self.exited,
+                            float(self.grid_fields[-1].sum() * self.dx))
+        released = self.release_steps <= len(self.times) - 1
+        gone = self.positions[-1] >= self.pair.length
+        return mass_row(self.initial_mass, self.injected,
+                        float(self.weights[released & gone].sum()),
+                        float(self.weights[released & ~gone].sum()))
 
 
 def _background_rows(pair: FreightPair, times: np.ndarray,
@@ -357,10 +360,9 @@ class _ParticleRun:
     released in step order: the first ``active[m]`` are active at node m."""
 
     def __init__(self, pair: FreightPair, control: AdmissibleVelocityField,
-                 cells: int, steps: Optional[int]):
+                 cells: int):
         self.pair, self.control, self.dx = pair, control, pair.length / cells
-        if steps is None:
-            steps = truck_steps(pair.length, pair.horizon, cells, control.lam_max)
+        steps = truck_steps(pair.length, pair.horizon, cells, control.lam_max)
         self.times = times = np.linspace(0.0, pair.horizon, steps + 1)
         self.dt = dt = times[1] - times[0]
         self.centers = (np.arange(cells) + 0.5) * self.dx
@@ -425,7 +427,7 @@ class _ParticleRun:
 
 
 def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
-                       cells: int = 200, steps: Optional[int] = None,
+                       cells: int = 200,
                        method: str = "particles") -> PlatoonSolution:
     """Solve background then trucks under the given admissible control.
 
@@ -434,7 +436,7 @@ def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
     upwind cross-check on the cell grid.
     """
     control.check()
-    run = _ParticleRun(pair, control, cells, steps)
+    run = _ParticleRun(pair, control, cells)
     times, dx, dt = run.times, run.dx, run.dt
     common = dict(pair=pair, control=control, times=times, method=method,
                   x_centers=run.centers, rho_rows=run.rho_rows,
@@ -478,8 +480,8 @@ class VelocityOptResult:
 
 def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
                       budget: int, *, objective: str = "unweighted",
-                      cells: int = 120, steps: Optional[int] = None,
-                      fd_step: float = 1e-3, initial_step: Optional[float] = None,
+                      cells: int = 120, fd_step: float = 1e-3,
+                      initial_step: Optional[float] = None,
                       min_step: float = 1e-4) -> VelocityOptResult:
     """Projected gradient descent on the selected concentration objective.
 
@@ -494,7 +496,7 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
         raise ValueError(f"unknown objective {objective!r}")
     evals = 0
     current = control0.project()
-    run = _ParticleRun(pair, current, cells, steps)
+    run = _ParticleRun(pair, current, cells)
 
     def solve(fields: list) -> list:
         nonlocal evals

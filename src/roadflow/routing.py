@@ -22,8 +22,7 @@ import numpy as np
 from .errors import SplitRowInvalid
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
                       SourceSchedule, as_split_schedule)
-from .network_sim import (PATH_CAP, GridSplits, NetworkState, enumerate_paths,
-                          simulate)
+from .network_sim import GridSplits, NetworkState, enumerate_paths, simulate
 from .nonlocal_solver import GridSpec
 
 ROUTED_KINDS = ("full_information", "delayed", "incentivized", "database",
@@ -142,11 +141,11 @@ class _PathPlan:
 
 
 def _build_plan(net: RoadNetwork, origin: int, destination: int, *,
-                cap: int = PATH_CAP, mask=None) -> _PathPlan:
+                mask=None) -> _PathPlan:
     allowed = set(mask) if mask is not None else None
     if allowed is not None and not allowed <= set(net.links):
         raise ValueError("mask contains links outside the network")
-    paths = tuple(enumerate_paths(net, origin, destination, cap=cap,
+    paths = tuple(enumerate_paths(net, origin, destination,
                                   allowed_links=allowed))
     links = tuple(sorted({a for p in paths for a in p}))
     reach = net.reaches(destination)
@@ -363,18 +362,16 @@ def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
 
 
 def _policy_plan(policy: RoutingPolicy, state: NetworkState,
-                 commodity: Commodity, origin: Optional[int],
-                 cap: int) -> _PathPlan:
+                 commodity: Commodity, origin: Optional[int]) -> _PathPlan:
     if origin is None:
         origin = infer_origin(state, commodity)
     mask = policy.mask if policy.kind == "sub_network" else None
-    return _build_plan(state.net, origin, commodity.destination, cap=cap,
-                       mask=mask)
+    return _build_plan(state.net, origin, commodity.destination, mask=mask)
 
 
 def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
-                       commodity: Commodity, *, origin: Optional[int] = None,
-                       cap: int = PATH_CAP) -> tuple[dict, np.ndarray]:
+                       commodity: Commodity, *, origin: Optional[int] = None
+                       ) -> tuple[dict, np.ndarray]:
     """Turning rows of every junction that can forward the commodity,
     sampled on the whole simulation grid of ``state``.
 
@@ -386,14 +383,14 @@ def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
     :class:`GridSplits`, and ``fallback`` flags the time nodes where the
     policy had to fall back to its base rows.
     """
-    plan = _policy_plan(policy, state, commodity, origin, cap)
+    plan = _policy_plan(policy, state, commodity, origin)
     rows, fallback = _grid_rows(policy, state, state.times, commodity, plan)
     return {(v, commodity): arr for v, arr in rows.items()}, fallback
 
 
 def mixed_gap(state: NetworkState, t, origin: int, destination: int,
               weighted_classes: Sequence[tuple[Commodity, float]], *,
-              eps: float = USED_PATH_EPS, cap: int = PATH_CAP):
+              eps: float = USED_PATH_EPS):
     """Spread of frozen-state path times over the paths traffic uses.
 
     A path counts as used when its demand-weighted plan share at ``t``
@@ -412,7 +409,7 @@ def mixed_gap(state: NetworkState, t, origin: int, destination: int,
     lo = np.full(len(ts), np.inf)
     hi = np.full(len(ts), -np.inf)
     seen = np.zeros(len(ts), dtype=bool)
-    for path in enumerate_paths(state.net, origin, destination, cap=cap):
+    for path in enumerate_paths(state.net, origin, destination):
         share = np.zeros(len(ts))
         for k, w in weighted_classes:
             if w > 0.0:
@@ -453,11 +450,10 @@ def _path_share(state: NetworkState, path: Sequence[Link],
 
 
 def wardrop_gap(state: NetworkState, t: float, origin: int, destination: int,
-                commodity: Commodity, *, eps: float = USED_PATH_EPS,
-                cap: int = PATH_CAP) -> float:
+                commodity: Commodity, *, eps: float = USED_PATH_EPS) -> float:
     """Single-class gap: spread of path times over the plan's used paths."""
     return mixed_gap(state, t, origin, destination, [(commodity, 1.0)],
-                     eps=eps, cap=cap)
+                     eps=eps)
 
 
 @dataclass(frozen=True)
@@ -496,8 +492,7 @@ def equilibrium_iterate(net: RoadNetwork, demand: EquilibriumDemand,
                         alpha: float, policies: tuple, rounds: int, *,
                         laws, horizon: float, base_splits,
                         grid: Optional[GridSpec] = None,
-                        eps: float = USED_PATH_EPS,
-                        cap: int = PATH_CAP) -> list[EquilibriumRound]:
+                        eps: float = USED_PATH_EPS) -> list[EquilibriumRound]:
     """Day-to-day averaged row iteration.
 
     ``alpha`` of the demand follows the routed policy, the rest the
@@ -540,16 +535,16 @@ def equilibrium_iterate(net: RoadNetwork, demand: EquilibriumDemand,
             active = state.times[:1]
         return float(np.mean(mixed_gap(state, active, origin,
                                        demand.destination, weighted,
-                                       eps=eps, cap=cap)))
+                                       eps=eps)))
 
     state = run(splits0)
     reports = [EquilibriumRound(index=0, state=state, gap=measure(state),
                                 used_fallback=False)]
     for r in range(1, rounds + 1):
         target_r, fb_r = policy_grid_splits(routed_policy, state, kr,
-                                            origin=origin, cap=cap)
+                                            origin=origin)
         target_n, fb_n = policy_grid_splits(non_routed_policy, state, kn,
-                                            origin=origin, cap=cap)
+                                            origin=origin)
         prev_rows = {key: val for key, val in state.split_rows.items()}
         kappa = 1.0 / (r + 1)
         blended = _blend_rows(prev_rows, {**target_r, **target_n}, kappa)

@@ -144,31 +144,25 @@ def _integer(obj, name, path, default=_MISSING, minimum=None,
     return int(val)
 
 
-def _string(obj, name, path, default=_MISSING) -> str:
-    val = _field(obj, name, path, default)
-    if val is default and default is not _MISSING:
+def _typed(kind: type, noun: str):
+    """The reader of a field that holds a ``kind``, named ``noun``."""
+    def read(obj, name, path, default=_MISSING):
+        val = _field(obj, name, path, default)
+        if val is not default and not isinstance(val, kind):
+            _fail(f"{path}.{name}", f"expected {noun}, got {val!r}")
         return val
-    if not isinstance(val, str):
-        _fail(f"{path}.{name}", f"expected a string, got {val!r}")
-    return val
+    return read
 
 
-def _list(obj, name, path, default=_MISSING) -> list:
-    val = _field(obj, name, path, default)
-    if val is default and default is not _MISSING:
-        return val
-    if not isinstance(val, list):
-        _fail(f"{path}.{name}", f"expected a list, got {val!r}")
-    return val
+_string = _typed(str, "a string")
+_list = _typed(list, "a list")
+_dict = _typed(dict, "an object")
 
 
-def _dict(obj, name, path, default=_MISSING) -> dict:
-    val = _field(obj, name, path, default)
-    if val is default and default is not _MISSING:
-        return val
-    if not isinstance(val, dict):
-        _fail(f"{path}.{name}", f"expected an object, got {val!r}")
-    return val
+def _object(value, path) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    return value
 
 
 def _parse_link(value, path) -> tuple:
@@ -184,17 +178,40 @@ def _parse_link(value, path) -> tuple:
     _fail(path, f"expected a link as [tail, head] or 'tail-head', got {value!r}")
 
 
+def _net_link(value, net: RoadNetwork, path, what="link") -> tuple:
+    """``value`` as a link of ``net``; ``what`` names it when it is not."""
+    link = _parse_link(value, path)
+    if link not in net.links:
+        _fail(path, f"{what} not in the network")
+    return link
+
+
+def _net_node(obj, name, net: RoadNetwork, path) -> int:
+    node = _integer(obj, name, path)
+    if node not in net.nodes:
+        _fail(f"{path}.{name}", "node not in the network")
+    return node
+
+
+def _per_link(spec: dict, net: RoadNetwork, path, what, build) -> dict:
+    """A mapping keyed 'tail-head' as {link: build(value, path)}."""
+    return {_net_link(key, net, f"{path}.{key}", what):
+            build(sub, f"{path}.{key}") for key, sub in spec.items()}
+
+
 def _segments(value, path) -> PiecewiseConstant:
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of [start, end, value] segments")
     segs = []
     for k, seg in enumerate(value):
-        # bounds may be infinite, values may not; NaN is never a number here
+        # bounds may be infinite, values may not; NaN and integers too large
+        # for a float are refused
         if (not isinstance(seg, list) or len(seg) != 3
-                or not all(_is_number(v) and v == v for v in seg[:2])
-                or not _is_finite(seg[2])):
+                or not all(_is_finite(v) or v in (-math.inf, math.inf)
+                           for v in seg[:2])
+                or not (_is_finite(seg[2]) and seg[2] >= 0)):
             _fail(f"{path}[{k}]", "segment must be [start, end, value] "
-                  "numbers with a finite value")
+                  "numbers with a finite nonnegative value")
         segs.append((float(seg[0]), float(seg[1]), float(seg[2])))
     try:
         return PiecewiseConstant(segs)
@@ -270,8 +287,7 @@ def build_network(spec, path) -> RoadNetwork:
     links_spec = _list(spec, "links", path)
     links = []
     for k, entry in enumerate(links_spec):
-        if not isinstance(entry, dict):
-            _fail(f"{path}.links[{k}]", "expected an object")
+        _object(entry, f"{path}.links[{k}]")
         tail = _integer(entry, "tail", f"{path}.links[{k}]")
         head = _integer(entry, "head", f"{path}.links[{k}]")
         links.append((tail, head))
@@ -289,12 +305,8 @@ def build_laws(spec, net: RoadNetwork, path):
     if isinstance(spec, dict) and "kind" in spec:
         return build_velocity_law(spec, path)
     if isinstance(spec, dict):
-        laws = {}
-        for key, sub in spec.items():
-            link = _parse_link(key, f"{path}.{key}")
-            if link not in net.links:
-                _fail(f"{path}.{key}", "law given for a link not in the network")
-            laws[link] = build_velocity_law(sub, f"{path}.{key}")
+        laws = _per_link(spec, net, path, "law given for a link",
+                         build_velocity_law)
         missing = [a for a in net.links if a not in laws]
         if missing:
             _fail(path, f"links without a law: {missing}")
@@ -315,15 +327,14 @@ def build_grid(spec, path) -> Optional[GridSpec]:
         _fail(path, str(exc))
 
 
-def build_commodities(spec, path) -> tuple:
+def build_commodities(spec, net, path) -> tuple:
     if not isinstance(spec, list) or not spec:
         _fail(path, "expected a nonempty list of commodities")
     out = []
     for k, entry in enumerate(spec):
-        if not isinstance(entry, dict):
-            _fail(f"{path}[{k}]", "expected an object")
+        _object(entry, f"{path}[{k}]")
         group = _string(entry, "group", f"{path}[{k}]", default="non_routed")
-        dest = _integer(entry, "destination", f"{path}[{k}]")
+        dest = _net_node(entry, "destination", net, f"{path}[{k}]")
         try:
             out.append(Commodity(group=group, destination=dest))
         except ValueError as exc:
@@ -351,26 +362,36 @@ def _commodity_ref(obj, name, commodities, path) -> Commodity:
     return commodities[idx]
 
 
+def _source_key(entry, net, commodities, path) -> tuple:
+    """The (node, link, commodity) of a source entry: a link of the
+    network that leaves the node and leads to the commodity's destination."""
+    _object(entry, path)
+    node = _integer(entry, "node", path)
+    link = _net_link(_field(entry, "link", path), net, f"{path}.link")
+    commodity = _commodity_ref(entry, "commodity", commodities, path)
+    if link[0] != node:
+        _fail(f"{path}.link", f"link does not leave node {node}")
+    if not net.link_leads_to(link, commodity.destination):
+        _fail(f"{path}.link", f"destination {commodity.destination} cannot "
+              "be reached from the link")
+    return node, link, commodity
+
+
 def build_sources(spec, net, commodities, path) -> SourceSchedule:
     entries = {}
     for k, entry in enumerate(spec):
         p = f"{path}[{k}]"
-        if not isinstance(entry, dict):
-            _fail(p, "expected an object")
-        node = _integer(entry, "node", p)
-        link = _parse_link(_field(entry, "link", p), f"{p}.link")
-        commodity = _commodity_ref(entry, "commodity", commodities, p)
-        series = _segments(_field(entry, "segments", p), f"{p}.segments")
-        key = (node, link, commodity)
+        key = _source_key(entry, net, commodities, p)
         if key in entries:
             _fail(p, "duplicate source entry")
-        entries[key] = series
-    try:
-        schedule = SourceSchedule(entries)
-        schedule.validate(net, commodities)
-    except Exception as exc:
-        _fail(path, f"invalid sources: {exc}")
-    return schedule
+        entries[key] = _segments(_field(entry, "segments", p), f"{p}.segments")
+    return SourceSchedule(entries)
+
+
+def _fraction(value, path) -> float:
+    if not (_is_finite(value) and value >= 0):
+        _fail(path, "fraction must be a finite nonnegative number")
+    return float(value)
 
 
 def build_base_rows(spec, net, path) -> dict:
@@ -379,26 +400,22 @@ def build_base_rows(spec, net, path) -> dict:
     if not isinstance(spec, dict):
         _fail(path, "expected {node: {link: fraction}}")
     for node_key, row_spec in spec.items():
+        p = f"{path}.{node_key}"
         try:
-            node = int(node_key)
+            keyed = {node_key: int(node_key)}
         except ValueError:
-            _fail(f"{path}.{node_key}", "node keys must be integers")
+            _fail(p, "node keys must be integers")
+        node = _net_node(keyed, node_key, net, path)
         if not isinstance(row_spec, dict):
-            _fail(f"{path}.{node_key}", "expected {link: fraction}")
-        row = {}
-        for link_key, frac in row_spec.items():
-            link = _parse_link(link_key, f"{path}.{node_key}.{link_key}")
-            if link not in net.links:
-                _fail(f"{path}.{node_key}.{link_key}", "link not in the network")
-            if isinstance(frac, bool) or not isinstance(frac, (int, float)) or frac < 0:
-                _fail(f"{path}.{node_key}.{link_key}",
-                      "fraction must be a nonnegative number")
-            row[link] = float(frac)
-        # summed in out-link order, as the simulator sums it; NaN fails too
-        total = sum(row.get(a, 0.0) for a in net.links if a[0] == node)
+            _fail(p, "expected {link: fraction}")
+        row = _per_link(row_spec, net, p, "link", _fraction)
+        for a in row:
+            if a[0] != node:
+                _fail(p, f"link {a[0]}-{a[1]} does not leave node {node}")
+        # summed in out-link order, as the simulator sums it
+        total = sum(row.get(a, 0.0) for a in net.out_links(node))
         if not abs(total - 1.0) <= ROW_SUM_TOL:
-            _fail(f"{path}.{node_key}",
-                  f"row sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
+            _fail(p, f"row sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
         rows[node] = row
     return rows
 
@@ -419,20 +436,13 @@ def build_policy(spec, net, base_rows, path) -> RoutingPolicy:
     if kind == "local":
         kwargs["radius"] = _integer(spec, "radius", path, default=1, minimum=1)
     if kind == "sub_network":
-        mask_spec = _list(spec, "mask", path)
-        mask = frozenset(_parse_link(v, f"{path}.mask[{k}]")
-                         for k, v in enumerate(mask_spec))
-        unknown = [a for a in mask if a not in net.links]
-        if unknown:
-            _fail(f"{path}.mask", f"links not in the network: {unknown}")
-        kwargs["mask"] = mask
+        kwargs["mask"] = frozenset(
+            _net_link(v, net, f"{path}.mask[{k}]")
+            for k, v in enumerate(_list(spec, "mask", path)))
     if kind == "database":
-        table_spec = _dict(spec, "table", path)
-        table = {}
-        for key, segs in table_spec.items():
-            link = _parse_link(key, f"{path}.table.{key}")
-            table[link] = _segments(segs, f"{path}.table.{key}")
-        kwargs["table"] = table
+        kwargs["table"] = _per_link(_dict(spec, "table", path), net,
+                                    f"{path}.table", "cost given for a link",
+                                    _segments)
     if kind in ("static", "local", "delayed", "database"):
         if base_rows is None:
             _fail(path, f"{kind} policy needs base_splits in the scenario")
@@ -451,49 +461,42 @@ def build_simulate(payload: dict) -> dict:
     laws = build_laws(_field(payload, "laws", path), net, f"{path}.laws")
     horizon = _number(payload, "horizon", path, minimum=1e-9)
     grid = build_grid(payload.get("grid"), f"{path}.grid")
-    commodities = build_commodities(_list(payload, "commodities", path),
+    commodities = build_commodities(_list(payload, "commodities", path), net,
                                     f"{path}.commodities")
     # network links have unit length
     windows_spec = payload.get("windows")
     if isinstance(windows_spec, dict) and not (
             "lower" in windows_spec or "upper" in windows_spec):
-        windows = {}
-        for key, sub in windows_spec.items():
-            link = _parse_link(key, f"{path}.windows.{key}")
-            if link not in net.links:
-                _fail(f"{path}.windows.{key}",
-                      "window given for a link not in the network")
-            windows[link] = build_window(sub, f"{path}.windows.{key}", 1.0)
+        windows = _per_link(windows_spec, net, f"{path}.windows",
+                            "window given for a link",
+                            lambda sub, p: build_window(sub, p, 1.0))
     else:
         windows = build_window(windows_spec, f"{path}.windows", 1.0)
 
-    cases_spec = payload.get("cases", [{"name": "run"}])
-    if not isinstance(cases_spec, list) or not cases_spec:
+    cases_spec = _list(payload, "cases", path, default=[{"name": "run"}])
+    if not cases_spec:
         _fail(f"{path}.cases", "expected a nonempty list")
-    shared_sources = payload.get("sources", [])
-    shared_initial = payload.get("initial_density", [])
+    shared_sources = _list(payload, "sources", path, default=[])
+    shared_initial = _list(payload, "initial_density", path, default=[])
     cases = []
     names = set()
     for k, case in enumerate(cases_spec):
         p = f"{path}.cases[{k}]"
-        if not isinstance(case, dict):
-            _fail(p, "expected an object")
+        _object(case, p)
         name = _string(case, "name", p)
         if not name or any(c in name for c in "/\\ "):
             _fail(f"{p}.name", "case name must be nonempty without separators")
         if name in names:
             _fail(f"{p}.name", f"duplicate case name {name!r}")
         names.add(name)
-        sources = build_sources(case.get("sources", shared_sources), net,
-                                commodities, f"{p}.sources")
+        sources = build_sources(_list(case, "sources", p, shared_sources),
+                                net, commodities, f"{p}.sources")
         initial = {}
-        for j, entry in enumerate(case.get("initial_density", shared_initial)):
+        for j, entry in enumerate(_list(case, "initial_density", p,
+                                        shared_initial)):
             ip = f"{p}.initial_density[{j}]"
-            if not isinstance(entry, dict):
-                _fail(ip, "expected an object")
-            link = _parse_link(_field(entry, "link", ip), f"{ip}.link")
-            if link not in net.links:
-                _fail(f"{ip}.link", "link not in the network")
+            _object(entry, ip)
+            link = _net_link(_field(entry, "link", ip), net, f"{ip}.link")
             commodity = _commodity_ref(entry, "commodity", commodities, ip)
             initial[(link, commodity)] = build_profile(
                 _field(entry, "profile", ip), f"{ip}.profile")
@@ -515,13 +518,13 @@ def build_equilibrium(payload: dict) -> dict:
     laws = build_laws(_field(payload, "laws", path), net, f"{path}.laws")
     horizon = _number(payload, "horizon", path, minimum=1e-9)
     grid = build_grid(payload.get("grid"), f"{path}.grid")
-    entry_link = _parse_link(_field(payload, "entry_link", path),
-                             f"{path}.entry_link")
-    if entry_link not in net.links:
-        _fail(f"{path}.entry_link", "link not in the network")
-    destination = _integer(payload, "destination", path)
-    if destination not in net.nodes:
-        _fail(f"{path}.destination", "node not in the network")
+    entry_link = _net_link(_field(payload, "entry_link", path), net,
+                           f"{path}.entry_link")
+    destination = _net_node(payload, "destination", net, path)
+    if (destination == entry_link[1]
+            or not net.link_leads_to(entry_link, destination)):
+        _fail(f"{path}.destination",
+              "cannot be reached beyond the head of entry_link")
     rate = _segments(_field(payload, "demand_segments", path),
                      f"{path}.demand_segments")
     alpha = _number(payload, "alpha", path, minimum=0.0)
@@ -554,7 +557,7 @@ def build_social_opt(payload: dict) -> dict:
     net = build_network(_dict(payload, "network", path), f"{path}.network")
     laws = build_laws(_field(payload, "laws", path), net, f"{path}.laws")
     grid = build_grid(payload.get("grid"), f"{path}.grid")
-    commodities = build_commodities(_list(payload, "commodities", path),
+    commodities = build_commodities(_list(payload, "commodities", path), net,
                                     f"{path}.commodities")
     knots_spec = _list(payload, "knots", path)
     if len(knots_spec) < 2 or not all(_is_finite(v) for v in knots_spec):
@@ -562,36 +565,29 @@ def build_social_opt(payload: dict) -> dict:
     totals = {}
     for k, entry in enumerate(_list(payload, "demand", path)):
         p = f"{path}.demand[{k}]"
-        if not isinstance(entry, dict):
-            _fail(p, "expected an object")
-        node = _integer(entry, "node", p)
-        link = _parse_link(_field(entry, "link", p), f"{p}.link")
-        commodity = _commodity_ref(entry, "commodity", commodities, p)
-        totals[(node, link, commodity)] = _number(entry, "total", p, minimum=0.0)
+        key = _source_key(entry, net, commodities, p)
+        if key in totals:
+            _fail(p, "duplicate demand entry")
+        totals[key] = _number(entry, "total", p, minimum=0.0)
     theta = []
-    theta_spec = payload.get("theta_controls", [])
-    for k, entry in enumerate(theta_spec):
+    for k, entry in enumerate(_list(payload, "theta_controls", path, [])):
         p = f"{path}.theta_controls[{k}]"
-        if not isinstance(entry, dict):
-            _fail(p, "expected an object")
-        node = _integer(entry, "node", p)
+        _object(entry, p)
+        node = _net_node(entry, "node", net, p)
         commodity = _commodity_ref(entry, "commodity", commodities, p)
         links = tuple(_parse_link(v, f"{p}.links[{j}]")
                       for j, v in enumerate(_list(entry, "links", p)))
         out = net.out_links(node)
-        if tuple(links) != out:
+        if not out:
+            _fail(f"{p}.node", f"node {node} has no out-link to split over")
+        if links != out:
             _fail(f"{p}.links",
                   f"must list every out-link of node {node} in order {list(out)}")
         theta.append(ThetaControl(node=node, commodity=commodity, links=links))
     sources = []
-    for k, entry in enumerate(payload.get("source_controls", [])):
+    for k, entry in enumerate(_list(payload, "source_controls", path, [])):
         p = f"{path}.source_controls[{k}]"
-        if not isinstance(entry, dict):
-            _fail(p, "expected an object")
-        node = _integer(entry, "node", p)
-        link = _parse_link(_field(entry, "link", p), f"{p}.link")
-        commodity = _commodity_ref(entry, "commodity", commodities, p)
-        control = SourceControl(node=node, link=link, commodity=commodity)
+        control = SourceControl(*_source_key(entry, net, commodities, p))
         if control.key() not in totals:
             _fail(p, "controlled source has no demand total")
         sources.append(control)
@@ -631,8 +627,7 @@ def build_platoon_flow(payload: dict) -> dict:
     bg_kwargs: dict = {}
     if background is not None:
         p = f"{path}.background"
-        if not isinstance(background, dict):
-            _fail(p, "expected an object")
+        _object(background, p)
         bg_kwargs["background_law"] = build_velocity_law(
             _dict(background, "law", p), f"{p}.law")
         bg_kwargs["background_initial"] = build_profile(
@@ -723,8 +718,7 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
         assignments = []
         for k, entry in enumerate(vehicles):
             p = f"{path}.vehicles[{k}]"
-            if not isinstance(entry, dict):
-                _fail(p, "expected an object")
+            _object(entry, p)
             hubs = _list(entry, "hubs", p)
             depart = _integer(entry, "depart", p, minimum=0)
             window_spec = _list(entry, "window", p)

@@ -12,6 +12,7 @@ import pytest
 
 from roadflow import cli
 from roadflow.cli import main
+from roadflow.network_sim import PATH_CAP
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SINGLE_LINK = SCENARIO_DIR / "single_link_congestion.json"
@@ -24,6 +25,21 @@ PLATOON = SCENARIO_DIR / "platoon_velocity.json"
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_refused(doc, expected, tmp_path, capsys):
+    """``validate`` and the kind's subcommand both exit 2 with one JSON
+    object naming ``expected``, and the run writes no output directory."""
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))      # writes NaN and Infinity
+    for argv in (["validate", "--scenario", str(scenario)],
+                 [doc["kind"], "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)  # one JSON object
+        assert payload["error"] == "schema"
+        assert expected in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_subcommand_accepts_bundled(capsys):
@@ -192,17 +208,7 @@ def test_non_finite_or_oversized_number_is_schema_error(
         field, value, expected, tmp_path, capsys):
     doc = json.loads(EQUILIBRIUM.read_text())
     doc[field] = value
-    scenario = tmp_path / "bad_number.json"
-    scenario.write_text(json.dumps(doc))      # writes NaN and Infinity
-    for argv in (["validate", "--scenario", str(scenario)],
-                 ["equilibrium", "--scenario", str(scenario),
-                  "--out", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        payload = json.loads(err)              # exactly one JSON object
-        assert payload["error"] == "schema"
-        assert expected in payload["message"]
-    assert not (tmp_path / "out").exists()
+    assert_refused(doc, expected, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("field, value", [("horizon", 1e9),
@@ -210,18 +216,9 @@ def test_non_finite_or_oversized_number_is_schema_error(
 def test_oversized_platoon_flow_is_schema_error(field, value, tmp_path,
                                                 capsys):
     # finite and valid, but one solve would hold ~1e12 or more positions
-    doc = json.loads((SCENARIO_DIR / "platoon_velocity.json").read_text())
+    doc = json.loads(PLATOON.read_text())
     doc[field] = value
-    scenario = tmp_path / "huge_platoon.json"
-    scenario.write_text(json.dumps(doc))
-    for argv in (["validate", "--scenario", str(scenario)],
-                 ["platoon-flow", "--scenario", str(scenario),
-                  "--out", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        payload = json.loads(capsys.readouterr().err)  # one JSON object
-        assert payload["error"] == "schema"
-        assert "particle positions" in payload["message"]
-    assert not (tmp_path / "out").exists()
+    assert_refused(doc, "particle positions", tmp_path, capsys)
 
 
 def _background_window(doc, window):
@@ -247,16 +244,117 @@ def test_knot_grid_and_window_faults_are_schema_errors(source, edit, expected,
                                                         tmp_path, capsys):
     doc = json.loads(source.read_text())
     edit(doc)
-    scenario = tmp_path / "bad.json"
-    scenario.write_text(json.dumps(doc))
-    for argv in (["validate", "--scenario", str(scenario)],
-                 [doc["kind"], "--scenario", str(scenario),
-                  "--out", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        payload = json.loads(capsys.readouterr().err)  # one JSON object
-        assert payload["error"] == "schema"
-        assert expected in payload["message"]
-    assert not (tmp_path / "out").exists()
+    assert_refused(doc, expected, tmp_path, capsys)
+
+
+def _edit_all(entries, **fields):
+    for entry in entries:
+        entry.update(fields)
+
+
+def _no_sources(doc):
+    doc.pop("sources", None)
+    _edit_all(doc["cases"], sources=[])
+
+
+# Each case names a node, link or value that the run cannot use; the reader
+# of that field refuses it, so no run starts.
+@pytest.mark.parametrize("source, edit, expected", [
+    # nodes and links that are not in the network
+    (SOCIAL, lambda d: d.update(theta_controls=[
+        {"node": 9, "commodity": 0, "links": ["0-1"]}]),
+     "social-opt.theta_controls[0].node: node not in the network"),
+    (SOCIAL, lambda d: _edit_all(d["commodities"], destination=9),
+     "social-opt.commodities[0].destination: node not in the network"),
+    (SINGLE_LINK, lambda d: (_no_sources(d),
+                             _edit_all(d["commodities"], destination=9)),
+     "simulate.commodities[0].destination: node not in the network"),
+    (EQUILIBRIUM, lambda d: d["base_splits"].update({"9": {"1-2": 1.0}}),
+     "equilibrium.base_splits.9: node not in the network"),
+    (EQUILIBRIUM, lambda d: d.update(routed_policy={
+        "kind": "database", "table": {"7-8": [[0.0, 1.0, 1.0]]}}),
+     "equilibrium.routed_policy.table.7-8: cost given for a link not in "
+     "the network"),
+    # the (node, link, commodity) of a demand or source control
+    (SOCIAL, lambda d: _edit_all(d["demand"] + d["source_controls"],
+                                 link=[0, 2]),
+     "social-opt.demand[0].link: link not in the network"),
+    (SOCIAL, lambda d: d["source_controls"].append(
+        {"node": 0, "link": [0, 2], "commodity": 0}),
+     "social-opt.source_controls[1].link: link not in the network"),
+    (SOCIAL, lambda d: _edit_all(d["demand"] + d["source_controls"], node=1),
+     "social-opt.demand[0].link: link does not leave node 1"),
+    (SOCIAL, lambda d: d["demand"].append(dict(d["demand"][0], total=5.0)),
+     "social-opt.demand[1]: duplicate demand entry"),
+    # routes that cannot exist
+    (EQUILIBRIUM, lambda d: d.update(destination=0),
+     "equilibrium.destination: cannot be reached beyond the head of "
+     "entry_link"),
+    (EQUILIBRIUM, lambda d: d.update(destination=1),
+     "equilibrium.destination: cannot be reached"),
+    (EQUILIBRIUM, lambda d: d["base_splits"]["1"].update({"2-4": 0.3}),
+     "equilibrium.base_splits.1: link 2-4 does not leave node 1"),
+    (SOCIAL, lambda d: d.update(theta_controls=[
+        {"node": 1, "commodity": 0, "links": []}]),
+     "social-opt.theta_controls[0].node: node 1 has no out-link"),
+    # negative rates, integers too large for a float, lists that are not
+    (EQUILIBRIUM, lambda d: d.update(demand_segments=[[0.0, 1.0, -0.5]]),
+     "equilibrium.demand_segments[0]: segment must be"),
+    (PLATOON, lambda d: d.update(inflow_segments=[[0.0, 1.0, -0.5]]),
+     "platoon-flow.inflow_segments[0]: segment must be"),
+    (EQUILIBRIUM, lambda d: d["base_splits"]["2"].update({"2-4": 10 ** 400}),
+     "equilibrium.base_splits.2.2-4: fraction must be"),
+    (SINGLE_LINK, lambda d: d["cases"][0]["sources"][0].update(
+        segments=[[0.0, 10 ** 400, 1.0]]),
+     "simulate.cases[0].sources[0].segments[0]: segment must be"),
+    (SOCIAL, lambda d: d.update(theta_controls=5),
+     "social-opt.theta_controls: expected a list"),
+    (SINGLE_LINK, lambda d: d["cases"][0].update(initial_density=5),
+     "simulate.cases[0].initial_density: expected a list"),
+])
+def test_network_reference_faults_are_schema_errors(source, edit, expected,
+                                                     tmp_path, capsys):
+    doc = json.loads(source.read_text())
+    edit(doc)
+    assert_refused(doc, expected, tmp_path, capsys)
+
+
+def test_negative_source_rate_is_schema_error(tmp_path, capsys):
+    doc = json.loads(SINGLE_LINK.read_text())
+    doc["cases"][0]["sources"][0]["segments"] = [[0.0, 1.0, -0.5]]
+    assert_refused(doc, "simulate.cases[0].sources", tmp_path, capsys)
+
+
+def ladder(rungs: int) -> dict:
+    """An equilibrium on an entry link into ``rungs`` diamonds in series:
+    2 ** rungs simple paths from node 1 to the destination."""
+    links, rows = [[0, 1]], {}
+    for i in range(rungs):
+        a, b, c = 2 * i + 1, 2 * i + 2, 2 * i + 3
+        links += [[a, b], [a, c], [b, c]]
+        rows[str(a)] = {f"{a}-{b}": 0.5, f"{a}-{c}": 0.5}
+        rows[str(b)] = {f"{b}-{c}": 1.0}
+    return {"kind": "equilibrium", "seed": 0,
+            "network": {"links": [{"tail": t, "head": h} for t, h in links]},
+            "laws": {"kind": "constant", "speed": 1.0}, "horizon": 2.0,
+            "grid": {"cells": 8}, "entry_link": [0, 1],
+            "destination": 2 * rungs + 1,
+            "demand_segments": [[0.0, 1.0, 1.0]], "alpha": 0.5, "rounds": 1,
+            "base_splits": rows,
+            "routed_policy": {"kind": "full_information"},
+            "non_routed_policy": {"kind": "static"}}
+
+
+def test_path_cap_is_compute_error(tmp_path, capsys):
+    scenario = tmp_path / "ladder.json"
+    scenario.write_text(json.dumps(ladder(7)))          # 128 paths
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--scenario", str(scenario),
+                 "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err)      # one JSON object
+    assert payload["error"] == "compute"
+    assert f"more than {PATH_CAP} simple paths" in payload["message"]
+    assert not (out / "gaps.csv").exists()
 
 
 def _first_vehicle(doc, **fields):
@@ -287,16 +385,7 @@ def test_oversized_schedule_is_schema_error(source, edit, expected, tmp_path,
                                             capsys):
     doc = json.loads(source.read_text())
     edit(doc)
-    scenario = tmp_path / "huge_schedule.json"
-    scenario.write_text(json.dumps(doc))
-    for argv in (["validate", "--scenario", str(scenario)],
-                 [doc["kind"], "--scenario", str(scenario),
-                  "--out", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        payload = json.loads(capsys.readouterr().err)  # one JSON object
-        assert payload["error"] == "schema"
-        assert expected in payload["message"]
-    assert not (tmp_path / "out").exists()
+    assert_refused(doc, expected, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("kind", ["schedule", "schedule-private"])

@@ -112,6 +112,23 @@ def test_inflow_spawns_mass_and_balances():
     assert abs(report["relative_residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("inflow", [None, PiecewiseConstant([(0.0, 0.5, 0.4)])])
+def test_elements_past_the_end_count_as_exited(inflow):
+    # speed 1 for 3 time units carries every element off a road of length 1
+    pair = FreightPair(length=1.0, horizon=3.0, truck_initial=slab(0.7, 1.0),
+                       truck_inflow=inflow)
+    control = constant_control(1.0, horizon=3.0, length=1.0)
+    particles = solve_freight_pair(pair, control, cells=40).mass_report()
+    fv = solve_freight_pair(pair, control, cells=40, method="fv").mass_report()
+    assert particles["stored_final"] == 0.0
+    assert particles["exited"] == pytest.approx(
+        particles["stored_initial"] + particles["injected"], abs=1e-12)
+    for key, value in particles.items():
+        assert abs(value - fv[key]) <= 1e-9, key
+    assert abs(particles["residual"]) <= 1e-12
+    assert abs(fv["residual"]) <= 1e-12
+
+
 def test_particles_and_fv_agree_on_objective():
     pair = FreightPair(
         length=5.0, horizon=2.0,
