@@ -339,13 +339,22 @@ class _StepPlan:
         self.partial = [(i, window_map[a]) for i, a in enumerate(topo_links)
                         if window_map[a] is not None]
 
-    def member(self, splits, sources) -> tuple:
+    def member(self, splits, sources, cache=None) -> tuple:
         """One member's rows and sources on the time grid: ``split_rows``,
         ``frac[m, l, k]`` (the share of commodity k at link l's tail sent
         onto l), ``source_grid``, ``src[m, l, k]``, and ``need``, the
         node-major (node, commodity) pairs where arriving flow is an error:
-        a sink that is not the destination, or a junction without a row."""
+        a sink that is not the destination, or a junction without a row.
+        ``cache`` keeps checked rows and source integrals by value."""
         net, commodities, times = self.net, self.commodities, self.times
+
+        def sampled(value, sample):
+            if cache is None or not value:
+                return sample()
+            if (self.steps, value) not in cache:
+                cache[self.steps, value] = sample()
+            return cache[self.steps, value]
+
         split_rows = {}
         for node in net.nodes:
             out = net.out_links(node)
@@ -358,8 +367,12 @@ class _StepPlan:
                     continue
                 if not splits.has_row(node, commodity):
                     continue  # tolerated while no flow arrives there
-                split_rows[(node, commodity)] = splits.grid_row(
-                    node, commodity, times, out)
+                entry = isinstance(splits, SplitSchedule) and splits.entries(
+                    node, commodity)   # grid rows are only checked
+                value = entry and (node, commodity,
+                                   *map(_value, map(entry.get, out)))
+                split_rows[(node, commodity)] = sampled(
+                    value, lambda: splits.grid_row(node, commodity, times, out))
         # refuse fractions routed toward nodes that cannot reach the
         # destination
         shape = (self.steps + 1, len(self.pos), len(commodities))
@@ -379,8 +392,8 @@ class _StepPlan:
         source_grid = {}
         src = np.zeros(shape)
         for (node, link, commodity), series in sources.items():
-            vals = np.zeros(self.steps + 1)
-            vals[:-1] = series.integral(times[:-1], times[1:]) / self.dt
+            vals = sampled(_value(series), lambda: np.concatenate((
+                series.integral(times[:-1], times[1:]) / self.dt, [0.0])))
             source_grid[(link, commodity)] = vals
             src[:, self.pos[link], self.k_index[commodity]] = vals
 
@@ -424,31 +437,32 @@ class _StepPlan:
                   for i, law in self.custom]
         guard = np.flatnonzero(need)
         totals = np.zeros((steps + 1, n_b * n_v, n_k))
-        out_pad = np.zeros((n_rows + 1, n_k))
+        # face fluxes of every row and the zero row n_rows; outflux last
+        faces = np.zeros((n_rows + 1, n_k, self.cells + 1))
+        out_pad = faces[..., -1]
         cfl_limit = dx * (1.0 + 1e-12)
+        add, fmax = np.add.reduce, np.fmax.reduce   # fmax skips NaN, as > does
 
         for m in range(steps + 1):
             # speeds and outfluxes from the state at this step
             rho_m = rho[:, m % slots]
-            agg = rho_m.sum(axis=1)
-            w = agg.sum(axis=-1) * dx
+            agg = add(rho_m, axis=1)
+            w = add(agg, axis=-1) * dx
             for i, bounds in partial:
                 w[i] = _window_mass(agg[i], bounds, dx)
             c = np.maximum(v0 / (1.0 + gain * w) - slope * w, low)
             for i, law in custom:
                 c[i] = float(law(times[m], float(w[i])))
-            over = c * dt > cfl_limit
-            if over.any():
-                raise _CflRetry(
-                    np.flatnonzero(over.reshape(n_b, n_l).any(axis=1)))
-            out_pad[:n_rows] = c[:, None] * rho_m[:, :, -1]
+            if fmax(c, initial=0.0) * dt > cfl_limit:
+                over = (c * dt > cfl_limit).reshape(n_b, n_l)
+                raise _CflRetry(np.flatnonzero(over.any(axis=1)))
+            np.multiply(c[:, None, None], rho_m, out=faces[:n_rows, :, 1:])
             # junction exchange: in-link outfluxes added in order to 0.0
-            total = out_pad[in_idx].sum(axis=1, initial=0.0, out=totals[m])
-            if guard.size:
+            total = add(out_pad[in_idx], axis=1, initial=0.0, out=totals[m])
+            if guard.size and fmax(total.ravel()[guard]) > 1e-12:
                 hot = total.ravel()[guard] > 1e-12
-                if hot.any():
-                    _junction_error(self.net, self.commodities,
-                                    guard[np.argmax(hot)] % (n_v * n_k))
+                _junction_error(self.net, self.commodities,
+                                guard[np.argmax(hot)] % (n_v * n_k))
             into = total[tail]
             inflow = src[m] + np.where(into > 0.0, frac[m] * into, 0.0)
             if record:
@@ -457,8 +471,8 @@ class _StepPlan:
                 record[2][:, m] = out_pad[:n_rows]
             # advance every link one step
             if m < steps:
-                rho[:, (m + 1) % slots] = upwind_step(
-                    rho_m, c[:, None, None], inflow, dt, dx)[0]
+                upwind_step(rho_m, None, inflow, dt, dx,
+                            out=(rho[:, (m + 1) % slots], faces[:n_rows]))
         return totals
 
     def arrivals(self, totals: np.ndarray) -> np.ndarray:
@@ -474,6 +488,11 @@ class _StepPlan:
         return out
 
 
+def _value(series) -> Optional[bytes]:
+    """A step function's segments, bit for bit; None stays None."""
+    return series and np.array(series.segments).tobytes()
+
+
 class ArrivalSimulator:
     """Objective-only runs of a batch of members on one network.
 
@@ -485,7 +504,9 @@ class ArrivalSimulator:
     history.  A member that breaks the CFL bound is rerun alone with the
     step halved, as :func:`simulate` would, so every member's arrivals
     equal those of its own :func:`simulate` run bit for bit.  The laws are
-    checked and the step sized once per distinct mass budget.
+    checked and the step sized once per distinct mass budget, and each
+    split row and source integral sampled once per step count and exact
+    value: a member that moves one control samples only that one.
     """
 
     def __init__(self, net: RoadNetwork, commodities: Sequence[Commodity],
@@ -496,6 +517,7 @@ class ArrivalSimulator:
                                                  horizon, grid, windows)
         self.net, self.horizon = net, horizon
         self._steps: dict[float, int] = {}       # mass budget -> steps
+        self._samples: dict = {}     # (steps, value) -> samples on the grid
 
     def run(self, members: Sequence[tuple[SplitSchedule | GridSplits,
                                           SourceSchedule]]
@@ -521,9 +543,10 @@ class ArrivalSimulator:
         plan = _StepPlan(self.net, self.commodities, self.law_map,
                          self.window_map, self.horizon, steps, self.centers,
                          self.topo_links)
-        parts = [plan.member(*member) for member in members]
-        rho = np.zeros((len(members) * len(self.topo_links), 2,
-                        len(self.commodities), len(self.centers)))
+        parts = [plan.member(*member, self._samples) for member in members]
+        # slot-major, so each step's block is contiguous for the loop
+        rho = np.zeros((2, len(members) * len(self.topo_links),
+                        len(self.commodities), len(self.centers))).swapaxes(0, 1)
         totals = plan.advance(np.concatenate([p[1] for p in parts], axis=1),
                               np.concatenate([p[3] for p in parts], axis=1),
                               np.concatenate([p[4] for p in parts]), rho)

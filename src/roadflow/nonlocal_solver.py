@@ -496,8 +496,8 @@ def _retry(steps: int, group: list, attempt: Callable,
         return done
 
 
-def upwind_step(rho: np.ndarray, speed, inflow, dt: float,
-                dx: float) -> tuple[np.ndarray, np.ndarray]:
+def upwind_step(rho: np.ndarray, speed, inflow, dt: float, dx: float,
+                out=None) -> tuple[np.ndarray, np.ndarray]:
     """One conservative upwind step on a ``(..., cells)`` block.
 
     ``speed`` is the speed at each cell's right face, a scalar or an array
@@ -505,13 +505,18 @@ def upwind_step(rho: np.ndarray, speed, inflow, dt: float,
     boundary, shaped ``rho.shape[:-1]``.  Speeds are positive, so the flux
     through a face is its speed times the density on its left.  Returns the
     new block and the flux through the right boundary.  The caller checks
-    the CFL bound.
+    the CFL bound.  ``out=(new, faces)`` writes the new block and every
+    face's flux ``(..., cells + 1)``, left boundary first, into given
+    arrays; ``speed=None`` then reads the fluxes set in ``faces[..., 1:]``.
     """
-    flux = speed * rho
-    shifted = np.empty_like(flux)
-    shifted[..., 1:] = flux[..., :-1]
-    shifted[..., 0] = inflow
-    return rho - (dt / dx) * (flux - shifted), flux[..., -1]
+    new, faces = out or (np.empty_like(rho),
+                         np.empty((*rho.shape[:-1], rho.shape[-1] + 1)))
+    if speed is not None:
+        np.multiply(speed, rho, out=faces[..., 1:])
+    faces[..., 0] = inflow
+    np.subtract(faces[..., 1:], faces[..., :-1], out=new)
+    new *= dt / dx
+    return np.subtract(rho, new, out=new), faces[..., -1]
 
 
 def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow,

@@ -64,15 +64,13 @@ class AdmissibleVelocityField:
             raise ValueError("need 0 < lam_min <= lam_max")
         if self.lip < 0.0:
             raise ValueError("rate bound must be >= 0")
-        for knots, name in ((self.t_knots, "t"), (self.x_knots, "x")):
-            if len(knots) < 2 or np.any(np.diff(knots) <= 0):
+        # each axis's knots and their spacings, as _knot_weights takes them
+        self._axes = [(knots, np.diff(knots)) for knots in self._axis_knots()]
+        for name, (knots, widths) in zip("txy", self._axes):
+            if len(knots) < 2 or np.any(widths <= 0):
                 raise ValueError(f"{name} knots must be strictly increasing, "
                                  "at least two")
-        expected = (len(self.t_knots), len(self.x_knots))
-        if self.y_knots is not None:
-            if len(self.y_knots) < 2 or np.any(np.diff(self.y_knots) <= 0):
-                raise ValueError("y knots must be strictly increasing, at least two")
-            expected = expected + (len(self.y_knots),)
+        expected = tuple(len(knots) for knots in self._axis_knots())
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
 
@@ -99,8 +97,7 @@ class AdmissibleVelocityField:
         """Largest feasibility violation over bounds and knot differences."""
         worst = max(float(np.max(self.values) - self.lam_max),
                     float(self.lam_min - np.min(self.values)), 0.0)
-        for axis, knots in enumerate(self._axis_knots()):
-            steps = np.diff(knots)
+        for axis, (_, steps) in enumerate(self._axes):
             shape = [1] * self.values.ndim
             shape[axis] = len(steps)
             allowed = self.lip * steps.reshape(shape)
@@ -156,40 +153,44 @@ class AdmissibleVelocityField:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         ys = None if y is None else np.broadcast_to(
             np.asarray(y, dtype=float), x.shape)[None]
-        ti, wt = _knot_weights(self.t_knots, float(t))
-        return self._speeds(self.values[None], ti, wt, x[None], ys)[0]
+        plane = self._planes(self.values[None], np.array([float(t)]))[0]
+        return self._speeds(plane, x[None], ys)[0]
 
-    def _speeds(self, values: np.ndarray, ti, wt, xs: np.ndarray,
+    def _planes(self, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The fields ``values`` ``(B, nt, nx[, ny])`` interpolated at each
+        time of ``t``, as flat knot planes ``(len(t), B, nx * ny)``."""
+        ti, wt = _knot_weights(*self._axes[0], t)
+        v = values.reshape(len(values), len(self.t_knots), -1).swapaxes(0, 1)
+        return (1.0 - wt)[:, None, None] * v[ti] + wt[:, None, None] * v[ti + 1]
+
+    def _speeds(self, plane: np.ndarray, xs: np.ndarray,
                 ys=None) -> np.ndarray:
-        """Speeds of the fields ``values`` ``(B, nt, nx[, ny])`` on this knot
-        grid at time-knot index ``ti`` and weight ``wt`` (``_knot_weights``),
-        positions ``xs`` ``(B, P)`` and mass arguments ``ys`` (None reads
-        0); arguments outside the knot range are clamped to it."""
-        plane = ((1.0 - wt) * values[:, ti]
-                 + wt * values[:, ti + 1]).reshape(len(values), -1)
-        j, wx = _knot_weights(self.x_knots, xs)
-        yk = self.y_knots
-        ny = 1 if yk is None else len(yk)
-        # flat indices into the C-contiguous plane: row b starts at b * nx*ny
-        left = j * ny + np.arange(len(plane))[:, None] * plane.shape[1]
+        """Speeds of the B knot planes ``plane`` ``(B, nx * ny)`` of one
+        time (:meth:`_planes`) at positions ``xs`` ``(B, P)`` and mass
+        arguments ``ys`` (None reads 0); arguments outside the knot range
+        are clamped to it."""
+        j, wx = _knot_weights(*self._axes[1], xs)
+        ny = 1 if self.y_knots is None else len(self.y_knots)
+        # flat indices into the C-contiguous planes: row b starts at b * nx*ny
+        left = j * ny + np.arange(0, plane.size, plane.shape[1])[:, None]
         flat = plane.ravel()
 
-        def along_x(k):
-            return ((1.0 - wx) * np.take(flat, left + k)
-                    + wx * np.take(flat, left + (ny + k)))
+        def along_x(at):
+            return (1.0 - wx) * flat.take(at) + wx * flat.take(at + ny)
 
-        if yk is None:
-            return along_x(0)
-        k, wy = _knot_weights(yk, 0.0 if ys is None else ys)
-        return (1.0 - wy) * along_x(k) + wy * along_x(k + 1)
+        if self.y_knots is None:
+            return along_x(left)
+        k, wy = _knot_weights(*self._axes[2], 0.0 if ys is None else ys)
+        return (1.0 - wy) * along_x(left + k) + wy * along_x(left + (k + 1))
 
 
-def _knot_weights(knots: np.ndarray, pts):
-    """Interval index and linear weight of each point, clamped to the knots."""
+def _knot_weights(knots: np.ndarray, widths: np.ndarray, pts):
+    """Interval index and linear weight of each point, clamped to the
+    knots; ``widths`` is ``np.diff(knots)``."""
     pc = np.minimum(np.maximum(pts, knots[0]), knots[-1])
-    # pc >= knots[0] keeps i >= 0; only pc == knots[-1] (or NaN) needs capping
-    i = np.minimum(np.searchsorted(knots, pc, side="right") - 1, len(knots) - 2)
-    return i, (pc - knots[i]) / (knots[i + 1] - knots[i])
+    # interior knots at or left of pc; pc == knots[-1] (or NaN) is in the last
+    i = knots[1:-1].searchsorted(pc, side="right")
+    return i, (pc - knots[i]) / widths[i]
 
 
 @dataclass
@@ -329,12 +330,8 @@ def _background_rows(pair: FreightPair, times: np.ndarray,
     state = solve_link(pair.background_law, window, pair.background_inflow,
                        pair.background_initial, horizon=pair.horizon,
                        grid=GridSpec(cells=cells), length=pair.length)
-    rows = np.empty((len(times), cells))
-    for m, t in enumerate(times):
-        i = min(int(np.searchsorted(state.times, t, side="right")) - 1,
-                len(state.times) - 1)
-        rows[m] = state.rho[max(i, 0)]
-    return rows
+    i = np.searchsorted(state.times, times, side="right") - 1
+    return state.rho[np.clip(i, 0, len(state.times) - 1)]
 
 
 def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
@@ -344,7 +341,7 @@ def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
     given.  ``np.vecdot`` over rows equals ``np.dot`` per row bit for bit."""
     if bg_row is not None:
         w = w * (1.0 + np.interp(xs, centers, bg_row))
-    return np.sum(w, axis=-1), np.vecdot(w, xs), np.vecdot(w, xs * xs)
+    return np.add.reduce(w, axis=-1), np.vecdot(w, xs), np.vecdot(w, xs * xs)
 
 
 def truck_steps(length: float, horizon: float, cells: int, lam_max: float) -> int:
@@ -374,8 +371,8 @@ class _ParticleRun:
         self.weights = np.concatenate((self.q0 * self.dx, self.spawn_mass[spawn_at]))
         self.release = np.concatenate((np.zeros(cells, dtype=int), spawn_at + 1))
         self.active = np.searchsorted(self.release, np.arange(steps + 1), "right")
-        self.knots = [_knot_weights(control.t_knots, t)
-                      for t in (times[:-1], times[:-1] + 0.5 * dt)]
+        if np.any(self.spawn_mass < 0):
+            raise ValueError("truck inflow must be nonnegative")
 
     def mass_argument(self, m: int, xs: np.ndarray) -> Optional[np.ndarray]:
         """Background mass in the window at ``xs``, node ``m``, if read."""
@@ -388,21 +385,25 @@ class _ParticleRun:
         """Element positions under each field of the stack ``values``
         ``(B, nt, nx[, ny])`` by midpoint steps, yielded at every time node
         as one ``(B, elements)`` array that is updated in place afterwards;
-        unreleased elements sit at 0."""
-        if np.any(self.spawn_mass < 0):
-            raise ValueError("truck inflow must be nonnegative")
-        (ti, wt), (ti_mid, wt_mid) = self.knots
-        speeds = self.control._speeds
+        unreleased elements sit at 0.  Knot planes are interpolated for as
+        many steps at once as fit in ``PROBE_BLOCK`` values."""
+        control, dt = self.control, self.dt
+        chunk = max(1, PROBE_BLOCK // values[:, 0].size)
         state = np.zeros((len(values), len(self.weights)))
         state[:, :len(self.centers)] = self.centers
         yield state
         for m in range(len(self.times) - 1):
+            if m % chunk == 0:
+                t = self.times[m:m + chunk]
+                planes, mids = (control._planes(values, s)
+                                for s in (t, t + 0.5 * dt))
             xs = state[:, :self.active[m]]
-            k1 = speeds(values, ti[m], wt[m], xs, self.mass_argument(m, xs))
-            mid = xs + 0.5 * self.dt * k1
-            k2 = speeds(values, ti_mid[m], wt_mid[m], mid,
-                        self.mass_argument(m, mid))
-            state[:, :self.active[m]] = xs + self.dt * k2
+            k1 = control._speeds(planes[m % chunk], xs,
+                                 self.mass_argument(m, xs))
+            mid = xs + 0.5 * dt * k1
+            k2 = control._speeds(mids[m % chunk], mid,
+                                 self.mass_argument(m, mid))
+            state[:, :self.active[m]] = xs + dt * k2
             yield state
 
     def objectives(self, values: np.ndarray, weighted: bool) -> np.ndarray:

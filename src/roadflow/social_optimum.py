@@ -284,6 +284,7 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
     if budget < 1:
         raise ValueError("budget must allow at least one simulation")
     commodities = demand.commodities()
+    base_splits = as_split_schedule(base_splits, commodities)
     runs = ArrivalSimulator(net, commodities, laws, horizon=param.horizon,
                             grid=grid)
     evals = 0

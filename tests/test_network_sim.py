@@ -4,7 +4,8 @@ import pytest
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule, as_split_schedule)
-from roadflow.network_sim import GridSplits, _window_mass, simulate
+from roadflow.network_sim import (ArrivalSimulator, GridSplits, _window_mass,
+                                  simulate)
 from roadflow.nonlocal_solver import GridSpec, NonlocalWindow, congestion_law, constant_law
 
 
@@ -201,3 +202,69 @@ def test_grid_rows_use_the_row_tolerance_and_name_the_time():
                        match=rf"node 1 .* at t={state.times[7]:.6g} "):
         simulate(net, [k], GridSplits(rows), sources,
                  congestion_law(1.0, 2.0), **kwargs)
+
+
+def fork_member(k, share, other=None):
+    """Splits sending ``share`` of the fork onto (1, 2) and ``other``
+    (default ``1 - share``) onto (1, 3), and one source on (0, 1)."""
+    split = {(1, 2): PiecewiseConstant([(0.0, np.inf, share)]),
+             (1, 3): PiecewiseConstant([(0.0, np.inf, 1.0 - share
+                                         if other is None else other)])}
+    splits = SplitSchedule({(1, k): split,
+                            (2, k): {(2, 4): PiecewiseConstant.constant(1.0)},
+                            (3, k): {(3, 4): PiecewiseConstant.constant(1.0)}})
+    sources = SourceSchedule(
+        {(0, (0, 1), k): PiecewiseConstant([(0.0, 1.5, 0.8)])})
+    return splits, sources
+
+
+def fork_run():
+    """The fork with a slow lower branch, and the runner settings."""
+    laws = {a: congestion_law(1.0, 2.0) for a in fork_net().links}
+    laws[(1, 3)] = congestion_law(0.6, 1.0)
+    return dict(laws=laws, horizon=4.0, grid=GridSpec(cells=20))
+
+
+def test_arrival_simulator_resamples_only_a_changed_row(monkeypatch):
+    net, k = fork_net(), Commodity("non_routed", 4)
+    settings = fork_run()
+    runs = ArrivalSimulator(net, [k], settings["laws"],
+                            horizon=settings["horizon"], grid=settings["grid"])
+    sampled = []
+    grid_row = SplitSchedule.grid_row
+
+    def counting(self, node, *args):
+        sampled.append(node)
+        return grid_row(self, node, *args)
+
+    monkeypatch.setattr(SplitSchedule, "grid_row", counting)
+    first = fork_member(k, 0.3)
+    runs.run([first])
+    assert sorted(sampled) == [1, 2, 3]
+    # the same row with its share one bit higher is a new row
+    second = fork_member(k, np.nextafter(0.3, 1.0))
+    sampled.clear()
+    [record] = runs.run([second])
+    assert sampled == [1]
+    alone = simulate(net, [k], *second, settings["laws"],
+                     horizon=settings["horizon"], grid=settings["grid"])
+    before = simulate(net, [k], *first, settings["laws"],
+                      horizon=settings["horizon"], grid=settings["grid"])
+    assert record.arrivals[k].tobytes() == alone.arrivals[k].tobytes()
+    assert record.arrivals[k].tobytes() != before.arrivals[k].tobytes()
+
+
+def test_arrival_simulator_refuses_a_bad_row_on_every_call():
+    net, k = fork_net(), Commodity("non_routed", 4)
+    settings = fork_run()
+    runs = ArrivalSimulator(net, [k], settings["laws"],
+                            horizon=settings["horizon"], grid=settings["grid"])
+    good = fork_member(k, 0.3)
+    bad = fork_member(k, 0.3, other=0.7 + 1e-9)   # sums to 1 + 1e-9
+    for _ in range(3):
+        with pytest.raises(SplitRowInvalid, match="sums to"):
+            runs.run([good, bad])
+    [record] = runs.run([good])
+    alone = simulate(net, [k], *good, settings["laws"],
+                     horizon=settings["horizon"], grid=settings["grid"])
+    assert record.arrivals[k].tobytes() == alone.arrivals[k].tobytes()

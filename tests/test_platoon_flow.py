@@ -473,7 +473,7 @@ def test_batched_gradient_matches_per_probe_loop(case, monkeypatch):
     assert got.status == status
 
 
-@pytest.mark.parametrize("case", [1, 3, 6, 7])
+@pytest.mark.parametrize("case", range(len(PARITY_CASES)))
 def test_particle_solve_matches_per_step_loop(case):
     shape, background, inflow, _, _ = PARITY_CASES[case]
     rng = np.random.default_rng(200 + case)
@@ -516,3 +516,12 @@ def test_background_solved_once_per_optimization(monkeypatch):
                                objective="background_weighted", cells=24)
     assert result.evaluations > 20
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["particles", "fv"])
+def test_negative_truck_inflow_is_refused_by_both_methods(method):
+    pair = FreightPair(length=5.0, horizon=2.0, truck_initial=slab(1.0, 2.0),
+                       truck_inflow=PiecewiseConstant([(0.0, 0.5, -0.3)]))
+    with pytest.raises(ValueError, match="truck inflow must be nonnegative"):
+        solve_freight_pair(pair, constant_control(0.75), cells=40,
+                           method=method)
