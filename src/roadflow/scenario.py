@@ -33,7 +33,8 @@ from .social_optimum import (ControlParameterization, DemandSpec,
 KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
          "schedule", "schedule-private")
 #: largest Paillier modulus a scenario may ask for: keygen's pure-Python
-#: prime search grows steeply with the key size (about 2 s at 2048 bits)
+#: prime search grows steeply with the key size (median 1.3 s at 2048 bits
+#: and 14 s at 4096 on a 2-CPU x86_64 VM without gmpy2)
 MAX_KEY_BITS = 4096
 #: largest array one run may ask for, in float64 values (128 MiB): a network
 #: run's density block (links x (time steps + 1) x commodities x cells; an

@@ -1,4 +1,11 @@
-"""Paillier primitives, the ring protocol, and plaintext equivalence."""
+"""Paillier primitives, the ring protocol, and plaintext equivalence.
+
+``reference_is_probable_prime`` and ``reference_random_prime`` keep the
+prime search as it tested all ``MR_ROUNDS`` Miller-Rabin witnesses on every
+candidate, as the oracle for the search that tests only as many as the
+candidate's size needs: both must accept and refuse the same numbers and
+leave the generator in the same state, so every key stays the same.
+"""
 
 import math
 
@@ -6,9 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roadflow import private_agg
 from roadflow.errors import (DimensionMismatch, KeyMismatch,
                              PlaintextOutOfRange)
-from roadflow.private_agg import (Ciphertext, CipherMatrix, chain_aggregate,
+from roadflow.private_agg import (MR_ROUNDS, PRIME_ATTEMPTS, _SMALL_PRIMES,
+                                  Ciphertext, CipherMatrix, _is_probable_prime,
+                                  _rand_below, _random_prime, chain_aggregate,
                                   decrypt, encrypt, homomorphic_add, keygen,
                                   occupancy_indicator, run_private_learning)
 from roadflow.scheduler import (FreightGraph, ScheduleState,
@@ -24,16 +34,142 @@ def keypair():
     return keygen(BITS, np.random.default_rng(1234))
 
 
+def reference_is_probable_prime(n, rng):
+    """Miller-Rabin with every one of the MR_ROUNDS witnesses tested."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(MR_ROUNDS):
+        a = 2 + _rand_below(rng, n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_random_prime(bits, rng):
+    for _ in range(PRIME_ATTEMPTS):
+        candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
+        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        candidate &= (1 << bits) - 1
+        if reference_is_probable_prime(candidate, rng):
+            return candidate
+    raise AssertionError("no prime found")
+
+
 def test_keygen_is_deterministic():
-    a = keygen(BITS, np.random.default_rng(7))
-    b = keygen(BITS, np.random.default_rng(7))
-    assert a.public.n == b.public.n
-    assert a.secret.lam == b.secret.lam
-    c = keygen(BITS, np.random.default_rng(8))
-    assert c.public.n != a.public.n
-    assert a.public.n.bit_length() >= BITS - 1
+    for bits in (256, 257, 512):
+        a = keygen(bits, np.random.default_rng(7))
+        b = keygen(bits, np.random.default_rng(7))
+        assert a.public.n == b.public.n
+        assert a.secret.lam == b.secret.lam
+        c = keygen(bits, np.random.default_rng(8))
+        assert c.public.n != a.public.n
+        # both primes have their top two bits set: n has exactly `bits` bits
+        assert a.public.n.bit_length() == bits
     with pytest.raises(ValueError):
         keygen(128, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bits,seeds", [(256, 150), (512, 20)])
+def test_keygen_equals_all_rounds_reference(monkeypatch, bits, seeds):
+    keys, states = [], []
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        keys.append(keygen(bits, rng).secret)
+        states.append(rng.bit_generator.state)
+    monkeypatch.setattr(private_agg, "_random_prime", reference_random_prime)
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        ref = keygen(bits, rng).secret
+        key = keys[seed]
+        assert (key.p, key.q, key.n, key.lam, key.mu) == \
+            (ref.p, ref.q, ref.n, ref.lam, ref.mu)
+        assert states[seed] == rng.bit_generator.state
+
+
+def count_rounds(monkeypatch, n, seed):
+    """Whether the search accepts ``n``, the Miller-Rabin rounds it tested
+    (each starts with the one modexp whose exponent is not 2), and whether
+    it leaves the generator where the all-rounds reference does."""
+    calls = []
+
+    def counting_powmod(base, exp, mod):
+        calls.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(private_agg, "_powmod", counting_powmod)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    accepted = _is_probable_prime(n, rng)
+    assert accepted == reference_is_probable_prime(n, ref_rng)
+    same_stream = rng.bit_generator.state == ref_rng.bit_generator.state
+    return accepted, sum(exp != 2 for exp in calls), same_stream
+
+
+def chernick_carmichael():
+    """The first (6k+1)(12k+1)(18k+1) above 250 bits, k a multiple of the
+    primes 5..59, whose three factors all pass the reference check."""
+    step = math.prod(p for p in _SMALL_PRIMES if 5 <= p <= 59)
+    rng = np.random.default_rng(0)
+    k = step * (2 ** 80 // step + 1)
+    while not all(reference_is_probable_prime(f, rng)
+                  for f in (6 * k + 1, 12 * k + 1, 18 * k + 1)):
+        k += step
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def quarter_liar_composite():
+    """The first (2m+1)(4m+1) above 2^128, m odd, whose two factors pass the
+    reference check: a quarter of its bases are strong liars, the most any
+    odd composite has (Monier; Rabin, J. Number Theory 1980)."""
+    rng = np.random.default_rng(0)
+    m = 2 ** 127 + 1
+    while not (reference_is_probable_prime(2 * m + 1, rng)
+               and reference_is_probable_prime(4 * m + 1, rng)):
+        m += 2
+    return (2 * m + 1) * (4 * m + 1)
+
+
+P127, P255, P521 = 2 ** 127 - 1, 2 ** 255 - 19, 2 ** 521 - 1
+
+
+def test_known_primes_test_the_tabulated_rounds(monkeypatch):
+    p700 = reference_random_prime(700, np.random.default_rng(3))
+    assert _random_prime(700, np.random.default_rng(3)) == p700
+    # 127 bits -> the 100-bit row, 255 -> 250, 521 -> 450, 700 -> 650
+    for n, rounds in ((P127, 27), (P255, 12), (P521, 6), (p700, 4)):
+        assert count_rounds(monkeypatch, n, seed=5) == (True, rounds, True)
+
+
+def test_composites_refused_on_the_reference_stream(monkeypatch):
+    carmichael = chernick_carmichael()
+    assert carmichael.bit_length() > 250
+    # a Carmichael number passes Fermat's test for every coprime base
+    assert pow(2, carmichael - 1, carmichael) == 1
+    composites = (P127 * P255, P255 * P521, P127 ** 2, P255 ** 2,
+                  carmichael, quarter_liar_composite())
+    for n in composites:
+        drawn = []
+        for seed in range(16):
+            accepted, rounds, same_stream = count_rounds(monkeypatch, n,
+                                                          seed)
+            assert not accepted and same_stream
+            drawn.append(rounds)
+    # the last has the most strong liars: some seeds pass rounds before the
+    # one that fails, and the stream still matches
+    assert max(drawn) >= 3
 
 
 def test_roundtrip_and_probabilistic_encryption(keypair):
