@@ -14,6 +14,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import pickle
 import platform
 import sys
 import time
@@ -86,13 +88,81 @@ def _write_space_time(path: Path, header, t_text, x_text, values,
                 for x, cell in zip(x_text, values[j].tolist())))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_share(jobs, first: int, step: int):
+    """Write jobs ``first``, ``first + step``, ... in order; return the
+    index and error of the first that fails, or None."""
+    for i in range(first, len(jobs), step):
+        try:
+            _write_space_time(*jobs[i])
+        except Exception as exc:     # reported in file order by the caller
+            return i, exc
+    return None
+
+
+def _write_tables(jobs) -> None:
+    """Write each ``_write_space_time`` argument tuple of ``jobs``.
+
+    ``repr`` of every float holds the interpreter lock, so the jobs are
+    split round-robin over one process per usable CPU: the parent writes
+    the first share and forks a child for each other one.  Each child
+    sends the first failure of its share back through a pipe and leaves
+    by ``os._exit``, so it never flushes the parent's stdio buffers.  The
+    error raised is that of the first failing table in ``jobs`` order,
+    wherever it was written; the bytes do not depend on the split.
+    """
+    workers = (max(1, min(len(jobs), _usable_cpus()))
+               if hasattr(os, "fork") else 1)
+    children, statuses = [], []      # (pid, read end of its pipe), status
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as fh:
+                        pickle.dump(_write_share(jobs, w, workers), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        failures = [_write_share(jobs, 0, workers)]
+        reports = [fh.read() for _, fh in children]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for status, report in zip(statuses, reports):
+        if status:
+            raise RuntimeError(
+                f"table writer process exited with status {status}")
+        failures.append(pickle.loads(report))
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
 # ----------------------------------------------------------------- runners
 
 def _run_simulate(built, out: Path, seed: int) -> list:
     net = built["net"]
     commodities = built["commodities"]
     splits = as_split_schedule(built["base_rows"], commodities)
-    names = []
+    names, tables = [], []
     for case in built["cases"]:
         state = simulate(net, commodities, splits, case["sources"],
                          built["laws"], horizon=built["horizon"],
@@ -107,9 +177,9 @@ def _run_simulate(built, out: Path, seed: int) -> list:
                   + ["speed"])
         for link in net.links:
             fname = f"density_{case['name']}_{link[0]}-{link[1]}.csv"
-            _write_space_time(out / fname, header, t_text, x_text,
-                              state.rho[link][keep].transpose(0, 2, 1),
-                              tail=state.speeds[link][keep].tolist())
+            tables.append((out / fname, header, t_text, x_text,
+                           state.rho[link][keep].transpose(0, 2, 1),
+                           state.speeds[link][keep].tolist()))
             names.append(fname)
         fname = f"mass_report_{case['name']}.csv"
         report = state.mass_report()
@@ -121,6 +191,7 @@ def _run_simulate(built, out: Path, seed: int) -> list:
                      r["relative_residual"]]
                     for k, r in report.items()])
         names.append(fname)
+    _write_tables(tables)
     return names
 
 
@@ -343,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=None,
                             help="override the scenario seed")
             sp.add_argument("--threads", type=int, default=1,
-                            help="accepted and ignored: every run is "
-                                 "serial (kept so older scripts still run)")
+                            help="accepted and ignored (kept so older "
+                                 "scripts still run): simulate writes its "
+                                 "density tables from one process per "
+                                 "usable CPU, everything else is serial")
             sp.add_argument("--validate-only", action="store_true",
                             help="stop after schema validation")
     return parser

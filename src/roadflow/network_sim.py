@@ -29,8 +29,9 @@ with one step of lag and the per-commodity budget telescopes exactly.
 
 Every reduction runs within one member's rows, so a member's values do
 not depend on the batch it ran in.  :func:`simulate` is a batch of one
-whose ``steps + 1`` slots keep the whole history; the per-link arrays of
-:class:`NetworkState` are views into those blocks.
+whose ``steps + 1`` slots keep the whole history, allocated step-major so
+that each step's slice is contiguous; the per-link arrays of
+:class:`NetworkState` are strided views into those blocks.
 :class:`ArrivalSimulator` runs objective-only batches in two slots and
 returns only the arrivals, equal bit for bit to each member's own
 :func:`simulate` run.
@@ -281,18 +282,19 @@ def simulate(net: RoadNetwork, commodities: Sequence[Commodity],
 def _run(net, commodities, splits, sources, law_map, window_map, horizon,
          steps, centers, init, topo_links) -> NetworkState:
     """One full-state run: a batch of one member whose density history is
-    the ``(links, steps + 1, commodities, cells)`` block."""
+    the ``(links, steps + 1, commodities, cells)`` view of a step-major
+    block, as are the speed, inflow and outflow records."""
     plan = _StepPlan(net, commodities, law_map, window_map, horizon, steps,
                      centers, topo_links)
     split_rows, frac, source_grid, src, need = plan.member(splits, sources)
     pos = plan.pos
     n_l, n_k = len(topo_links), len(commodities)
-    rho = _mapped_zeros((n_l, steps + 1, n_k, len(centers)))
+    rho = _mapped_zeros((steps + 1, n_l, n_k, len(centers))).swapaxes(0, 1)
     for (link, commodity), vals in init.items():
         rho[pos[link], 0, plan.k_index[commodity]] = vals
-    speeds = np.zeros((n_l, steps + 1))
-    inflow = np.zeros((n_l, steps + 1, n_k))
-    outflow = np.zeros((n_l, steps + 1, n_k))
+    speeds = np.zeros((steps + 1, n_l)).T
+    inflow = np.zeros((steps + 1, n_l, n_k)).swapaxes(0, 1)
+    outflow = np.zeros((steps + 1, n_l, n_k)).swapaxes(0, 1)
     totals = plan.advance(frac, src, need, rho, (speeds, inflow, outflow))
     arrivals = plan.arrivals(totals)[0]
     return NetworkState(

@@ -252,7 +252,8 @@ class PlatoonSolution:
         """Truck density on the cell grid at every time node.
 
         Particle runs deposit mass linearly onto the two nearest cell
-        centers (positions outside the road are clamped to the end cells).
+        centers (positions outside the road are clamped to the end cells);
+        elements at or past the road's end have left and deposit nothing.
         """
         if self.grid_fields is not None:
             return self.grid_fields
@@ -265,10 +266,11 @@ class PlatoonSolution:
                 active = self.release_steps <= m
                 if not np.any(active):
                     continue
-                u = self.positions[m, active] / dx - 0.5
+                xs = self.positions[m, active]
+                u = xs / dx - 0.5
                 j = np.clip(np.floor(u).astype(int), 0, cells - 1)
                 frac = np.clip(u - j, 0.0, 1.0)
-                w = self.weights[active]
+                w = _on_road(self.weights[active], xs, self.pair.length)
                 np.add.at(out[m], j, w * (1.0 - frac))
                 np.add.at(out[m], np.minimum(j + 1, cells - 1), w * frac)
             out /= dx
@@ -280,14 +282,16 @@ class PlatoonSolution:
 
         ``weighted`` multiplies each mass element by (1 + background
         density at its position); without a background run the weight is
-        identically one.
+        identically one.  Particle elements at or past the road's end have
+        left and weigh nothing.
         """
         out = np.zeros((3, len(self.times)))
         rows = self.rho_rows if weighted else None
         for m in range(len(self.times)):
             if self.positions is not None:
                 n = np.searchsorted(self.release_steps, m, side="right")
-                w, xs = self.weights[:n], self.positions[m, :n]
+                xs = self.positions[m, :n]
+                w = _on_road(self.weights[:n], xs, self.pair.length)
             else:
                 w, xs = self.grid_fields[m] * self.dx, self.x_centers
             out[:, m] = _moments(w, xs, self.x_centers,
@@ -332,6 +336,12 @@ def _background_rows(pair: FreightPair, times: np.ndarray,
                        grid=GridSpec(cells=cells), length=pair.length)
     i = np.searchsorted(state.times, times, side="right") - 1
     return state.rho[np.clip(i, 0, len(state.times) - 1)]
+
+
+def _on_road(w: np.ndarray, xs: np.ndarray, length: float) -> np.ndarray:
+    """The weights ``w`` of elements at ``xs``, zero for those at or past
+    ``length``; the others keep their bits."""
+    return np.where(xs < length, w, 0.0)
 
 
 def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
@@ -420,9 +430,10 @@ class _ParticleRun:
             m2 = np.empty_like(m1)
             for m, state in enumerate(self.advance(block)):
                 n = self.active[m]
+                xs = state[:, :n]
+                w = _on_road(self.weights[:n], xs, self.pair.length)
                 _, m1[:, m], m2[:, m] = _moments(
-                    self.weights[:n], state[:, :n], self.centers,
-                    None if rows is None else rows[m])
+                    w, xs, self.centers, None if rows is None else rows[m])
             out.append(np.trapezoid(m2 - m1 ** 2, self.times, axis=-1))
         return np.concatenate(out)
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,17 @@ PRIVATE = SCENARIO_DIR / "private_ring_demo.json"
 EQUILIBRIUM = SCENARIO_DIR / "parallel_routes_equilibrium.json"
 SWEDEN = SCENARIO_DIR / "sweden_corridor.json"
 PLATOON = SCENARIO_DIR / "platoon_velocity.json"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:         # no children at all
+        return
+    pytest.fail(f"a child process is still there (waitpid gave {pid})")
 
 
 def sha256(path: Path) -> str:
@@ -533,3 +545,86 @@ def test_q_table_goes_through_space_time_writer(tmp_path, monkeypatch):
                     [[sol.times[m], x, fields[m, c]] for m in keep
                      for c, x in enumerate(sol.x_centers)])
     assert ours.read_bytes() == ref.read_bytes()
+
+
+def table_jobs(directory: Path, count: int) -> list:
+    """``count`` space-time tables, alternately of ``AWKWARD`` and random
+    values, in ``directory``."""
+    rng = np.random.default_rng(8)
+    times = np.array([0.0, 0.1 + 0.2, 1e22, -0.0, 2.5])
+    cells = np.array([5e-324, 0.5, 3.0])
+    header = ["t", "x", "rho_0", "rho_1", "speed"]
+    jobs = []
+    for i in range(count):
+        shape = (len(times), len(cells), 2)
+        values = (rng.choice(AWKWARD, size=shape) if i % 2 == 0
+                  else rng.standard_normal(shape) * 10.0 ** rng.integers(
+                      -300, 300, size=shape))
+        jobs.append((directory / f"table_{i}.csv", header, cli._reprs(times),
+                     cli._reprs(cells), values,
+                     rng.choice(AWKWARD, size=len(times)).tolist()))
+    return jobs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 9])
+def test_table_writers_match_one_process_write(workers, tmp_path,
+                                               monkeypatch):
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "ours").mkdir()
+    for job in table_jobs(tmp_path / "ref", 5):
+        cli._write_space_time(*job)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    cli._write_tables(table_jobs(tmp_path / "ours", 5))
+    for i in range(5):
+        name = f"table_{i}.csv"
+        assert ((tmp_path / "ours" / name).read_bytes()
+                == (tmp_path / "ref" / name).read_bytes())
+
+
+def test_table_failing_in_a_child_is_compute_error(tmp_path, capsys,
+                                                   monkeypatch):
+    messages = []
+    for workers in (1, 2):      # the slab table is the child's with two
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"out_{workers}"
+        (out / "density_slab_0-1.csv").mkdir(parents=True)
+        code = main(["simulate", "--scenario", str(SINGLE_LINK),
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err)   # one JSON object
+        assert payload["error"] == "compute"
+        messages.append(payload["message"])
+        assert not (out / "run_manifest.json").exists()
+    assert "IsADirectoryError" in messages[0]
+    assert messages[1] == messages[0]
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 4)])
+def test_first_failing_table_in_file_order_is_reported(failing, tmp_path,
+                                                       monkeypatch):
+    # three workers write tables {0, 3}, {1, 4} and {2, 5}; the parent the
+    # first share, a child each of the others
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    jobs = table_jobs(tmp_path, 6)
+    for i in failing:
+        jobs[i][0].mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        cli._write_tables(jobs)
+    assert info.value.filename == str(jobs[failing[0]][0])
+
+
+def test_failed_fork_is_compute_error_and_closes_its_pipe(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    code = main(["simulate", "--scenario", str(SINGLE_LINK),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)     # one JSON object
+    assert payload["error"] == "compute"
+    assert "Resource temporarily unavailable" in payload["message"]
+    assert sorted(os.listdir("/proc/self/fd")) == fds

@@ -129,6 +129,27 @@ def test_elements_past_the_end_count_as_exited(inflow):
     assert abs(fv["residual"]) <= 1e-12
 
 
+@pytest.mark.parametrize("inflow", [None, PiecewiseConstant([(0.0, 0.5, 0.4)])])
+def test_elements_past_the_end_weigh_nothing_in_the_moments(inflow):
+    # the case above: every element leaves, so the particle moments and
+    # objectives must follow the fv run, not count trucks off the road
+    pair = FreightPair(length=1.0, horizon=3.0, truck_initial=slab(0.7, 1.0),
+                       truck_inflow=inflow)
+    control = constant_control(1.0, horizon=3.0, length=1.0)
+    particles = solve_freight_pair(pair, control, cells=40)
+    fv = solve_freight_pair(pair, control, cells=40, method="fv")
+    for jp, jf in zip(particles.objectives(), fv.objectives()):
+        assert math.isclose(jp, jf, rel_tol=2e-2)
+    m0 = particles.moment_curves()[0]
+    assert m0[-1] == particles.mass_report()["stored_final"]
+    assert particles.density_fields()[-1].sum() == 0.0
+    assert particles.final_spatial_variance() == 0.0
+    # the batched probe objectives drop the same elements
+    run = platoon_flow._ParticleRun(pair, control, 40)
+    assert run.objectives(control.values[None], False)[0] == \
+        particles.objectives()[0]
+
+
 def test_particles_and_fv_agree_on_objective():
     pair = FreightPair(
         length=5.0, horizon=2.0,
