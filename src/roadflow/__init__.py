@@ -28,12 +28,10 @@ from .routing import (EquilibriumDemand, EquilibriumRound, LogitRule,
                       RoutingPolicy, equilibrium_iterate, mixed_gap,
                       policy_grid_splits)
 from .scheduler import (FreightGraph, LearningResult, ScheduleState,
-                        VehicleAssignment, brute_force_schedule,
-                        build_sweden_scenario, coordination_cost,
-                        default_horizon, exact_gibbs_distribution,
-                        occupancy_counts, pair_distance_histogram,
-                        pair_distance_ratio, platoon_opportunity_gain,
-                        potential_check, run_learning, square_reward)
+                        VehicleAssignment, build_sweden_scenario,
+                        coordination_cost, default_horizon, occupancy_counts,
+                        pair_distance_histogram, pair_distance_ratio,
+                        platoon_opportunity_gain, run_learning, square_reward)
 from .social_optimum import (ControlParameterization, DemandSpec,
                              SocialOptResult, SourceControl, ThetaControl,
                              backlog_objective, build_schedules,
@@ -45,18 +43,15 @@ __all__ = [
     "EquilibriumRound", "FreightGraph", "FreightPair", "GridSpec",
     "GridSplits", "Keypair", "LearningResult", "LinkState", "LogitRule",
     "NetworkState", "NonlocalWindow", "PiecewiseConstant", "PlatoonSolution",
-    "PrivateKey", "PublicKey", "RoadNetwork", "RoutingPolicy",
-    "ScheduleState", "SocialOptResult", "SourceControl", "SourceSchedule",
-    "SplitSchedule", "ThetaControl", "VehicleAssignment", "VelocityLaw",
-    "VelocityOptResult", "backlog_objective", "brute_force_schedule",
-    "build_schedules", "build_sweden_scenario", "chain_aggregate",
-    "congestion_law", "constant_law", "coordination_cost", "decrypt",
-    "default_horizon", "encrypt", "equilibrium_iterate", "errors",
-    "exact_gibbs_distribution", "keygen", "linear_law", "mixed_gap",
-    "occupancy_counts", "optimize_social", "optimize_velocity",
-    "pair_distance_histogram", "pair_distance_ratio",
-    "platoon_opportunity_gain", "policy_grid_splits", "potential_check",
-    "project_controls", "run_learning", "run_private_learning", "simulate",
-    "solve_freight_pair", "solve_link", "square_reward", "validate_acyclic",
-    "__version__",
+    "PrivateKey", "PublicKey", "RoadNetwork", "RoutingPolicy", "ScheduleState",
+    "SocialOptResult", "SourceControl", "SourceSchedule", "SplitSchedule",
+    "ThetaControl", "VehicleAssignment", "VelocityLaw", "VelocityOptResult",
+    "backlog_objective", "build_schedules", "build_sweden_scenario",
+    "chain_aggregate", "congestion_law", "constant_law", "coordination_cost",
+    "decrypt", "default_horizon", "encrypt", "equilibrium_iterate", "errors",
+    "keygen", "linear_law", "mixed_gap", "occupancy_counts", "optimize_social",
+    "optimize_velocity", "pair_distance_histogram", "pair_distance_ratio",
+    "platoon_opportunity_gain", "policy_grid_splits", "project_controls",
+    "run_learning", "run_private_learning", "simulate", "solve_freight_pair",
+    "solve_link", "square_reward", "validate_acyclic", "__version__",
 ]

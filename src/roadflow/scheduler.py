@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ComputeError, InfeasibleDelay, InstanceTooLarge
+from .errors import ComputeError, InfeasibleDelay
 
 #: brute force refuses joint spaces larger than this
 BRUTE_FORCE_CAP = 10 ** 6
@@ -253,6 +253,12 @@ def coordination_cost(graph: FreightGraph,
     if gamma != 0.0:
         total = -float(gamma) * float(np.sum(graph.weights[:, None]
                                              * reward(counts)))
+    return _plus_delay_costs(total, assignments, tau)
+
+
+def _plus_delay_costs(total: float, assignments: Sequence[VehicleAssignment],
+                      tau: Sequence[int]) -> float:
+    """``total`` plus each vehicle's delay cost, added in vehicle order."""
     for veh, t in zip(assignments, tau):
         if veh.delay_cost is not None:
             total += float(veh.delay_cost(int(t)))
@@ -337,31 +343,104 @@ class _LiveCounts:
     returns the same integers as ``occupancy_counts(..., exclude=i)`` at
     the cost of one vehicle's cells per move.  The returned array is
     changed in place by the next query.
+
+    ``exact`` is set when the reward is ``square_reward``, ``gamma`` is not
+    0, every edge weight is an integer and ``sum(w) * horizon *
+    vehicles**2 <= 2**53``.  Then every term ``w * c**2`` of the
+    platooning sum that ``conditional_scores`` and ``coordination_cost``
+    take, and every partial sum of it, is an integer of at most 2**53,
+    which a float holds exactly: any summation order gives the same
+    float.  In exact mode the instance keeps, instead of the counts, the
+    grid ``w * (2c + 1)``, what one more vehicle on a cell adds to that
+    sum, and ``total``, the integer sum itself.  ``scores`` then rates a
+    vehicle's window from its own cells alone, bit for bit as
+    ``conditional_scores`` rates the counts.
     """
 
     def __init__(self, state: ScheduleState, horizon: int):
         self.assignments = state.assignments
         self.shape = (len(state.graph), int(horizon))
         self.tau = state.tau.copy()
-        self.counts = occupancy_counts(state.graph, state.assignments,
-                                       self.tau, self.shape[1])
+        counts = occupancy_counts(state.graph, state.assignments, self.tau,
+                                  self.shape[1]).reshape(-1)
         self.out: Optional[int] = None
+        weights = _integer_cell_weights(state, self.shape[1])
+        self.exact = weights is not None
+        self.grid = counts
+        if self.exact:
+            self.gamma = float(state.gamma)
+            self.total = int(weights @ (counts * counts))
+            self.grid = weights * (2 * counts + 1)
+            self.double_weights = 2 * weights
 
     def _shift(self, j: int, delay: int, step: int) -> None:
-        self.counts.reshape(-1)[self.assignments[j].cells(delay,
-                                                          *self.shape)] += step
+        # a walk holds each cell once, so a gather and a scatter move it
+        cells = self.assignments[j].cells(delay, *self.shape)
+        old = self.grid[cells]
+        if not self.exact:
+            self.grid[cells] = old + step
+        elif step > 0:
+            self.total += int(np.add.reduce(old))
+            self.grid[cells] = old + self.double_weights[cells]
+        else:
+            new = old - self.double_weights[cells]
+            self.total -= int(np.add.reduce(new))
+            self.grid[cells] = new
 
-    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
+    def _move(self, i: int, tau: np.ndarray) -> None:
         if self.out is not None:
             self._shift(self.out, int(tau[self.out]), 1)
             self.tau[self.out] = tau[self.out]
-        for j in np.flatnonzero(self.tau != tau):
-            self._shift(j, int(self.tau[j]), -1)
-            self._shift(j, int(tau[j]), 1)
-            self.tau[j] = tau[j]
+        moved = self.tau != tau
+        if moved.any():
+            for j in np.flatnonzero(moved):
+                self._shift(j, int(self.tau[j]), -1)
+                self._shift(j, int(tau[j]), 1)
+                self.tau[j] = tau[j]
         self._shift(i, int(tau[i]), -1)
         self.out = i
-        return self.counts
+
+    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
+        self._move(i, tau)
+        if self.exact:
+            weights = self.double_weights // 2
+            return (self.grid // weights // 2).reshape(self.shape)
+        return self.grid.reshape(self.shape)
+
+    def scores(self, i: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact mode: vehicle ``i``'s ``conditional_scores`` under ``tau``
+        and the integer platooning sum at each delay of its window."""
+        self._move(i, tau)
+        vehicle = self.assignments[i]
+        table = vehicle.cell_table(*self.shape)
+        totals = self.total + _segment_sums(self.grid[table.cells],
+                                            table.starts)
+        return (vehicle.delay_costs()
+                + (-self.gamma) * totals.astype(float)), totals
+
+
+def _integer_cell_weights(state: ScheduleState,
+                          horizon: int) -> Optional[np.ndarray]:
+    """The edge weights as integers, one per flat edge-step cell, when
+    ``_LiveCounts`` can run in exact mode; else None."""
+    weights = state.graph.weights
+    if (state.reward is not square_reward or state.gamma == 0.0
+            or not all(float(w).is_integer() for w in weights)):
+        return None
+    n = len(state.assignments)
+    if sum(int(w) for w in weights) * horizon * n * n > 2 ** 53:
+        return None
+    return np.repeat(weights.astype(np.int64), horizon)
+
+
+def _segment_sums(values: np.ndarray, starts: list) -> np.ndarray:
+    """``values[starts[k]:starts[k + 1]].sum()`` for each k.  Where a
+    segment is empty ``np.add.reduceat`` gives the next element, not 0,
+    so that case takes differences of the running sum instead."""
+    if all(a < b for a, b in zip(starts, starts[1:])):
+        return np.add.reduceat(values, starts[:-1])
+    run = np.concatenate(([0], np.cumsum(values)))
+    return run[starts[1:]] - run[starts[:-1]]
 
 
 def drive_learning(state: ScheduleState, iterations: int,
@@ -373,10 +452,15 @@ def drive_learning(state: ScheduleState, iterations: int,
     Each iteration draws the vehicle index, then one uniform, so drivers
     given the same seed follow the same trajectory.  ``counts_without(i,
     tau)`` is the counts oracle: the edge-step counts of every vehicle but
-    ``i`` under profile ``tau``, which the loop only reads.  Every oracle's
-    counts are scored by ``conditional_scores``.  With ``cache`` on, the
-    conditional row of vehicle ``i`` is kept per frozen delays of the
-    others and the oracle is asked only on a miss.  Tracks the best
+    ``i`` under profile ``tau``, which the loop only reads.  Its counts are
+    scored by ``conditional_scores``, unless the oracle is a ``_LiveCounts``
+    in exact mode: then its ``scores`` rate the row with the same bits, and
+    the integer platooning sums they come with give the exact cost of a
+    new best profile without rebuilding the counts.  With ``cache`` on,
+    the conditional row of vehicle ``i`` is kept per frozen delays of the
+    others and the oracle is asked only on a miss; a cached row keeps no
+    sums, so a new best reached through one is priced by
+    ``coordination_cost``.  Tracks the best
     profile seen by exact coordination cost.  An initial cost or a freshly
     scored row that is not finite has no Gibbs distribution and raises
     ``ComputeError``.
@@ -384,6 +468,7 @@ def drive_learning(state: ScheduleState, iterations: int,
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n_vehicles = len(state.assignments)
+    exact = getattr(counts_without, "exact", False)
     rows: dict = {}
 
     trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
@@ -404,16 +489,20 @@ def drive_learning(state: ScheduleState, iterations: int,
         u = float(rng.random())
         key = None
         row = None
+        totals = None
         if cache:
             others = tau.tolist()
             del others[i]
             key = (i, tuple(others))
             row = rows.get(key)
         if row is None:
-            scores = conditional_scores(state.graph, state.assignments[i],
-                                        counts_without(i, tau),
-                                        gamma=state.gamma,
-                                        reward=state.reward)
+            if exact:
+                scores, totals = counts_without.scores(i, tau)
+            else:
+                scores = conditional_scores(state.graph, state.assignments[i],
+                                            counts_without(i, tau),
+                                            gamma=state.gamma,
+                                            reward=state.reward)
             if not np.isfinite(scores).all():
                 raise ComputeError(
                     f"vehicle {i} scored a non-finite cost at iteration "
@@ -432,29 +521,21 @@ def drive_learning(state: ScheduleState, iterations: int,
         trajectory[step] = tau
         cost_trace[step] = cost
         if cost < best_cost - 1e-12:
-            exact = coordination_cost(state.graph, state.assignments, tau,
-                                      gamma=state.gamma, reward=state.reward,
-                                      horizon=horizon)
-            if exact < best_cost:
-                best_cost = exact
+            if totals is None:      # block scoring, or a cached row
+                exact_cost = coordination_cost(
+                    state.graph, state.assignments, tau, gamma=state.gamma,
+                    reward=state.reward, horizon=horizon)
+            else:   # the same float: the sum is an exact integer
+                exact_cost = _plus_delay_costs(
+                    -float(state.gamma) * float(totals[k]),
+                    state.assignments, tau)
+            if exact_cost < best_cost:
+                best_cost = exact_cost
                 best_tau = tau.copy()
         profile = tuple(tau.tolist())
         visits[profile] = visits.get(profile, 0) + 1
 
     return LearningResult(trajectory, cost_trace, visits, best_tau, best_cost)
-
-
-def log_linear_step(state: ScheduleState, rng: np.random.Generator,
-                    horizon: Optional[int] = None) -> ScheduleState:
-    """One learning iteration: a uniformly random vehicle resamples its delay.
-
-    Consumes exactly two draws (vehicle index, then one uniform) so that
-    trajectories line up across plaintext and encrypted drivers.
-    """
-    horizon = default_horizon(state.assignments) if horizon is None else horizon
-    result = drive_learning(state, 1, rng, _LiveCounts(state, horizon),
-                            horizon=horizon)
-    return replace(state, tau=result.trajectory[-1])
 
 
 def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
@@ -468,6 +549,15 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     summed in the order of a delay-by-delay ``np.sum`` (see
     ``conditional_scores``), so the counts, scores and trajectory are
     exactly those of a full rebuild and per-delay scoring per iteration.
+    With the square reward, ``gamma`` not 0, integer edge weights and
+    ``sum(w) * horizon * vehicles**2 <= 2**53`` (the Sweden corridor),
+    every term and partial sum of that ``np.sum`` is an integer a float
+    holds exactly, so its result does not depend on the summation order:
+    the counts then keep their platooning sum as an integer, and a row is
+    scored from the moving vehicle's own cells, one gather per iteration
+    instead of one pass over the whole edge-step grid per delay, with the
+    same bits (``_LiveCounts``, exact mode).  Other rewards, fractional
+    weights, ``gamma`` 0 and larger sums keep the block scoring.
     On small instances (a joint space of at most ``CACHE_JOINT_CAP``
     profiles) conditional rows are cached, keyed by the frozen delays of
     the other vehicles.  A cache hit touches no counts; the next miss
@@ -479,116 +569,6 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
                           _LiveCounts(state0, horizon), horizon=horizon,
                           cache=cache)
-
-
-def brute_force_schedule(graph: FreightGraph,
-                         assignments: Sequence[VehicleAssignment],
-                         *, gamma: float = 1.0,
-                         reward: Callable = square_reward,
-                         horizon: Optional[int] = None
-                         ) -> tuple[np.ndarray, float]:
-    """Exhaustive global optimum; ties go to the lexicographically first profile."""
-    if joint_state_count(assignments) > BRUTE_FORCE_CAP:
-        raise InstanceTooLarge(
-            f"joint delay space exceeds {BRUTE_FORCE_CAP} profiles")
-    best_tau = None
-    best_cost = math.inf
-    for combo in itertools.product(*(v.delays() for v in assignments)):
-        cost = coordination_cost(graph, assignments, combo, gamma=gamma,
-                                 reward=reward, horizon=horizon)
-        if cost < best_cost:
-            best_cost = cost
-            best_tau = np.array(combo, dtype=int)
-    return best_tau, best_cost
-
-
-def exact_gibbs_distribution(state: ScheduleState,
-                             horizon: Optional[int] = None) -> dict:
-    """Stationary law by full enumeration; only viable on tiny instances."""
-    if joint_state_count(state.assignments) > CACHE_JOINT_CAP:
-        raise InstanceTooLarge("joint space too large to enumerate")
-    profiles = list(itertools.product(*(v.delays() for v in state.assignments)))
-    costs = np.array([
-        coordination_cost(state.graph, state.assignments, combo,
-                          gamma=state.gamma, reward=state.reward,
-                          horizon=horizon)
-        for combo in profiles])
-    weights = np.exp(-(costs - costs.min()) / state.temperature)
-    weights /= weights.sum()
-    return {tuple(int(t) for t in combo): float(w)
-            for combo, w in zip(profiles, weights)}
-
-
-def potential_check(graph: FreightGraph,
-                    assignments: Sequence[VehicleAssignment],
-                    tau: Sequence[int], i: int, tau_prime: int,
-                    *, gamma: float = 1.0, reward: Callable = square_reward,
-                    horizon: Optional[int] = None) -> tuple[float, float]:
-    """Potential difference vs the moving vehicle's utility difference.
-
-    The two are computed through independent code paths (global cost vs
-    the conditional scores used by the learning step) and must agree to
-    machine precision for the learning dynamics to sample the right law.
-    """
-    tau = np.asarray(tau, dtype=int)
-    vehicle = assignments[i]
-    vehicle.check_delay(int(tau[i]))
-    vehicle.check_delay(int(tau_prime))
-    horizon = default_horizon(assignments) if horizon is None else horizon
-
-    tau_new = tau.copy()
-    tau_new[i] = tau_prime
-    d_phi = (coordination_cost(graph, assignments, tau, gamma=gamma,
-                               reward=reward, horizon=horizon)
-             - coordination_cost(graph, assignments, tau_new, gamma=gamma,
-                                 reward=reward, horizon=horizon))
-
-    counts = occupancy_counts(graph, assignments, tau, horizon, exclude=i)
-    scores = conditional_scores(graph, vehicle, counts, gamma=gamma,
-                                reward=reward)
-    delays = vehicle.delays()
-    d_util = float(scores[int(tau[i]) - delays[0]]
-                   - scores[int(tau_prime) - delays[0]])
-    return d_phi, d_util
-
-
-def interaction_groups(graph: FreightGraph,
-                       assignments: Sequence[VehicleAssignment]) -> list:
-    """Partition vehicles into groups whose shifted walks can ever meet.
-
-    Two vehicles interact when some shared edge has overlapping reachable
-    occupancy intervals under feasible delays.  The cost separates
-    additively across groups, so each group can be scheduled on its own.
-    """
-    n = len(assignments)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    spans = []
-    for veh in assignments:
-        lo, hi = veh.window
-        per_edge = {}
-        for e, s in zip(veh.occupied_edges, veh.occupied_steps):
-            a, b = per_edge.get(int(e), (math.inf, -math.inf))
-            per_edge[int(e)] = (min(a, s + lo), max(b, s + hi))
-        spans.append(per_edge)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = spans[i].keys() & spans[j].keys()
-            if any(spans[i][e][0] <= spans[j][e][1]
-                   and spans[j][e][0] <= spans[i][e][1] for e in shared):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
 
 
 def pair_distance_histogram(graph: FreightGraph,

@@ -30,14 +30,15 @@ from roadflow.routing import (EquilibriumDemand, LogitRule, RoutingPolicy,
                               equilibrium_iterate)
 from roadflow.scheduler import (FreightGraph, ScheduleState,
                                 VehicleAssignment, build_sweden_scenario,
-                                default_horizon, exact_gibbs_distribution,
-                                occupancy_counts, pair_distance_histogram,
-                                pair_distance_ratio, platoon_opportunity_gain,
-                                potential_check, run_learning)
+                                default_horizon, occupancy_counts,
+                                pair_distance_histogram, pair_distance_ratio,
+                                platoon_opportunity_gain, run_learning)
 from roadflow.social_optimum import (ControlParameterization, DemandSpec,
                                      SourceControl, ThetaControl,
                                      backlog_objective, build_schedules,
                                      optimize_social, project_controls)
+
+from oracles import exact_gibbs_distribution, potential_check
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 WHOLE = NonlocalWindow()

@@ -10,15 +10,15 @@ from roadflow.errors import ComputeError, InfeasibleDelay, InstanceTooLarge
 from roadflow.private_agg import chain_aggregate, keygen
 from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
                                 ScheduleState, VehicleAssignment,
-                                brute_force_schedule, build_sweden_scenario,
-                                conditional_scores, coordination_cost,
-                                default_horizon, exact_gibbs_distribution,
-                                gibbs_row, interaction_groups,
-                                joint_state_count, log_linear_step,
-                                occupancy_counts,
+                                build_sweden_scenario, conditional_scores,
+                                coordination_cost, default_horizon, gibbs_row,
+                                joint_state_count, occupancy_counts,
                                 pair_distance_histogram, pair_distance_ratio,
                                 platoon_opportunity_gain, run_learning,
                                 square_reward)
+
+from oracles import (brute_force_schedule, exact_gibbs_distribution,
+                     interaction_groups, log_linear_step, potential_check)
 
 
 def reference_counts(graph, assignments, tau, horizon, exclude=None):
@@ -190,7 +190,6 @@ def test_potential_equals_unilateral_utility_change():
                                      vehs[i].window[1] + 1))
         gamma = float(rng.uniform(0.1, 4.0))
         reward = square_reward if rng.random() < 0.5 else cube
-        from roadflow.scheduler import potential_check
         d_phi, d_util = potential_check(g, vehs, tau, i, tau_prime,
                                         gamma=gamma, reward=reward)
         worst = max(worst, abs(d_phi - d_util))
@@ -350,12 +349,13 @@ def test_sweden_scenario_shape():
         build_sweden_scenario(-1)
 
 
-def rebuilt_learning(state, iterations, seed):
+def rebuilt_learning(state, iterations, seed, horizon=None):
     """Learning with the counts rebuilt from scratch at every step and no
     conditional-row cache, counted and scored by the reference helpers above;
     draws and best-profile rule as in run_learning."""
     rng = np.random.default_rng(seed)
-    horizon = default_horizon(state.assignments)
+    if horizon is None:
+        horizon = default_horizon(state.assignments)
     tau = state.tau.copy()
     cost = state.cost()
     trajectory, costs = [tau.copy()], [cost]
@@ -383,10 +383,10 @@ def rebuilt_learning(state, iterations, seed):
     return np.array(trajectory), np.array(costs), best_tau, best_cost
 
 
-def assert_matches_rebuilt(state, iterations, seed):
-    result = run_learning(state, iterations, rng_seed=seed)
+def assert_matches_rebuilt(state, iterations, seed, horizon=None):
+    result = run_learning(state, iterations, rng_seed=seed, horizon=horizon)
     trajectory, costs, best_tau, best_cost = rebuilt_learning(
-        state, iterations, seed)
+        state, iterations, seed, horizon)
     assert np.array_equal(result.trajectory, trajectory)
     assert np.array_equal(result.cost_trace, costs)
     assert np.array_equal(result.best_tau, best_tau)
@@ -427,6 +427,124 @@ def test_incremental_counts_match_rebuild_with_cache():
     state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), temperature=2.0)
     assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
     assert_matches_rebuilt(state, 3000, 17)
+
+
+def exact_mode(state, horizon=None):
+    horizon = default_horizon(state.assignments) if horizon is None else horizon
+    return scheduler._LiveCounts(state, horizon).exact
+
+
+def sweden_state(gamma=1.0, weights=None, reward=square_reward, costs=None,
+                 tau=None):
+    edges = SWEDEN_EDGES if weights is None else [
+        (a, b, w, d) for (a, b, _, d), w in zip(SWEDEN_EDGES, weights)]
+    graph = FreightGraph(edges)
+    _, sweden = build_sweden_scenario()
+    vehs = tuple(VehicleAssignment(graph, v.edge_seq, v.depart, v.window,
+                                   None if costs is None else costs(j))
+                 for j, v in enumerate(sweden))
+    tau = np.zeros(len(vehs), dtype=int) if tau is None else tau
+    return ScheduleState(graph, vehs, tau, gamma=gamma, reward=reward,
+                         temperature=3.0)
+
+
+def test_exact_scores_match_rebuild_with_delay_costs_and_gamma():
+    # integer weights other than the dwells, a delay cost per vehicle
+    state = sweden_state(
+        gamma=0.7, weights=[3.0, 1.0, 7.0, 2.0, 5.0, 11.0, 1.0, 4.0],
+        costs=lambda j: (lambda d, s=0.05 * (j % 7): s * d * d),
+        tau=np.arange(80) % 4)
+    assert exact_mode(state)
+    assert_matches_rebuilt(state, 300, 9)
+
+
+def test_exact_scores_match_rebuild_with_cache():
+    g = FreightGraph([("A", "B", 2.0, 2), ("B", "C", 1.0, 1),
+                      ("B", "D", 1.0, 2)])
+    vehs = (VehicleAssignment(g, [0, 1], 0, (0, 3),
+                              delay_cost=lambda d: 0.3 * d),
+            VehicleAssignment(g, [0, 2], 1, (1, 4),
+                              delay_cost=lambda d: 0.2 * d * d),
+            VehicleAssignment(g, [0], 2, (0, 2)),
+            # departs before step 0: delays 0 and 1 leave no cell, so
+            # empty rows come first in its cell table
+            VehicleAssignment(g, [0], -3, (0, 4),
+                              delay_cost=lambda d: 1.0 - 0.1 * d))
+    state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), gamma=1.5,
+                          temperature=6.0)
+    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
+    assert exact_mode(state)
+    assert_matches_rebuilt(state, 3000, 17)
+
+
+def test_exact_scores_match_rebuild_on_a_short_horizon():
+    # the second flow departs at steps 84-107: on 100 steps some of its
+    # delays put the whole walk past the horizon, so rows end empty
+    state = sweden_state()
+    horizon = 100
+    assert horizon < default_horizon(state.assignments)
+    late = state.assignments[-1].cell_table(len(state.graph), horizon)
+    assert late.starts[-1] == 0
+    assert exact_mode(state, horizon)
+    assert_matches_rebuilt(state, 300, 4, horizon=horizon)
+
+
+@pytest.mark.parametrize("case", [
+    dict(weights=[2.0 ** 45] + [w for _, _, w, _ in SWEDEN_EDGES[1:]]),
+    dict(reward=lambda z: np.minimum(z, 3) * z),    # integer-valued
+    dict(gamma=0.0, costs=lambda j: (lambda d, s=0.1 * (j % 5): s * d)),
+], ids=["weight-past-bound", "custom-reward", "gamma-0"])
+def test_block_scoring_fallbacks_match_rebuild(case):
+    state = sweden_state(**case)
+    assert not exact_mode(state)
+    assert_matches_rebuilt(state, 300, 6)
+
+
+def test_exact_mode_bound_is_inclusive():
+    def state(weight):
+        g = FreightGraph([("A", "B", weight, 1)])
+        return ScheduleState(g, (VehicleAssignment(g, [0], 0, (0, 0)),),
+                             np.array([0]))
+    # one vehicle, one edge-step: sum(w) * horizon * vehicles**2 = w
+    assert exact_mode(state(2.0 ** 53))
+    assert not exact_mode(state(2.0 ** 53 + 2.0))
+    assert not exact_mode(state(2.5))
+
+
+def test_exact_mode_counts_equal_rebuilt_counts():
+    state = sweden_state(tau=np.arange(80) % 4)
+    horizon = default_horizon(state.assignments)
+    live = scheduler._LiveCounts(state, horizon)
+    assert live.exact
+    rng = np.random.default_rng(8)
+    tau = state.tau.copy()
+    for _ in range(20):
+        i = int(rng.integers(80))
+        counts = live(i, tau)
+        assert np.array_equal(counts, reference_counts(
+            state.graph, state.assignments, tau, horizon, exclude=i))
+        tau[i] = int(rng.integers(4))
+
+
+def test_sweden_learning_never_rescores_the_grid(monkeypatch):
+    calls = {"conditional_scores": 0, "occupancy_counts": 0}
+
+    def spy(name):
+        inner = getattr(scheduler, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(scheduler, name, counted)
+
+    spy("conditional_scores")
+    spy("occupancy_counts")
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.zeros(len(vehs), dtype=int))
+    result = run_learning(state, 300, rng_seed=7)
+    assert result.best_cost < result.cost_trace[0]   # new bests were priced
+    # the live counts and the initial cost, both before the first iteration
+    assert calls == {"conditional_scores": 0, "occupancy_counts": 2}
 
 
 def assert_scores_match_reference(graph, vehicle, counts, **kwargs):
