@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -333,53 +333,85 @@ def joint_state_count(assignments: Sequence[VehicleAssignment]) -> int:
     return n
 
 
-class _LiveCounts:
-    """Edge-step counts of every vehicle except the one last queried.
+class _LiveGrid:
+    """A flat edge-step grid of every vehicle except the one last queried.
 
-    The counts are built once from the initial profile.  A query for
-    vehicle ``i`` under profile ``tau`` puts the previously queried
-    vehicle back at its delay in ``tau``, moves any other vehicle whose
-    delay differs from the kept profile, and takes vehicle ``i`` out.  It
-    returns the same integers as ``occupancy_counts(..., exclude=i)`` at
-    the cost of one vehicle's cells per move.  The returned array is
-    changed in place by the next query.
-
-    ``exact`` is set when the reward is ``square_reward``, ``gamma`` is not
-    0, every edge weight is an integer and ``sum(w) * horizon *
-    vehicles**2 <= 2**53``.  Then every term ``w * c**2`` of the
-    platooning sum that ``conditional_scores`` and ``coordination_cost``
-    take, and every partial sum of it, is an integer of at most 2**53,
-    which a float holds exactly: any summation order gives the same
-    float.  In exact mode the instance keeps, instead of the counts, the
-    grid ``w * (2c + 1)``, what one more vehicle on a cell adds to that
-    sum, and ``total``, the integer sum itself.  ``scores`` then rates a
-    vehicle's window from its own cells alone, bit for bit as
-    ``conditional_scores`` rates the counts.
+    The grid is built once from the initial profile.  A query for vehicle
+    ``i`` under profile ``tau`` puts the previously queried vehicle back
+    at its delay in ``tau``, moves any other vehicle whose delay differs
+    from the kept profile, and takes vehicle ``i`` out, at the cost of
+    one vehicle's cells per move (``_shift``, which each subclass defines
+    by what a cell holds).
     """
 
     def __init__(self, state: ScheduleState, horizon: int):
         self.assignments = state.assignments
         self.shape = (len(state.graph), int(horizon))
         self.tau = state.tau.copy()
-        counts = occupancy_counts(state.graph, state.assignments, self.tau,
-                                  self.shape[1]).reshape(-1)
+        self.grid = occupancy_counts(state.graph, state.assignments,
+                                     self.tau, self.shape[1]).reshape(-1)
         self.out: Optional[int] = None
-        weights = _integer_cell_weights(state, self.shape[1])
-        self.exact = weights is not None
-        self.grid = counts
-        if self.exact:
-            self.gamma = float(state.gamma)
-            self.total = int(weights @ (counts * counts))
-            self.grid = weights * (2 * counts + 1)
-            self.double_weights = 2 * weights
+
+    def _move(self, i: int, tau: np.ndarray) -> None:
+        if self.out is not None:
+            self._shift(self.out, int(tau[self.out]), 1)
+            self.tau[self.out] = tau[self.out]
+        for j in (self.tau != tau).nonzero()[0]:
+            self._shift(j, int(self.tau[j]), -1)
+            self._shift(j, int(tau[j]), 1)
+            self.tau[j] = tau[j]
+        self._shift(i, int(tau[i]), -1)
+        self.out = i
+
+
+class _LiveCounts(_LiveGrid):
+    """Edge-step counts of every vehicle except the one last queried.
+
+    A query returns the same integers as ``occupancy_counts(...,
+    exclude=i)``; the returned array is changed in place by the next
+    query.
+    """
 
     def _shift(self, j: int, delay: int, step: int) -> None:
         # a walk holds each cell once, so a gather and a scatter move it
         cells = self.assignments[j].cells(delay, *self.shape)
+        self.grid[cells] = self.grid[cells] + step
+
+    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
+        self._move(i, tau)
+        return self.grid.reshape(self.shape)
+
+
+class _LiveSums(_LiveGrid):
+    """The integer platooning sum of every vehicle except the one last
+    queried, for the square reward on integer edge weights ``w``.
+
+    Built when the reward is ``square_reward``, ``gamma`` is not 0, every
+    edge weight is an integer and ``sum(w) * horizon * vehicles**2 <=
+    2**53`` (``_integer_cell_weights``).  Then every term ``w * c**2`` of
+    the platooning sum that ``conditional_scores`` and
+    ``coordination_cost`` take, and every partial sum of it, is an
+    integer of at most 2**53, which a float holds exactly: any summation
+    order gives the same float.  The instance keeps ``total``, that sum,
+    and the grid ``w * (2c + 1)``, what one more vehicle on a cell adds to
+    it.  ``scores`` rates a vehicle's window from its own cells alone,
+    bit for bit as ``conditional_scores`` rates the counts.
+    """
+
+    def __init__(self, state: ScheduleState, horizon: int,
+                 weights: np.ndarray):
+        super().__init__(state, horizon)
+        counts = self.grid
+        self.gamma = float(state.gamma)
+        self.total = int(weights @ (counts * counts))
+        self.grid = weights * (2 * counts + 1)
+        self.double_weights = 2 * weights
+
+    def _shift(self, j: int, delay: int, step: int) -> None:
+        # entering adds the old w * (2c + 1), leaving takes the new one off
+        cells = self.assignments[j].cells(delay, *self.shape)
         old = self.grid[cells]
-        if not self.exact:
-            self.grid[cells] = old + step
-        elif step > 0:
+        if step > 0:
             self.total += int(np.add.reduce(old))
             self.grid[cells] = old + self.double_weights[cells]
         else:
@@ -387,34 +419,18 @@ class _LiveCounts:
             self.total -= int(np.add.reduce(new))
             self.grid[cells] = new
 
-    def _move(self, i: int, tau: np.ndarray) -> None:
-        if self.out is not None:
-            self._shift(self.out, int(tau[self.out]), 1)
-            self.tau[self.out] = tau[self.out]
-        moved = self.tau != tau
-        if moved.any():
-            for j in np.flatnonzero(moved):
-                self._shift(j, int(self.tau[j]), -1)
-                self._shift(j, int(tau[j]), 1)
-                self.tau[j] = tau[j]
-        self._shift(i, int(tau[i]), -1)
-        self.out = i
-
-    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
-        self._move(i, tau)
-        if self.exact:
-            weights = self.double_weights // 2
-            return (self.grid // weights // 2).reshape(self.shape)
-        return self.grid.reshape(self.shape)
-
     def scores(self, i: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact mode: vehicle ``i``'s ``conditional_scores`` under ``tau``
-        and the integer platooning sum at each delay of its window."""
+        """Vehicle ``i``'s ``conditional_scores`` under ``tau`` and the
+        integer platooning sum at each delay of its window."""
         self._move(i, tau)
         vehicle = self.assignments[i]
         table = vehicle.cell_table(*self.shape)
-        totals = self.total + _segment_sums(self.grid[table.cells],
-                                            table.starts)
+        # a running sum over the own cells: each delay's sum is a
+        # difference of it, 0 where the delay leaves no cell in the horizon
+        run = np.zeros(len(table.cells) + 1, dtype=np.int64)
+        np.add.accumulate(self.grid[table.cells], out=run[1:])
+        run = run[table.starts]
+        totals = self.total + (run[1:] - run[:-1])
         return (vehicle.delay_costs()
                 + (-self.gamma) * totals.astype(float)), totals
 
@@ -422,7 +438,7 @@ class _LiveCounts:
 def _integer_cell_weights(state: ScheduleState,
                           horizon: int) -> Optional[np.ndarray]:
     """The edge weights as integers, one per flat edge-step cell, when
-    ``_LiveCounts`` can run in exact mode; else None."""
+    ``_LiveSums`` holds the platooning sum exactly; else None."""
     weights = state.graph.weights
     if (state.reward is not square_reward or state.gamma == 0.0
             or not all(float(w).is_integer() for w in weights)):
@@ -433,19 +449,10 @@ def _integer_cell_weights(state: ScheduleState,
     return np.repeat(weights.astype(np.int64), horizon)
 
 
-def _segment_sums(values: np.ndarray, starts: list) -> np.ndarray:
-    """``values[starts[k]:starts[k + 1]].sum()`` for each k.  Where a
-    segment is empty ``np.add.reduceat`` gives the next element, not 0,
-    so that case takes differences of the running sum instead."""
-    if all(a < b for a, b in zip(starts, starts[1:])):
-        return np.add.reduceat(values, starts[:-1])
-    run = np.concatenate(([0], np.cumsum(values)))
-    return run[starts[1:]] - run[starts[:-1]]
-
-
 def drive_learning(state: ScheduleState, iterations: int,
                    rng: np.random.Generator,
-                   counts_without: Callable[[int, np.ndarray], np.ndarray],
+                   counts_without: Union[Callable[[int, np.ndarray],
+                                                  np.ndarray], _LiveSums],
                    *, horizon: int, cache: bool = False) -> LearningResult:
     """The log-linear learning loop behind every learning driver.
 
@@ -453,10 +460,11 @@ def drive_learning(state: ScheduleState, iterations: int,
     given the same seed follow the same trajectory.  ``counts_without(i,
     tau)`` is the counts oracle: the edge-step counts of every vehicle but
     ``i`` under profile ``tau``, which the loop only reads.  Its counts are
-    scored by ``conditional_scores``, unless the oracle is a ``_LiveCounts``
-    in exact mode: then its ``scores`` rate the row with the same bits, and
-    the integer platooning sums they come with give the exact cost of a
-    new best profile without rebuilding the counts.  With ``cache`` on,
+    scored by ``conditional_scores``.  A ``_LiveSums`` in its place rates
+    the row itself with the same bits, and the integer platooning sums it
+    gives with the row give the exact cost of a new best profile without
+    rebuilding the counts.  The initial profile is priced over ``horizon``
+    as every move is.  With ``cache`` on,
     the conditional row of vehicle ``i`` is kept per frozen delays of the
     others and the oracle is asked only on a miss; a cached row keeps no
     sums, so a new best reached through one is priced by
@@ -468,13 +476,15 @@ def drive_learning(state: ScheduleState, iterations: int,
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n_vehicles = len(state.assignments)
-    exact = getattr(counts_without, "exact", False)
+    exact = isinstance(counts_without, _LiveSums)
     rows: dict = {}
 
     trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
     trajectory[0] = state.tau
     cost_trace = np.empty(iterations + 1)
-    cost = state.cost()
+    cost = coordination_cost(state.graph, state.assignments, state.tau,
+                             gamma=state.gamma, reward=state.reward,
+                             horizon=horizon)
     if not math.isfinite(cost):
         raise ComputeError(f"the initial coordination cost is {cost}; gamma, "
                            "the edge weights or the delay costs are too large")
@@ -553,11 +563,11 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     ``sum(w) * horizon * vehicles**2 <= 2**53`` (the Sweden corridor),
     every term and partial sum of that ``np.sum`` is an integer a float
     holds exactly, so its result does not depend on the summation order:
-    the counts then keep their platooning sum as an integer, and a row is
-    scored from the moving vehicle's own cells, one gather per iteration
-    instead of one pass over the whole edge-step grid per delay, with the
-    same bits (``_LiveCounts``, exact mode).  Other rewards, fractional
-    weights, ``gamma`` 0 and larger sums keep the block scoring.
+    the live grid then keeps that sum as an integer, and a row is scored
+    from the moving vehicle's own cells, one gather per iteration instead
+    of one pass over the whole edge-step grid per delay, with the same
+    bits (``_LiveSums``).  Other rewards, fractional weights, ``gamma`` 0
+    and larger sums keep the counts and the block scoring.
     On small instances (a joint space of at most ``CACHE_JOINT_CAP``
     profiles) conditional rows are cached, keyed by the frozen delays of
     the other vehicles.  A cache hit touches no counts; the next miss
@@ -566,9 +576,11 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
     cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP
+    weights = _integer_cell_weights(state0, horizon)
+    live = (_LiveCounts(state0, horizon) if weights is None
+            else _LiveSums(state0, horizon, weights))
     return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
-                          _LiveCounts(state0, horizon), horizon=horizon,
-                          cache=cache)
+                          live, horizon=horizon, cache=cache)
 
 
 def pair_distance_histogram(graph: FreightGraph,

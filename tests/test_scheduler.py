@@ -357,7 +357,9 @@ def rebuilt_learning(state, iterations, seed, horizon=None):
     if horizon is None:
         horizon = default_horizon(state.assignments)
     tau = state.tau.copy()
-    cost = state.cost()
+    cost = coordination_cost(state.graph, state.assignments, tau,
+                             gamma=state.gamma, reward=state.reward,
+                             horizon=horizon)
     trajectory, costs = [tau.copy()], [cost]
     best_tau, best_cost = tau.copy(), cost
     for _ in range(iterations):
@@ -431,7 +433,7 @@ def test_incremental_counts_match_rebuild_with_cache():
 
 def exact_mode(state, horizon=None):
     horizon = default_horizon(state.assignments) if horizon is None else horizon
-    return scheduler._LiveCounts(state, horizon).exact
+    return scheduler._integer_cell_weights(state, horizon) is not None
 
 
 def sweden_state(gamma=1.0, weights=None, reward=square_reward, costs=None,
@@ -487,6 +489,11 @@ def test_exact_scores_match_rebuild_on_a_short_horizon():
     assert late.starts[-1] == 0
     assert exact_mode(state, horizon)
     assert_matches_rebuilt(state, 300, 4, horizon=horizon)
+    # new bests are priced from the sums, trailing empty rows included
+    result = run_learning(state, 300, rng_seed=4, horizon=horizon)
+    assert result.best_cost < result.cost_trace[0]
+    assert result.cost_trace[0] == coordination_cost(
+        state.graph, state.assignments, state.tau, horizon=horizon)
 
 
 @pytest.mark.parametrize("case", [
@@ -511,18 +518,24 @@ def test_exact_mode_bound_is_inclusive():
     assert not exact_mode(state(2.5))
 
 
-def test_exact_mode_counts_equal_rebuilt_counts():
+def test_live_sums_equal_rebuilt_sums():
     state = sweden_state(tau=np.arange(80) % 4)
     horizon = default_horizon(state.assignments)
-    live = scheduler._LiveCounts(state, horizon)
-    assert live.exact
+    weights = scheduler._integer_cell_weights(state, horizon)
+    live = scheduler._LiveSums(state, horizon, weights)
     rng = np.random.default_rng(8)
     tau = state.tau.copy()
     for _ in range(20):
         i = int(rng.integers(80))
-        counts = live(i, tau)
-        assert np.array_equal(counts, reference_counts(
-            state.graph, state.assignments, tau, horizon, exclude=i))
+        scores, totals = live.scores(i, tau)
+        counts = reference_counts(state.graph, state.assignments, tau,
+                                  horizon, exclude=i).reshape(-1)
+        # the platooning sum and the grid w * (2c + 1) of the others
+        assert live.total == int(weights @ (counts * counts))
+        assert np.array_equal(live.grid, weights * (2 * counts + 1))
+        assert scores.tobytes() == reference_scores(
+            state.graph, state.assignments[i], counts.reshape(8, -1),
+            gamma=state.gamma).tobytes()
         tau[i] = int(rng.integers(4))
 
 
