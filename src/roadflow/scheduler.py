@@ -304,11 +304,11 @@ def gibbs_row(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Cumulative Gibbs distribution over one window, overflow-guarded."""
     z = -(scores - scores.min()) / float(temperature)
     weights = np.exp(z)
-    return np.cumsum(weights) / weights.sum()
+    return weights.cumsum() / weights.sum()
 
 
 def _sample_index(cum: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
 
 
 @dataclass
