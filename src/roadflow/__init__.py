@@ -34,8 +34,8 @@ from .scheduler import (FreightGraph, LearningResult, ScheduleState,
                         platoon_opportunity_gain, run_learning, square_reward)
 from .social_optimum import (ControlParameterization, DemandSpec,
                              SocialOptResult, SourceControl, ThetaControl,
-                             backlog_objective, build_schedules,
-                             optimize_social, project_controls)
+                             backlog_objective, optimize_social,
+                             project_controls)
 
 __all__ = [
     "AdmissibleVelocityField", "Ciphertext", "CipherMatrix", "Commodity",
@@ -46,7 +46,7 @@ __all__ = [
     "PrivateKey", "PublicKey", "RoadNetwork", "RoutingPolicy", "ScheduleState",
     "SocialOptResult", "SourceControl", "SourceSchedule", "SplitSchedule",
     "ThetaControl", "VehicleAssignment", "VelocityLaw", "VelocityOptResult",
-    "backlog_objective", "build_schedules", "build_sweden_scenario",
+    "backlog_objective", "build_sweden_scenario",
     "chain_aggregate", "congestion_law", "constant_law", "coordination_cost",
     "decrypt", "default_horizon", "encrypt", "equilibrium_iterate", "errors",
     "keygen", "linear_law", "mixed_gap", "occupancy_counts", "optimize_social",

@@ -309,17 +309,13 @@ def _schedule_artifacts(built, result, out: Path) -> list:
 
 
 def _run_schedule(built, out: Path, seed: int) -> list:
-    # the learning driver raises on a cost that overflows to an infinity or
-    # NaN (exit 1); numpy's warning would be a second message on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_learning(built["state"], built["iterations"], seed)
+    result = run_learning(built["state"], built["iterations"], seed)
     return _schedule_artifacts(built, result, out)
 
 
 def _run_schedule_private(built, out: Path, seed: int) -> list:
-    with np.errstate(over="ignore", invalid="ignore"):     # as above
-        result = run_private_learning(built["state"], built["iterations"],
-                                      seed, bits=built["bits"])
+    result = run_private_learning(built["state"], built["iterations"], seed,
+                                  bits=built["bits"])
     names = _schedule_artifacts(built, result, out)
     # one demonstration ring pass at the best profile, fresh keypair
     assignments = built["assignments"]
@@ -425,40 +421,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        scn = load_scenario(args.scenario)
-        if args.command != "validate" and scn.kind != args.command:
-            raise SchemaError(
-                f"scenario kind {scn.kind!r} does not match "
-                f"subcommand {args.command!r}")
-        built = BUILDERS[scn.kind](scn.payload)
-    except SchemaError as exc:
-        _emit_error("schema", exc)
-        return 2
-    if args.command == "validate" or getattr(args, "validate_only", False):
-        print(f"ok kind={scn.kind} scenario={scn.path.name}")
-        return 0
+    # a value that overflows to an infinity or NaN is refused or raised as
+    # an error of its own; numpy's warning would be a second message on
+    # stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            scn = load_scenario(args.scenario)
+            if args.command != "validate" and scn.kind != args.command:
+                raise SchemaError(
+                    f"scenario kind {scn.kind!r} does not match "
+                    f"subcommand {args.command!r}")
+            built = BUILDERS[scn.kind](scn.payload)
+        except SchemaError as exc:
+            _emit_error("schema", exc)
+            return 2
+        if args.command == "validate" or getattr(args, "validate_only", False):
+            print(f"ok kind={scn.kind} scenario={scn.path.name}")
+            return 0
 
-    seed = args.seed if args.seed is not None else scn.seed
-    out = Path(args.out) if args.out else Path(f"{scn.path.stem}_out")
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    try:
-        names = RUNNERS[scn.kind](built, out, seed)
-    except RoadflowError as exc:
-        _emit_error("compute",
-                    ComputeError(f"{scn.kind} run failed: {exc}"))
-        return 1
-    except (ValueError, ArithmeticError, KeyError, OSError, RuntimeError,
-            MemoryError) as exc:
-        _emit_error("compute",
-                    ComputeError(f"{scn.kind} run failed: {exc!r}"))
-        return 1
-    _write_manifest(out, scn, seed, names, time.perf_counter() - started)
-    print(f"wrote {len(names) + 1} files to {out}")
-    for name in names + ["run_manifest.json"]:
-        print(f"  {name}")
-    return 0
+        seed = args.seed if args.seed is not None else scn.seed
+        out = Path(args.out) if args.out else Path(f"{scn.path.stem}_out")
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        try:
+            names = RUNNERS[scn.kind](built, out, seed)
+        except RoadflowError as exc:
+            _emit_error("compute",
+                        ComputeError(f"{scn.kind} run failed: {exc}"))
+            return 1
+        except (ValueError, ArithmeticError, KeyError, OSError, RuntimeError,
+                MemoryError) as exc:
+            _emit_error("compute",
+                        ComputeError(f"{scn.kind} run failed: {exc!r}"))
+            return 1
+        _write_manifest(out, scn, seed, names, time.perf_counter() - started)
+        print(f"wrote {len(names) + 1} files to {out}")
+        for name in names + ["run_manifest.json"]:
+            print(f"  {name}")
+        return 0
 
 
 if __name__ == "__main__":

@@ -32,9 +32,10 @@ not depend on the batch it ran in.  :func:`simulate` is a batch of one
 whose ``steps + 1`` slots keep the whole history, allocated step-major so
 that each step's slice is contiguous; the per-link arrays of
 :class:`NetworkState` are strided views into those blocks.
-:class:`ArrivalSimulator` runs objective-only batches in two slots and
-returns only the arrivals, equal bit for bit to each member's own
-:func:`simulate` run.
+:class:`ArrivalSimulator` runs objective-only batches and returns only the
+arrivals, equal bit for bit to each member's own :func:`simulate` run; it
+restarts a batch from the history of a run it kept, at the first step
+whose inputs differ.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -286,7 +288,7 @@ def _run(net, commodities, splits, sources, law_map, window_map, horizon,
     block, as are the speed, inflow and outflow records."""
     plan = _StepPlan(net, commodities, law_map, window_map, horizon, steps,
                      centers, topo_links)
-    split_rows, frac, source_grid, src, need = plan.member(splits, sources)
+    split_rows, source_grid, frac, src, need = plan.member(splits, sources)
     pos = plan.pos
     n_l, n_k = len(topo_links), len(commodities)
     rho = _mapped_zeros((steps + 1, n_l, n_k, len(centers))).swapaxes(0, 1)
@@ -341,46 +343,43 @@ class _StepPlan:
         self.partial = [(i, window_map[a]) for i, a in enumerate(topo_links)
                         if window_map[a] is not None]
 
-    def member(self, splits, sources, cache=None) -> tuple:
-        """One member's rows and sources on the time grid: ``split_rows``,
-        ``frac[m, l, k]`` (the share of commodity k at link l's tail sent
-        onto l), ``source_grid``, ``src[m, l, k]``, and ``need``, the
-        node-major (node, commodity) pairs where arriving flow is an error:
-        a sink that is not the destination, or a junction without a row.
-        ``cache`` keeps checked rows and source integrals by value."""
-        net, commodities, times = self.net, self.commodities, self.times
+    def row_keys(self, has_row) -> list:
+        """The node-major (node, commodity) pairs whose split rows a run
+        reads: every junction other than the destination that reaches it,
+        where ``has_row(node, commodity)`` holds (a junction without a row
+        is tolerated while no flow arrives there)."""
+        net = self.net
+        return [(node, k) for node in net.nodes if net.out_links(node)
+                for k in self.commodities
+                if node != k.destination and node in net.reaches(k.destination)
+                and has_row(node, k)]
 
-        def sampled(value, sample):
-            if cache is None or not value:
-                return sample()
-            if (self.steps, value) not in cache:
-                cache[self.steps, value] = sample()
-            return cache[self.steps, value]
+    def member(self, splits, sources) -> tuple:
+        """One member's rows and sources sampled on the time grid,
+        ``split_rows`` and ``source_grid``, then their :meth:`fill`."""
+        times = self.times
+        split_rows = {key: splits.grid_row(*key, times,
+                                           self.net.out_links(key[0]))
+                      for key in self.row_keys(splits.has_row)}
+        # per-step average rates, so the injected total is the exact series
+        # integral regardless of where the breakpoints fall on the grid
+        source_grid = {(link, commodity): np.concatenate((
+            series.integral(times[:-1], times[1:]) / self.dt, [0.0]))
+            for (_, link, commodity), series in sources.items()}
+        return (split_rows, source_grid) + self.fill(split_rows, source_grid)
 
-        split_rows = {}
-        for node in net.nodes:
-            out = net.out_links(node)
-            if not out:
-                continue
-            for commodity in commodities:
-                if node == commodity.destination:
-                    continue
-                if node not in net.reaches(commodity.destination):
-                    continue
-                if not splits.has_row(node, commodity):
-                    continue  # tolerated while no flow arrives there
-                entry = isinstance(splits, SplitSchedule) and splits.entries(
-                    node, commodity)   # grid rows are only checked
-                value = entry and (node, commodity,
-                                   *map(_value, map(entry.get, out)))
-                split_rows[(node, commodity)] = sampled(
-                    value, lambda: splits.grid_row(node, commodity, times, out))
-        # refuse fractions routed toward nodes that cannot reach the
-        # destination
+    def fill(self, split_rows: dict, source_grid: dict) -> tuple:
+        """``frac[m, l, k]`` (the share of commodity k at link l's tail sent
+        onto l), ``src[m, l, k]``, and ``need``, the node-major (node,
+        commodity) pairs where arriving flow is an error: a sink that is
+        not the destination, or a junction without a row."""
+        net, commodities = self.net, self.commodities
         shape = (self.steps + 1, len(self.pos), len(commodities))
         frac = np.zeros(shape)
         for (node, commodity), row in split_rows.items():
             for i, link in enumerate(net.out_links(node)):
+                # refuse fractions routed toward nodes that cannot reach
+                # the destination
                 if not net.link_leads_to(link, commodity.destination):
                     if np.any(row[i] > 1e-12):
                         raise SplitRowInvalid(
@@ -388,24 +387,17 @@ class _StepPlan:
                             f"{commodity.label()} toward a node that cannot "
                             "reach the destination")
                 frac[:, self.pos[link], self.k_index[commodity]] = row[i]
-
-        # per-step average rates, so the injected total is the exact series
-        # integral regardless of where the breakpoints fall on the grid
-        source_grid = {}
         src = np.zeros(shape)
-        for (node, link, commodity), series in sources.items():
-            vals = sampled(_value(series), lambda: np.concatenate((
-                series.integral(times[:-1], times[1:]) / self.dt, [0.0])))
-            source_grid[(link, commodity)] = vals
+        for (link, commodity), vals in source_grid.items():
             src[:, self.pos[link], self.k_index[commodity]] = vals
-
         need = np.array([bool(net.in_links(v)) and v != k.destination
                          and (v, k) not in split_rows
                          for v in net.nodes for k in commodities])
-        return split_rows, frac, source_grid, src, need
+        return frac, src, need
 
-    def advance(self, frac, src, need, rho, record=None) -> np.ndarray:
-        """Advance a batch of members through every time step.
+    def advance(self, frac, src, need, rho, record=None,
+                start: int = 0) -> np.ndarray:
+        """Advance a batch of members from step ``start`` to the last.
 
         The members are stacked along the link axis, member-major: row
         ``b * links + l`` is link ``l`` of member ``b``, so each member's
@@ -414,13 +406,14 @@ class _StepPlan:
         equal those of its own run bit for bit.  ``frac`` and ``src`` are
         ``(steps + 1, rows, commodities)`` and ``need`` is the members'
         node-major (node, commodity) flags, all stacked from
-        :meth:`member`.  ``rho`` is ``(rows, slots, commodities, cells)``
-        with the initial densities in slot 0: step ``m`` lives in slot
-        ``m % slots``, so ``steps + 1`` slots keep the history and 2 keep
-        only the current and next step.  ``record``, when given, is
+        :meth:`fill`.  ``rho`` is ``(rows, slots, commodities, cells)``
+        with the densities of step ``start`` in its slot: step ``m`` lives
+        in slot ``m % slots``, so ``steps + 1`` slots keep the history and
+        2 keep only the current and next step.  ``record``, when given, is
         ``(speeds, inflow, outflow)`` shaped ``(rows, steps + 1[,
         commodities])`` and filled step by step.  Returns the flow into
-        each node, ``(steps + 1, members × nodes, commodities)``.
+        each node, ``(steps + 1, members × nodes, commodities)``, zero
+        before ``start``.
         """
         n_rows, slots, n_k = rho.shape[:3]
         n_l, n_v = len(self.tail), len(self.node_pos)
@@ -441,11 +434,12 @@ class _StepPlan:
         totals = np.zeros((steps + 1, n_b * n_v, n_k))
         # face fluxes of every row and the zero row n_rows; outflux last
         faces = np.zeros((n_rows + 1, n_k, self.cells + 1))
-        out_pad = faces[..., -1]
+        out_pad, flux = faces[..., -1], faces[:n_rows]
+        right = flux[..., 1:]     # each cell's right face
         cfl_limit = dx * (1.0 + 1e-12)
         add, fmax = np.add.reduce, np.fmax.reduce   # fmax skips NaN, as > does
 
-        for m in range(steps + 1):
+        for m in range(start, steps + 1):
             # speeds and outfluxes from the state at this step
             rho_m = rho[:, m % slots]
             agg = add(rho_m, axis=1)
@@ -458,7 +452,7 @@ class _StepPlan:
             if fmax(c, initial=0.0) * dt > cfl_limit:
                 over = (c * dt > cfl_limit).reshape(n_b, n_l)
                 raise _CflRetry(np.flatnonzero(over.any(axis=1)))
-            np.multiply(c[:, None, None], rho_m, out=faces[:n_rows, :, 1:])
+            np.multiply(c[:, None, None], rho_m, out=right)
             # junction exchange: in-link outfluxes added in order to 0.0
             total = add(out_pad[in_idx], axis=1, initial=0.0, out=totals[m])
             if guard.size and fmax(total.ravel()[guard]) > 1e-12:
@@ -474,7 +468,7 @@ class _StepPlan:
             # advance every link one step
             if m < steps:
                 upwind_step(rho_m, None, inflow, dt, dx,
-                            out=(rho[:, (m + 1) % slots], faces[:n_rows]))
+                            out=(rho[:, (m + 1) % slots], flux))
         return totals
 
     def arrivals(self, totals: np.ndarray) -> np.ndarray:
@@ -490,25 +484,27 @@ class _StepPlan:
         return out
 
 
-def _value(series) -> Optional[bytes]:
-    """A step function's segments, bit for bit; None stays None."""
-    return series and np.array(series.segments).tobytes()
-
-
 class ArrivalSimulator:
     """Objective-only runs of a batch of members on one network.
 
     Members share the network, commodities, laws, windows, grid and
-    horizon, start empty, and differ in their split rows and sources.
-    Members with the same step count advance together as one
+    horizon, start empty, and differ in their split rows and sources: a
+    ``(splits, sources)`` pair, or an object with the ``budget`` it
+    injects and ``arrays(plan)``, its :meth:`_StepPlan.fill` on a plan's
+    grid.  Members with the same step count advance together as one
     ``(members × links, commodities, cells)`` block through the time loop
-    :func:`simulate` uses, keeping two steps of density instead of the
-    history.  A member that breaks the CFL bound is rerun alone with the
-    step halved, as :func:`simulate` would, so every member's arrivals
-    equal those of its own :func:`simulate` run bit for bit.  The laws are
-    checked and the step sized once per distinct mass budget, and each
-    split row and source integral sampled once per step count and exact
-    value: a member that moves one control samples only that one.
+    :func:`simulate` uses; a member that breaks the CFL bound reruns alone
+    with the step halved, as :func:`simulate` would, so every member's
+    arrivals equal its own :func:`simulate` run's bit for bit.  The laws
+    are checked and the step sized once per distinct mass budget.
+
+    A run keeps its members' histories until the next one; the history
+    :meth:`stand_on` picks is the base.  A batch with the base's step count
+    starts at the first step where any member's ``frac`` or ``src`` differs
+    from the base's, from copies of the base's densities up to that step
+    and its node inflows before it: the inputs before it are equal and
+    every reduction stays within one member's rows, so each member's state
+    up to there is the base's, bit for bit.
     """
 
     def __init__(self, net: RoadNetwork, commodities: Sequence[Commodity],
@@ -519,43 +515,78 @@ class ArrivalSimulator:
                                                  horizon, grid, windows)
         self.net, self.horizon = net, horizon
         self._steps: dict[float, int] = {}       # mass budget -> steps
-        self._samples: dict = {}     # (steps, value) -> samples on the grid
+        self._last: list = []    # (steps, rho, totals, frac, src)
+        self._base: Optional[tuple] = None
 
-    def run(self, members: Sequence[tuple[SplitSchedule | GridSplits,
-                                          SourceSchedule]]
-            ) -> list[ArrivalRecord]:
-        """Arrivals of each ``(splits, sources)`` member, in order."""
+    def run(self, members: Sequence) -> list[ArrivalRecord]:
+        """Arrivals of each member, in order."""
+        members = list(members)
         groups: dict[int, list[int]] = {}
-        for b, (_, sources) in enumerate(members):
-            sources.validate(self.net, self.commodities)
-            budget = 0.0 + sum(sources.total(k, 0.0, self.horizon)
-                               for k in self.commodities)
-            if budget not in self._steps:
-                self._steps[budget] = _checked_steps(
-                    self.law_map, self.horizon, self.grid, budget)
-            groups.setdefault(self._steps[budget], []).append(b)
-        records: dict = {}
+        for b, member in enumerate(members):
+            if isinstance(member, tuple):
+                splits, sources = member
+                sources.validate(self.net, self.commodities)
+                members[b] = member = SimpleNamespace(
+                    budget=0.0 + sum(sources.total(k, 0.0, self.horizon)
+                                     for k in self.commodities),
+                    arrays=lambda plan, s=splits, q=sources: plan.member(
+                        s, q)[2:])
+            if member.budget not in self._steps:
+                self._steps[member.budget] = _checked_steps(
+                    self.law_map, self.horizon, self.grid, member.budget)
+            groups.setdefault(self._steps[member.budget], []).append(b)
+        done: dict = {}
         for steps, group in groups.items():
-            records.update(_retry(steps, group, lambda n, part: self._advance(
+            done.update(_retry(steps, group, lambda n, part: self._advance(
                 n, [members[b] for b in part])))
-        return [records[b] for b in range(len(members))]
+        self._last = [done[b][1] for b in range(len(members))]
+        return [done[b][0] for b in range(len(members))]
+
+    def stand_on(self, member: int) -> None:
+        """Make the history of the last run's ``member``-th member the
+        base."""
+        self._base = self._last[member]
 
     def _advance(self, steps: int, members: list) -> list:
-        """Arrivals of ``members`` advanced together with ``steps`` steps."""
+        """The arrivals and history of each of ``members``, advanced
+        together with ``steps`` steps."""
         plan = _StepPlan(self.net, self.commodities, self.law_map,
                          self.window_map, self.horizon, steps, self.centers,
                          self.topo_links)
-        parts = [plan.member(*member, self._samples) for member in members]
-        # slot-major, so each step's block is contiguous for the loop
-        rho = np.zeros((2, len(members) * len(self.topo_links),
-                        len(self.commodities), len(self.centers))).swapaxes(0, 1)
-        totals = plan.advance(np.concatenate([p[1] for p in parts], axis=1),
-                              np.concatenate([p[3] for p in parts], axis=1),
-                              np.concatenate([p[4] for p in parts]), rho)
-        return [ArrivalRecord(commodities=self.commodities, times=plan.times,
-                              arrivals={k: arrivals[i]
-                                        for i, k in enumerate(self.commodities)})
-                for arrivals in plan.arrivals(totals)]
+        parts = [member.arrays(plan) for member in members]
+        base = self._base if self._base and self._base[0] == steps else None
+        start = min(_restart(base, *p[:2]) for p in parts) if base else 0
+        n_b, n_v = len(members), len(plan.node_pos)
+        # step-major, so each step's block is contiguous for the loop
+        rho = np.empty((steps + 1, n_b, len(self.topo_links),
+                        len(self.commodities), len(self.centers)))
+        rho[:start + 1] = base[1][:start + 1, None] if base else 0.0
+        # members side by side along the link axis; need along its only one
+        frac, src, need = map(np.hstack, zip(*parts))
+        totals = plan.advance(
+            frac, src, need,
+            rho.reshape(steps + 1, -1, *rho.shape[3:]).swapaxes(0, 1),
+            start=start)
+        by_member = totals.reshape(steps + 1, n_b, n_v, -1)
+        if base:
+            by_member[:start] = base[2][:start, None]
+        return [(ArrivalRecord(commodities=self.commodities, times=plan.times,
+                               arrivals={k: arrivals[i] for i, k in
+                                         enumerate(self.commodities)}),
+                 (steps, rho[:, b], by_member[:, b], *parts[b][:2]))
+                for b, arrivals in enumerate(plan.arrivals(totals))]
+
+
+def _restart(base: tuple, frac: np.ndarray, src: np.ndarray) -> int:
+    """The first step whose ``frac`` or ``src`` differ from the history
+    ``base``'s, bit for bit, or its last step if none does.  A member whose
+    ``need`` differs has a row where the base has none or the reverse, and
+    rows sum to 1, so its ``frac`` differs from step 0."""
+    steps, _, _, frac0, src0 = base
+    differs = ((frac.view(np.int64) != frac0.view(np.int64))
+               | (src.view(np.int64) != src0.view(np.int64)))
+    first = np.flatnonzero(differs.reshape(steps + 1, -1).any(axis=1))
+    return int(first[0]) if first.size else steps
 
 
 def _mapped_zeros(shape: tuple) -> np.ndarray:

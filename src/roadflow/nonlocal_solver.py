@@ -13,9 +13,9 @@ Two solvers are provided.  When the averaging window is the whole link the
 speed is space-independent and the density is a rigid transport of the
 initial and boundary data; the transport displacement solves a scalar
 integral fixed point which we resolve by Picard iteration on short time
-windows (:func:`solve_characteristic`), restarting with a fresh snapshot
-whenever the displacement spans the link.  For general windows (and as an
-independent cross-check) a first-order conservative upwind scheme is used.
+windows, restarting with a fresh snapshot whenever the displacement spans
+the link.  For general windows (and as an independent cross-check) a
+first-order conservative upwind scheme is used.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CflViolated, FixedPointDiverged, HorizonExceeded
+from .errors import CflViolated, FixedPointDiverged
 
 #: sup-norm tolerance for the displacement fixed point
 PICARD_TOL = 1e-10
@@ -351,26 +351,6 @@ def _picard_window(law: VelocityLaw, times_abs: np.ndarray, u_win: np.ndarray,
         f"{err:.3e}); retry on a shorter window")
 
 
-def solve_characteristic(law: VelocityLaw, inflow, rho0, horizon: float, *,
-                         cells: int = 400) -> CharacteristicResult:
-    """Displacement fixed point on ``[0, horizon]`` as a single window, on
-    the unit link with ``max(64, 4 * cells)`` time steps.
-
-    Valid as a transport description while the displacement stays within the
-    link; :func:`solve_link` manages restarts beyond that.  Raises
-    :class:`FixedPointDiverged` when Picard iteration fails; the caller
-    should subdivide the window.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    times = np.linspace(0.0, horizon, max(64, 4 * cells) + 1)
-    dx = 1.0 / cells
-    centers = (np.arange(cells) + 0.5) * dx
-    rho_start = _sample_initial(rho0, centers)
-    u = _sample_series(inflow, times)
-    return _picard_window(law, times, u, rho_start, dx, 1.0)
-
-
 def _transport_rows(law: VelocityLaw, result: CharacteristicResult,
                     rho_start: np.ndarray, u_win: np.ndarray, centers: np.ndarray,
                     length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -595,36 +575,3 @@ def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
                                      length, steps)
     return _retry(steps, [0], lambda n, _: [_solve_link_upwind(
         law, window, inflow, rho_init, horizon, grid, length, n)])[0]
-
-
-def outflux(state: LinkState, t: float) -> float:
-    """Boundary outflow flux at time ``t``, interpolated from the solve."""
-    if not state.times[0] <= t <= state.times[-1]:
-        raise HorizonExceeded(f"t={t} outside the solved range")
-    return float(np.interp(t, state.times, state.outflow))
-
-
-def exit_time(state: LinkState, enter_time: float) -> float:
-    """Exit time of a parcel entering at ``enter_time`` (whole-span runs).
-
-    Integrates the stored space-independent speed series, piecewise constant
-    per step, until the accumulated displacement spans the link.
-    """
-    if state.speeds is None:
-        raise ValueError("exit_time needs the space-independent speed series")
-    if not state.times[0] <= enter_time <= state.times[-1]:
-        raise HorizonExceeded(f"enter_time={enter_time} outside the solved range")
-    dt = state.dt
-    pos = 0.0
-    t = enter_time
-    m = min(int((enter_time - state.times[0]) / dt), len(state.times) - 2)
-    while m < len(state.times) - 1:
-        seg_end = state.times[m + 1]
-        c = float(state.speeds[m])
-        span = seg_end - t
-        if pos + c * span >= state.length:
-            return t + (state.length - pos) / c
-        pos += c * span
-        t = seg_end
-        m += 1
-    raise HorizonExceeded("parcel does not exit within the solved horizon")

@@ -154,7 +154,7 @@ class AdmissibleVelocityField:
         ys = None if y is None else np.broadcast_to(
             np.asarray(y, dtype=float), x.shape)[None]
         plane = self._planes(self.values[None], np.array([float(t)]))[0]
-        return self._speeds(plane, x[None], ys)[0]
+        return self._speeds(plane, x[None], ys, np.zeros((1, 1), dtype=int))[0]
 
     def _planes(self, values: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The fields ``values`` ``(B, nt, nx[, ny])`` interpolated at each
@@ -163,16 +163,16 @@ class AdmissibleVelocityField:
         v = values.reshape(len(values), len(self.t_knots), -1).swapaxes(0, 1)
         return (1.0 - wt)[:, None, None] * v[ti] + wt[:, None, None] * v[ti + 1]
 
-    def _speeds(self, plane: np.ndarray, xs: np.ndarray,
-                ys=None) -> np.ndarray:
+    def _speeds(self, plane: np.ndarray, xs: np.ndarray, ys,
+                starts: np.ndarray) -> np.ndarray:
         """Speeds of the B knot planes ``plane`` ``(B, nx * ny)`` of one
         time (:meth:`_planes`) at positions ``xs`` ``(B, P)`` and mass
         arguments ``ys`` (None reads 0); arguments outside the knot range
-        are clamped to it."""
+        are clamped to it.  ``starts`` is ``(B, 1)``: where each plane
+        starts in the flat C-contiguous block, ``b * nx * ny``."""
         j, wx = _knot_weights(*self._axes[1], xs)
         ny = 1 if self.y_knots is None else len(self.y_knots)
-        # flat indices into the C-contiguous planes: row b starts at b * nx*ny
-        left = j * ny + np.arange(0, plane.size, plane.shape[1])[:, None]
+        left = j * ny + starts
         flat = plane.ravel()
 
         def along_x(at):
@@ -190,7 +190,7 @@ def _knot_weights(knots: np.ndarray, widths: np.ndarray, pts):
     pc = np.minimum(np.maximum(pts, knots[0]), knots[-1])
     # interior knots at or left of pc; pc == knots[-1] (or NaN) is in the last
     i = knots[1:-1].searchsorted(pc, side="right")
-    return i, (pc - knots[i]) / widths[i]
+    return i, (pc - knots.take(i)) / widths.take(i)
 
 
 @dataclass
@@ -294,8 +294,9 @@ class PlatoonSolution:
                 w = _on_road(self.weights[:n], xs, self.pair.length)
             else:
                 w, xs = self.grid_fields[m] * self.dx, self.x_centers
-            out[:, m] = _moments(w, xs, self.x_centers,
-                                 None if rows is None else rows[m])
+            w, out[1, m], out[2, m] = _moments(
+                w, xs, self.x_centers, None if rows is None else rows[m])
+            out[0, m] = np.add.reduce(w, axis=-1)
         return out
 
     def objectives(self) -> tuple[float, float]:
@@ -346,12 +347,13 @@ def _on_road(w: np.ndarray, xs: np.ndarray, length: float) -> np.ndarray:
 
 def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
              bg_row: Optional[np.ndarray] = None):
-    """(M0, M1, M2) of mass elements ``w`` at positions ``xs`` (last axis),
-    each element weighted by (1 + background density) when ``bg_row`` is
-    given.  ``np.vecdot`` over rows equals ``np.dot`` per row bit for bit."""
+    """Mass elements ``w`` at positions ``xs`` (last axis), each weighted
+    by (1 + background density) when ``bg_row`` is given, and their M1 and
+    M2 (M0 is the sum of the first).  ``np.vecdot`` over rows equals
+    ``np.dot`` per row bit for bit."""
     if bg_row is not None:
         w = w * (1.0 + np.interp(xs, centers, bg_row))
-    return np.add.reduce(w, axis=-1), np.vecdot(w, xs), np.vecdot(w, xs * xs)
+    return w, np.vecdot(w, xs), np.vecdot(w, xs * xs)
 
 
 def truck_steps(length: float, horizon: float, cells: int, lam_max: float) -> int:
@@ -399,6 +401,7 @@ class _ParticleRun:
         many steps at once as fit in ``PROBE_BLOCK`` values."""
         control, dt = self.control, self.dt
         chunk = max(1, PROBE_BLOCK // values[:, 0].size)
+        starts = np.arange(len(values))[:, None] * values[0, 0].size
         state = np.zeros((len(values), len(self.weights)))
         state[:, :len(self.centers)] = self.centers
         yield state
@@ -409,10 +412,10 @@ class _ParticleRun:
                                 for s in (t, t + 0.5 * dt))
             xs = state[:, :self.active[m]]
             k1 = control._speeds(planes[m % chunk], xs,
-                                 self.mass_argument(m, xs))
+                                 self.mass_argument(m, xs), starts)
             mid = xs + 0.5 * dt * k1
             k2 = control._speeds(mids[m % chunk], mid,
-                                 self.mass_argument(m, mid))
+                                 self.mass_argument(m, mid), starts)
             state[:, :self.active[m]] = xs + dt * k2
             yield state
 

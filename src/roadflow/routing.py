@@ -449,13 +449,6 @@ def _path_share(state: NetworkState, path: Sequence[Link],
     return share
 
 
-def wardrop_gap(state: NetworkState, t: float, origin: int, destination: int,
-                commodity: Commodity, *, eps: float = USED_PATH_EPS) -> float:
-    """Single-class gap: spread of path times over the plan's used paths."""
-    return mixed_gap(state, t, origin, destination, [(commodity, 1.0)],
-                     eps=eps)
-
-
 @dataclass(frozen=True)
 class EquilibriumDemand:
     """Total demand entering on one link, bound for one destination."""

@@ -346,13 +346,21 @@ def build_commodities(spec, net, path) -> tuple:
 
 
 def _state_values(net: RoadNetwork, n_commodities: int, laws, horizon: float,
-                  grid: Optional[GridSpec]) -> int:
+                  grid: Optional[GridSpec],
+                  fields: tuple = ("horizon", "laws")) -> int:
     """Values in the density block of one network run before any CFL
     halving, with the simulator's step count.  Every law the schema builds
-    is nonincreasing, so the step count needs no mass budget."""
+    is nonincreasing, so the step count needs no mass budget.  A step count
+    that overflows a float names ``fields[0]``, the horizon, if it does so
+    at unit speed, and the laws, ``fields[1]``, otherwise."""
     grid = grid or GridSpec(cells=_DEFAULT_CELLS)
     law_list = list(laws.values()) if isinstance(laws, dict) else [laws]
-    steps = _time_steps(law_list, horizon, grid, 0.0)
+    try:
+        steps = _time_steps(law_list, horizon, grid, 0.0)
+    except OverflowError:
+        _fail(fields[math.isfinite(horizon * grid.cells / grid.cfl)],
+              "the run's time steps, horizon x top speed / (cfl x cell "
+              "width), overflow a float")
     return len(net.links) * (steps + 1) * n_commodities * grid.cells
 
 
@@ -507,7 +515,8 @@ def build_simulate(payload: dict) -> dict:
     base_rows = (build_base_rows(splits_spec, net, f"{path}.splits")
                  if splits_spec is not None else None)
     _check_size(path, "a density block", _state_values(
-        net, len(commodities), laws, horizon, grid), _DENSITY_SHAPE)
+        net, len(commodities), laws, horizon, grid,
+        (f"{path}.horizon", f"{path}.laws")), _DENSITY_SHAPE)
     return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
             "commodities": commodities, "windows": windows, "cases": cases,
             "base_rows": base_rows}
@@ -547,7 +556,8 @@ def build_equilibrium(payload: dict) -> dict:
                                destination=destination)
     # every round keeps its state; two commodities, routed and non-routed
     _check_size(path, "density blocks", (rounds + 1) * _state_values(
-        net, 2, laws, horizon, grid), f"(rounds + 1) x {_DENSITY_SHAPE}")
+        net, 2, laws, horizon, grid, (f"{path}.horizon", f"{path}.laws")),
+        f"(rounds + 1) x {_DENSITY_SHAPE}")
     return {"net": net, "laws": laws, "horizon": horizon, "grid": grid,
             "demand": demand, "alpha": alpha, "rounds": rounds, "eps": eps,
             "base_rows": base_rows, "policies": (routed, non_routed)}
@@ -608,8 +618,8 @@ def build_social_opt(payload: dict) -> dict:
     except ValueError as exc:
         _fail(path, str(exc))
     _check_size(path, "a density block", _state_values(
-        net, len(demand.commodities()), laws, param.horizon, grid),
-        _DENSITY_SHAPE)
+        net, len(demand.commodities()), laws, param.horizon, grid,
+        (f"{path}.knots", f"{path}.laws")), _DENSITY_SHAPE)
     return {"net": net, "laws": laws, "grid": grid, "demand": demand,
             "param": param, "budget": budget, "fd_step": fd_step,
             "initial_step": initial_step, "base_rows": base_rows}

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .network import (Commodity, Link, PiecewiseConstant, RoadNetwork,
-                      SourceSchedule, SplitSchedule, as_split_schedule)
+                      SourceSchedule, _check_grid_row,
+                      as_split_schedule)
 from .errors import RoadflowError
-from .network_sim import ArrivalRecord, ArrivalSimulator
+from .network_sim import ArrivalRecord, ArrivalSimulator, _StepPlan
 from .network_sim import simulate  # noqa: F401  (perfbench wraps it here)
 from .nonlocal_solver import GridSpec
 
@@ -133,22 +135,24 @@ class ControlParameterization:
         parts += [v.ravel() for v in self.source_values]
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def with_vector(self, x: np.ndarray) -> "ControlParameterization":
-        p = self.intervals
-        theta_values = []
-        pos = 0
-        for c in self.theta:
-            size = len(c.links) * p
-            theta_values.append(x[pos:pos + size].reshape(len(c.links), p))
-            pos += size
-        source_values = []
-        for _ in self.sources:
-            source_values.append(x[pos:pos + p])
-            pos += p
+    def blocks(self, x: np.ndarray) -> list:
+        """The packed vector ``x`` cut into views shaped as
+        ``theta_values`` and then ``source_values``."""
+        shapes = [(len(c.links), self.intervals) for c in self.theta]
+        shapes += [(self.intervals,)] * len(self.sources)
+        blocks, pos = [], 0
+        for shape in shapes:
+            blocks.append(x[pos:pos + math.prod(shape)].reshape(shape))
+            pos += blocks[-1].size
         if pos != len(x):
             raise ValueError("vector length does not match the parameterization")
+        return blocks
+
+    def with_vector(self, x: np.ndarray) -> "ControlParameterization":
+        blocks = self.blocks(x)
         return ControlParameterization(self.knots, self.theta, self.sources,
-                                       theta_values, source_values)
+                                       blocks[:len(self.theta)],
+                                       blocks[len(self.theta):])
 
 
 def project_demand(values, total: float, lengths) -> np.ndarray:
@@ -171,64 +175,102 @@ def _project_rows(rows: np.ndarray) -> np.ndarray:
     """Clip each column to the simplex by renormalization; empty -> uniform."""
     out = np.clip(rows, 0.0, None)
     sums = out.sum(axis=0)
-    n = out.shape[0]
-    uniform = np.full(n, 1.0 / n)
-    for j in range(out.shape[1]):
-        if sums[j] > 0.0:
-            out[:, j] /= sums[j]
-        else:
-            out[:, j] = uniform
-    return out
+    return np.divide(out, sums, out=np.full_like(out, 1.0 / out.shape[0]),
+                     where=sums > 0.0)
 
 
 def project_controls(param: ControlParameterization,
                      demand: DemandSpec) -> ControlParameterization:
     """Feasible version of ``param``: simplex rows, demand-matching rates."""
-    lengths = np.diff(param.knots)
-    theta_values = [_project_rows(v) for v in param.theta_values]
-    source_values = []
-    for c, v in zip(param.sources, param.source_values):
-        total = demand.totals.get(c.key(), 0.0)
+    return param.with_vector(_project(param, demand, param.pack()))
+
+
+def _project(param: ControlParameterization, demand: DemandSpec,
+             x: np.ndarray) -> np.ndarray:
+    """The packed vector of :func:`project_controls` of
+    ``param.with_vector(x)``."""
+    blocks, lengths = param.blocks(x), np.diff(param.knots)
+    parts = [_project_rows(v).ravel() for v in blocks[:len(param.theta)]]
+    for c, v in zip(param.sources, blocks[len(param.theta):]):
         # values are relative rates; the projection target is mean 1
         projected = project_demand(v, param.horizon, lengths)
-        if total == 0.0:
-            projected = np.zeros_like(projected)
-        source_values.append(projected)
-    return ControlParameterization(param.knots, param.theta, param.sources,
-                                   theta_values, source_values)
+        parts.append(projected if demand.totals.get(c.key(), 0.0) != 0.0
+                     else np.zeros_like(projected))
+    return np.concatenate(parts)
 
 
-def _series_from_intervals(knots: np.ndarray, values: np.ndarray) -> PiecewiseConstant:
-    # the last interval is held open-ended so the horizon endpoint samples it
-    ends = [float(b) for b in knots[1:-1]] + [math.inf]
-    segments = [(float(a), b, float(v))
-                for a, b, v in zip(knots[:-1], ends, values) if v != 0.0]
-    return PiecewiseConstant(segments or [(float(knots[0]), math.inf, 0.0)])
+class _Controls:
+    """Projected points of the search as :class:`ArrivalSimulator` members.
 
-
-def build_schedules(param: ControlParameterization, demand: DemandSpec,
-                    base_splits=None,
-                    commodities: Optional[Sequence[Commodity]] = None
-                    ) -> tuple[SplitSchedule, SourceSchedule]:
-    """Materialize the controls as simulator schedules.
-
-    ``base_splits`` supplies rows for junctions the parameterization does
-    not control, in any form :func:`as_split_schedule` takes.
+    A point's split rows and source integrals on a step grid are read from
+    its packed vector through a map built once per step count: the knot
+    interval of each step, where ``PiecewiseConstant.sample`` finds it, and
+    each step's overlap with each interval.  The floats are those
+    :meth:`_StepPlan.member` samples from the schedules the controls
+    describe: projected rows hold no negative zero, so the zero segments
+    those schedules drop read the same, and a step's integral multiplies
+    and sums the nonzero rates' overlaps as ``PiecewiseConstant.integral``
+    does.  An out-link a control omits reads 0; other rows come from
+    ``base``.
     """
-    commodities = tuple(commodities or demand.commodities())
-    rows = dict(as_split_schedule(base_splits, commodities)._rows)
-    for c, vals in zip(param.theta, param.theta_values):
-        rows[(c.node, c.commodity)] = {
-            a: _series_from_intervals(param.knots, vals[i])
-            for i, a in enumerate(c.links)}
-    entries = {}
-    for c, vals in zip(param.sources, param.source_values):
-        total = demand.totals.get(c.key(), 0.0)
-        lengths = np.diff(param.knots)
-        integral = float(np.dot(vals, lengths))
-        rates = vals * (total / integral) if integral > 0 else np.zeros_like(vals)
-        entries[c.key()] = _series_from_intervals(param.knots, rates)
-    return SplitSchedule(rows), SourceSchedule(entries)
+
+    def __init__(self, net: RoadNetwork, commodities, param, demand, base):
+        self.net, self.commodities, self.base = net, commodities, base
+        self.knots, self.lengths = param.knots, np.diff(param.knots)
+        self.size = len(param.pack())
+        index = param.blocks(np.arange(self.size))
+        omitted = np.full(param.intervals, self.size)   # x[size] reads 0
+        # each controlled row's vector indices, out-link by out-link
+        self.rows = {(c.node, c.commodity): np.array(
+            [dict(zip(c.links, block)).get(a, omitted)
+             for a in net.out_links(c.node)])
+            for c, block in zip(param.theta, index)}
+        self.sources = {c.key(): (block, demand.totals.get(c.key(), 0.0))
+                        for c, block in zip(param.sources,
+                                            index[len(param.theta):])}
+        SourceSchedule(dict.fromkeys(self.sources, PiecewiseConstant.constant(
+            0.0))).validate(net, commodities)
+        self._maps: dict = {}
+
+    def member(self, x: np.ndarray) -> SimpleNamespace:
+        """Point ``x`` with its ``budget``, the mass its sources' rates
+        (scaled to the demand totals) inject, summed as
+        ``SourceSchedule.total`` sums it, and its ``arrays(plan)``."""
+        rates = {}          # the nonzero rates of each source, and where
+        for key, (block, total) in self.sources.items():
+            integral = float(np.dot(x[block], self.lengths))
+            r = (x[block] * (total / integral) if integral > 0
+                 else np.zeros(len(block)))
+            rates[key] = r != 0.0, r[r != 0.0]
+        budget = 0.0 + sum(
+            sum(float(np.sum(self.lengths[nz] * r))
+                for (_, _, com), (nz, r) in rates.items() if com == k)
+            for k in self.commodities)
+        return SimpleNamespace(budget=budget, arrays=lambda plan: self._arrays(
+            plan, np.append(x, 0.0), rates))
+
+    def _arrays(self, plan: _StepPlan, x: np.ndarray, rates: dict) -> tuple:
+        if plan.steps not in self._maps:
+            times = plan.times
+            at = np.searchsorted(self.knots[1:-1], times, side="right")
+            ends = np.append(self.knots[1:-1], math.inf)
+            overlap = np.clip(np.minimum(ends, times[1:, None])
+                              - np.maximum(self.knots[:-1], times[:-1, None]),
+                              0.0, None)
+            keys = plan.row_keys(lambda v, k: (v, k) in self.rows
+                                 or self.base.has_row(v, k))
+            self._maps[plan.steps] = overlap, {
+                key: self.rows[key][:, at] if key in self.rows else
+                self.base.grid_row(*key, times, self.net.out_links(key[0]))
+                for key in keys}
+        overlap, rows = self._maps[plan.steps]
+        split_rows = {key: _check_grid_row(x.take(row), *key, plan.times)
+                      if key in self.rows else row
+                      for key, row in rows.items()}
+        source_grid = {(link, k): np.concatenate((
+            np.sum(overlap[:, nz] * r, axis=-1) / plan.dt, [0.0]))
+            for (_, link, k), (nz, r) in rates.items()}
+        return plan.fill(split_rows, source_grid)
 
 
 def backlog_objective(state: ArrivalRecord, demand: DemandSpec) -> float:
@@ -277,44 +319,63 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
 
     Each coordinate's probes run as one batch of simulations together with
     both signs of its first move, and backtracking moves run in batches of
-    up to ``LINE_SEARCH_BATCH``.  Only the simulations the sequential
-    search reads are charged to ``budget`` and ``evaluations``; the
-    discarded members of a batch are extra runs inside it.
+    up to ``LINE_SEARCH_BATCH``.  ``budget`` and ``evaluations`` count the
+    evaluations of the sequential search, not the members simulated: a
+    batch simulates only the points whose projected vectors it has not
+    met before, each once, and the discarded members of a batch are extra
+    runs inside it.  Each batch restarts from the run of the point the
+    search stands on, at the first time step where any member's split rows
+    or source integrals differ from it (see :class:`ArrivalSimulator`).
     """
     if budget < 1:
         raise ValueError("budget must allow at least one simulation")
     commodities = demand.commodities()
-    base_splits = as_split_schedule(base_splits, commodities)
     runs = ArrivalSimulator(net, commodities, laws, horizon=param.horizon,
                             grid=grid)
+    controls = _Controls(net, commodities, param, demand,
+                         as_split_schedule(base_splits, commodities))
     evals = 0
-    ahead: dict = {}   # objective of each point run ahead, by its bytes
+    projected: dict = {}   # projection of each point met, by its bytes
+    known: dict = {}   # objective of each projection simulated, by its bytes
+    last: dict = {}    # member index in the last run, by the same bytes
 
-    def objectives(points) -> list:
-        members = [build_schedules(project_controls(param.with_vector(x),
-                                                    demand),
-                                   demand, base_splits, commodities)
-                   for x in points]
-        return [backlog_objective(r, demand) for r in runs.run(members)]
+    def project(x: np.ndarray) -> np.ndarray:
+        if x.tobytes() not in projected:
+            projected[x.tobytes()] = _project(param, demand, x)
+        return projected[x.tobytes()]
+
+    def simulate_new(points) -> list:
+        """The bytes of each point's projection, simulating the new ones."""
+        nonlocal last
+        keys, new = [], {}
+        for x in points:
+            p = project(x)
+            keys.append(p.tobytes())
+            if keys[-1] not in known:
+                new.setdefault(keys[-1], p)
+        if new:
+            records = runs.run([controls.member(p) for p in new.values()])
+            known.update(zip(new, (backlog_objective(r, demand)
+                                   for r in records)))
+            last = {key: b for b, key in enumerate(new)}
+        return keys
 
     def run_ahead(points) -> None:
-        ahead.clear()
         try:
-            values = objectives(points)
+            simulate_new(points)
         except (RoadflowError, ValueError):
             # evaluate() reruns each point alone, in the search's order,
             # so the error surfaces only if the search reaches its point
-            return
-        ahead.update(zip((x.tobytes() for x in points), values))
+            pass
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        j = ahead.pop(x.tobytes(), None)
-        return objectives([x])[0] if j is None else j
+        return known[simulate_new([x])[0]]
 
-    x = project_controls(param, demand).pack()
+    x = _project(param, demand, param.pack())
     best_j = evaluate(x)
+    runs.stand_on(0)        # the only member of the first run
     trace = [(evals, best_j)]
     h = fd_step
     step = initial_step
@@ -341,14 +402,15 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
             trial_step = step
             while evals < budget:
                 cand = _move(x, i, trial_step, g)
-                if cand.tobytes() not in ahead:
+                if project(cand).tobytes() not in known:
                     run_ahead(_backtracking(x, i, trial_step, g,
                                             min(LINE_SEARCH_BATCH,
                                                 budget - evals)))
                 j_cand = evaluate(cand)
                 if j_cand < best_j:
-                    x = project_controls(param.with_vector(cand),
-                                         demand).pack()
+                    x = project(cand)
+                    if x.tobytes() in last:
+                        runs.stand_on(last[x.tobytes()])
                     best_j = j_cand
                     trace.append((evals, best_j))
                     improved = True

@@ -1,9 +1,13 @@
-"""Verification oracles for the delay-coordination game.
+"""Verification oracles that only the tests call.
 
-Exhaustive and one-step references that only the tests call: the global
-optimum and the stationary Gibbs law by enumeration, the exact-potential
-identity through two independent code paths, the split of vehicles into
-groups that can ever meet, and a single learning iteration.
+For the delay-coordination game, exhaustive and one-step references: the
+global optimum and the stationary Gibbs law by enumeration, the
+exact-potential identity through two independent code paths, the split of
+vehicles into groups that can ever meet, and a single learning iteration.
+For the single link, the displacement fixed point on one window, the
+boundary outflux and a parcel's exit time; for routing, the single-class
+Wardrop gap; for the social optimum, the controls as the simulator's
+schedule objects.
 """
 
 import itertools
@@ -13,13 +17,21 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from roadflow.errors import InstanceTooLarge
+from roadflow.errors import HorizonExceeded, InstanceTooLarge
+from roadflow.network import (Commodity, PiecewiseConstant, SourceSchedule,
+                              SplitSchedule, as_split_schedule)
+from roadflow.network_sim import NetworkState
+from roadflow.nonlocal_solver import (CharacteristicResult, LinkState,
+                                      VelocityLaw, _picard_window,
+                                      _sample_initial, _sample_series)
+from roadflow.routing import USED_PATH_EPS, mixed_gap
 from roadflow.scheduler import (BRUTE_FORCE_CAP, CACHE_JOINT_CAP, FreightGraph,
                                 ScheduleState, VehicleAssignment, _LiveCounts,
                                 conditional_scores, coordination_cost,
                                 default_horizon, drive_learning,
                                 joint_state_count, occupancy_counts,
                                 square_reward)
+from roadflow.social_optimum import ControlParameterization, DemandSpec
 
 
 def log_linear_step(state: ScheduleState, rng: np.random.Generator,
@@ -143,3 +155,102 @@ def interaction_groups(graph: FreightGraph,
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
+
+
+# ---------------------------------------------------------------- single link
+
+def solve_characteristic(law: VelocityLaw, inflow, rho0, horizon: float, *,
+                         cells: int = 400) -> CharacteristicResult:
+    """Displacement fixed point on ``[0, horizon]`` as a single window, on
+    the unit link with ``max(64, 4 * cells)`` time steps.
+
+    Valid as a transport description while the displacement stays within the
+    link; :func:`solve_link` manages restarts beyond that.  Raises
+    :class:`FixedPointDiverged` when Picard iteration fails; the caller
+    should subdivide the window.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    times = np.linspace(0.0, horizon, max(64, 4 * cells) + 1)
+    dx = 1.0 / cells
+    centers = (np.arange(cells) + 0.5) * dx
+    rho_start = _sample_initial(rho0, centers)
+    u = _sample_series(inflow, times)
+    return _picard_window(law, times, u, rho_start, dx, 1.0)
+
+
+def outflux(state: LinkState, t: float) -> float:
+    """Boundary outflow flux at time ``t``, interpolated from the solve."""
+    if not state.times[0] <= t <= state.times[-1]:
+        raise HorizonExceeded(f"t={t} outside the solved range")
+    return float(np.interp(t, state.times, state.outflow))
+
+
+def exit_time(state: LinkState, enter_time: float) -> float:
+    """Exit time of a parcel entering at ``enter_time`` (whole-span runs).
+
+    Integrates the stored space-independent speed series, piecewise constant
+    per step, until the accumulated displacement spans the link.
+    """
+    if state.speeds is None:
+        raise ValueError("exit_time needs the space-independent speed series")
+    if not state.times[0] <= enter_time <= state.times[-1]:
+        raise HorizonExceeded(f"enter_time={enter_time} outside the solved range")
+    dt = state.dt
+    pos = 0.0
+    t = enter_time
+    m = min(int((enter_time - state.times[0]) / dt), len(state.times) - 2)
+    while m < len(state.times) - 1:
+        seg_end = state.times[m + 1]
+        c = float(state.speeds[m])
+        span = seg_end - t
+        if pos + c * span >= state.length:
+            return t + (state.length - pos) / c
+        pos += c * span
+        t = seg_end
+        m += 1
+    raise HorizonExceeded("parcel does not exit within the solved horizon")
+
+
+# ---------------------------------------------------------------- routing
+
+def wardrop_gap(state: NetworkState, t: float, origin: int, destination: int,
+                commodity: Commodity, *, eps: float = USED_PATH_EPS) -> float:
+    """Single-class gap: spread of path times over the plan's used paths."""
+    return mixed_gap(state, t, origin, destination, [(commodity, 1.0)],
+                     eps=eps)
+
+
+# ------------------------------------------------------- social optimum
+
+def _series_from_intervals(knots: np.ndarray, values: np.ndarray) -> PiecewiseConstant:
+    # the last interval is held open-ended so the horizon endpoint samples it
+    ends = [float(b) for b in knots[1:-1]] + [math.inf]
+    segments = [(float(a), b, float(v))
+                for a, b, v in zip(knots[:-1], ends, values) if v != 0.0]
+    return PiecewiseConstant(segments or [(float(knots[0]), math.inf, 0.0)])
+
+
+def build_schedules(param: ControlParameterization, demand: DemandSpec,
+                    base_splits=None,
+                    commodities: Optional[Sequence[Commodity]] = None
+                    ) -> tuple[SplitSchedule, SourceSchedule]:
+    """Materialize the controls as simulator schedules.
+
+    ``base_splits`` supplies rows for junctions the parameterization does
+    not control, in any form :func:`as_split_schedule` takes.
+    """
+    commodities = tuple(commodities or demand.commodities())
+    rows = dict(as_split_schedule(base_splits, commodities)._rows)
+    for c, vals in zip(param.theta, param.theta_values):
+        rows[(c.node, c.commodity)] = {
+            a: _series_from_intervals(param.knots, vals[i])
+            for i, a in enumerate(c.links)}
+    entries = {}
+    for c, vals in zip(param.sources, param.source_values):
+        total = demand.totals.get(c.key(), 0.0)
+        lengths = np.diff(param.knots)
+        integral = float(np.dot(vals, lengths))
+        rates = vals * (total / integral) if integral > 0 else np.zeros_like(vals)
+        entries[c.key()] = _series_from_intervals(param.knots, rates)
+    return SplitSchedule(rows), SourceSchedule(entries)

@@ -20,7 +20,7 @@ from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule)
 from roadflow.network_sim import simulate
 from roadflow.nonlocal_solver import (GridSpec, NonlocalWindow, congestion_law,
-                                      constant_law, exit_time, solve_link)
+                                      constant_law, solve_link)
 from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
                                    optimize_velocity, solve_freight_pair)
 from roadflow.private_agg import (chain_aggregate, decrypt, encrypt,
@@ -35,10 +35,11 @@ from roadflow.scheduler import (FreightGraph, ScheduleState,
                                 platoon_opportunity_gain, run_learning)
 from roadflow.social_optimum import (ControlParameterization, DemandSpec,
                                      SourceControl, ThetaControl,
-                                     backlog_objective, build_schedules,
-                                     optimize_social, project_controls)
+                                     backlog_objective, optimize_social,
+                                     project_controls)
 
-from oracles import exact_gibbs_distribution, potential_check
+from oracles import (build_schedules, exact_gibbs_distribution, exit_time,
+                     potential_check)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 WHOLE = NonlocalWindow()

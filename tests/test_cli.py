@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -221,6 +222,42 @@ def test_non_finite_or_oversized_number_is_schema_error(
     doc = json.loads(EQUILIBRIUM.read_text())
     doc[field] = value
     assert_refused(doc, expected, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("source, edit, expected", [
+    # horizon x top speed / (cfl x cell width) is infinite: the step count
+    # cannot become an integer
+    (SOCIAL, lambda d: d["knots"].__setitem__(4, 1e308), "social-opt.knots: "),
+    (EQUILIBRIUM, lambda d: d["laws"]["3-4"].update(speed=1e308),
+     "equilibrium.laws: "),
+    (EQUILIBRIUM, lambda d: d.update(horizon=1e308), "equilibrium.horizon: "),
+])
+def test_step_count_overflow_is_schema_error(source, edit, expected, tmp_path,
+                                             capsys):
+    doc = json.loads(source.read_text())
+    edit(doc)
+    assert_refused(doc, expected, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("source, edit", [
+    (EQUILIBRIUM, lambda d: d["laws"]["1-2"].update(gain=1e308)),
+    (PLATOON, lambda d: d.update(length=1e308)),
+])
+def test_overflow_in_a_run_writes_only_the_error(source, edit, tmp_path,
+                                                 capsys):
+    # numpy overflows on the way to the compute error; its warning text
+    # would reach stderr ahead of the JSON object
+    doc = json.loads(source.read_text())
+    edit(doc)
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([doc["kind"], "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert [str(w.message) for w in seen] == []
+    payload = json.loads(capsys.readouterr().err)    # exactly one JSON object
+    assert payload["error"] == "compute"
 
 
 @pytest.mark.parametrize("field, value", [("horizon", 1e9),

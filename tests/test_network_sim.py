@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roadflow import network_sim
 from roadflow.errors import SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule, as_split_schedule)
@@ -225,27 +226,34 @@ def fork_run():
     return dict(laws=laws, horizon=4.0, grid=GridSpec(cells=20))
 
 
-def test_arrival_simulator_resamples_only_a_changed_row(monkeypatch):
+def test_arrival_simulator_restarts_where_a_row_changes(monkeypatch):
     net, k = fork_net(), Commodity("non_routed", 4)
     settings = fork_run()
     runs = ArrivalSimulator(net, [k], settings["laws"],
                             horizon=settings["horizon"], grid=settings["grid"])
-    sampled = []
-    grid_row = SplitSchedule.grid_row
+    starts = []
+    advance = network_sim._StepPlan.advance
 
-    def counting(self, node, *args):
-        sampled.append(node)
-        return grid_row(self, node, *args)
+    def spy(self, *args, start=0, **kwargs):
+        starts.append(start)
+        return advance(self, *args, start=start, **kwargs)
 
-    monkeypatch.setattr(SplitSchedule, "grid_row", counting)
+    monkeypatch.setattr(network_sim._StepPlan, "advance", spy)
     first = fork_member(k, 0.3)
     runs.run([first])
-    assert sorted(sampled) == [1, 2, 3]
-    # the same row with its share one bit higher is a new row
-    second = fork_member(k, np.nextafter(0.3, 1.0))
-    sampled.clear()
+    runs.stand_on(0)
+    # the same row with its share one bit higher from t = 2 on
+    splits, sources = first
+    later = np.nextafter(0.3, 1.0)
+    rows = dict(splits._rows)
+    rows[(1, k)] = {
+        (1, 2): PiecewiseConstant([(0.0, 2.0, 0.3), (2.0, np.inf, later)]),
+        (1, 3): PiecewiseConstant([(0.0, 2.0, 1.0 - 0.3),
+                                   (2.0, np.inf, 1.0 - later)])}
+    second = (SplitSchedule(rows), sources)
     [record] = runs.run([second])
-    assert sampled == [1]
+    assert starts == [0, int(np.searchsorted(record.times, 2.0))]
+    assert starts[1] > 0
     alone = simulate(net, [k], *second, settings["laws"],
                      horizon=settings["horizon"], grid=settings["grid"])
     before = simulate(net, [k], *first, settings["laws"],

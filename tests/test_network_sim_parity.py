@@ -7,9 +7,11 @@ every array of the two states must agree bit for bit on seeded random
 acyclic networks of up to six nodes.
 
 Batches of members on the same networks must give each member the
-arrivals of its own ``simulate`` run, and ``sequential_search`` keeps the
-social-opt search as it ran one simulation at a time, as the reference
-for the batched ``optimize_social``.
+arrivals of its own ``simulate`` run, also when a batch restarts from a
+kept run, and ``sequential_search`` keeps the social-opt search as it ran
+one simulation at a time, as the reference for the batched
+``optimize_social``.  The search's controls, read from its packed vector
+as arrays, must equal ``build_schedules`` sampled by ``_StepPlan.member``.
 """
 
 import math
@@ -21,16 +23,20 @@ import pytest
 from roadflow import network_sim, nonlocal_solver
 from roadflow.errors import CflViolated, SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
-                              SourceSchedule, SplitSchedule)
+                              SourceSchedule, SplitSchedule, as_split_schedule)
 from roadflow.network_sim import ArrivalSimulator, NetworkState, simulate
 from roadflow.nonlocal_solver import (MAX_DT_HALVINGS, GridSpec,
                                       NonlocalWindow, VelocityLaw, _CflRetry,
                                       _retry, congestion_law, constant_law,
                                       linear_law, solve_link, upwind_step)
 from roadflow.scenario import build_social_opt, load_scenario
-from roadflow.social_optimum import (SocialOptResult, backlog_objective,
-                                     build_schedules, optimize_social,
-                                     project_controls)
+from roadflow.social_optimum import (ControlParameterization, DemandSpec,
+                                     SocialOptResult, SourceControl,
+                                     ThetaControl, _Controls, _project,
+                                     _project_rows, backlog_objective,
+                                     optimize_social, project_controls)
+
+from oracles import build_schedules
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -436,6 +442,65 @@ def test_batch_reruns_a_cfl_member_alone_with_half_the_step():
         assert_same_arrivals(record, run_alone(case, splits, sources))
 
 
+def spy_advance(patch) -> list:
+    """``(members, steps, start)`` of every batch the time loop advances
+    while ``patch`` is active."""
+    calls = []
+    advance = network_sim._StepPlan.advance
+
+    def spy(self, frac, src, need, rho, record=None, start=0):
+        calls.append((rho.shape[0] // len(self.tail), self.steps, start))
+        return advance(self, frac, src, need, rho, record, start)
+
+    patch.setattr(network_sim._StepPlan, "advance", spy)
+    return calls
+
+
+def test_restarted_batch_reruns_a_cfl_member_alone_from_step_zero(
+        monkeypatch):
+    # the striped shortcut of the test above; the base sends nothing onto
+    # it, the other member sends half from t0 on: the batch restarts at
+    # t0, and that member breaks the bound there and reruns alone with
+    # twice the steps from step 0
+    case = random_case(3)
+    case["initial_density"] = None
+    net, (k,) = case["net"], case["commodities"]
+    last = len(net.nodes) - 1
+    fork, shortcut = last - 2, (last - 2, last)
+    case["windows"].pop(shortcut, None)
+    splits, sources = batch_members(case, 1)[0]
+    budget = sources.total(k, 0.0, case["horizon"])
+    vmax = max(law.max_speed(case["horizon"], budget)
+               for law in case["laws"].values())
+    case["laws"][shortcut] = striped_law(budget, 0.5 * vmax,
+                                         1.8 * vmax / case["grid"].cfl)
+    t0 = 0.25 * case["horizon"]
+    rows = dict(splits._rows)
+    rows[(fork, k)] = {(fork, fork + 1): PiecewiseConstant.constant(1.0),
+                       shortcut: PiecewiseConstant.constant(0.0)}
+    base = (SplitSchedule(rows), sources)
+    rows = dict(rows)
+    rows[(fork, k)] = {
+        (fork, fork + 1): PiecewiseConstant([(-math.inf, t0, 1.0),
+                                             (t0, math.inf, 0.5)]),
+        shortcut: PiecewiseConstant([(t0, math.inf, 0.5)])}
+    late = (SplitSchedule(rows), sources)
+    runs = ArrivalSimulator(case["net"], case["commodities"], case["laws"],
+                            horizon=case["horizon"], grid=case["grid"],
+                            windows=case["windows"])
+    [first] = runs.run([base])
+    runs.stand_on(0)
+    with monkeypatch.context() as patch:
+        calls = spy_advance(patch)
+        records = runs.run([late, base])
+    n = len(first.times) - 1
+    restart = int(np.searchsorted(first.times, t0))
+    assert 0 < restart < n
+    assert calls == [(2, n, restart), (1, n, n), (1, 2 * n, 0)]
+    for record, member in zip(records, [late, base]):
+        assert_same_arrivals(record, run_alone(case, *member))
+
+
 def test_batch_groups_members_by_step_count():
     # a law that speeds up with mass sizes the step by the mass budget, so
     # the member with four times the demand runs with more, shorter steps
@@ -647,3 +712,118 @@ def test_failed_batch_falls_back_to_single_runs(monkeypatch):
     monkeypatch.setattr(ArrivalSimulator, "run", fail_batches)
     assert_same_search(optimize_social(budget=30, **case),
                        sequential_search(budget=30, **case))
+
+
+# ------------------------------------------- social-opt controls as arrays
+
+FORK = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+
+
+def fork_social_case() -> dict:
+    """The layout of the benchmark's shaping scenario: a departure-rate
+    control on the entry link and a turning control at the fork, on four
+    knot intervals."""
+    speeds = {"0-1": (1.0, 3.0), "1-2": (0.8, 2.5), "1-3": (0.9, 4.0),
+              "2-4": (0.7, 2.0), "3-4": (1.0, 3.0)}
+    built = build_social_opt({
+        "network": {"links": [{"tail": u, "head": v} for u, v in FORK]},
+        "laws": {key: {"kind": "congestion", "free_speed": v, "gain": g}
+                 for key, (v, g) in speeds.items()},
+        "grid": {"cells": 12, "cfl": 0.9},
+        "commodities": [{"group": "non_routed", "destination": 4}],
+        "knots": [0.0, 0.75, 1.5, 2.25, 3.0],
+        "demand": [{"node": 0, "link": [0, 1], "commodity": 0,
+                    "total": 1.0}],
+        "source_controls": [{"node": 0, "link": [0, 1], "commodity": 0}],
+        "theta_controls": [{"node": 1, "commodity": 0,
+                            "links": [[1, 2], [1, 3]]}],
+        "base_splits": {"2": {"2-4": 1.0}, "3": {"3-4": 1.0}},
+        "budget": 60})
+    return dict(net=built["net"], demand=built["demand"],
+                param=built["param"], laws=built["laws"],
+                base_splits=built["base_rows"], grid=built["grid"])
+
+
+def test_search_simulates_fewer_members_than_it_charges(monkeypatch):
+    # points met again, within a batch or across batches, are not rerun
+    case = social_case()
+    with monkeypatch.context() as patch:
+        calls = spy_advance(patch)
+        got = optimize_social(budget=1000, min_fd_step=6e-4, **case)
+    assert sum(members for members, _, _ in calls) < got.evaluations
+    # a turning row moves only from its knot interval on, so batches that
+    # move one restart from the current point past step 0
+    case = fork_social_case()
+    with monkeypatch.context() as patch:
+        calls = spy_advance(patch)
+        got = optimize_social(budget=60, **case)
+    assert sum(start > 0 for _, _, start in calls) >= 5
+    assert_same_search(got, sequential_search(budget=60, **case))
+
+
+def project_rows_by_column(rows: np.ndarray) -> np.ndarray:
+    """The column loop that ``_project_rows`` replaced."""
+    out = np.clip(rows, 0.0, None)
+    sums = out.sum(axis=0)
+    for j in range(out.shape[1]):
+        if sums[j] > 0.0:
+            out[:, j] /= sums[j]
+        else:
+            out[:, j] = np.full(out.shape[0], 1.0 / out.shape[0])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_control_arrays_equal_the_sampled_schedules(seed):
+    """A point's rows and source integrals, read from its vector through
+    the map of each step count, against ``build_schedules`` sampled by
+    ``_StepPlan.member``: random knots, step counts (some steps longer
+    than a knot interval) and vectors (some values zero of either sign,
+    some columns empty), two commodities and three sources, one with no
+    demand."""
+    rng = np.random.default_rng([seed, 19])
+    net = RoadNetwork(range(5), FORK)
+    ks = (Commodity("non_routed", 4), Commodity("routed", 4))
+    knots = np.concatenate(([0.0], np.cumsum(
+        rng.uniform(0.02, 1.0, int(rng.integers(1, 7))))))
+    sources = [SourceControl(0, (0, 1), ks[0]),
+               SourceControl(0, (0, 1), ks[1]),
+               SourceControl(1, (1, 2), ks[0])]
+    demand = DemandSpec({sources[0].key(): float(rng.uniform(0.5, 2.0)),
+                         sources[1].key(): float(rng.uniform(0.5, 2.0)),
+                         sources[2].key(): float(seed % 2)})
+    param = ControlParameterization(
+        knots, [ThetaControl(1, k, ((1, 2), (1, 3))) for k in ks], sources)
+    base = as_split_schedule({2: {(2, 4): 1.0}, 3: {(3, 4): 1.0}}, ks)
+    runs = ArrivalSimulator(net, ks, constant_law(1.0),
+                            horizon=param.horizon, grid=GridSpec(cells=6))
+    controls = _Controls(net, ks, param, demand, base)
+    for _ in range(3):
+        x = rng.normal(1.0, 0.8, len(param.pack()))
+        x[rng.random(len(x)) < 0.2] = 0.0
+        x[rng.random(len(x)) < 0.2] = -0.0
+        p = _project(param, demand, x)
+        assert p.tobytes() == project_controls(param.with_vector(x),
+                                               demand).pack().tobytes()
+        splits, source_schedule = build_schedules(param.with_vector(p),
+                                                  demand, base, ks)
+        point = controls.member(p)
+        assert repr(point.budget) == repr(0.0 + sum(
+            source_schedule.total(k, 0.0, param.horizon) for k in ks))
+        for steps in [4, *rng.integers(5, 200, 3)]:
+            plan = network_sim._StepPlan(
+                net, ks, runs.law_map, runs.window_map, runs.horizon,
+                int(steps), runs.centers, runs.topo_links)
+            for got, ref in zip(point.arrays(plan),
+                                plan.member(splits, source_schedule)[2:]):
+                assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_projected_rows_equal_the_column_loop(seed):
+    rng = np.random.default_rng([seed, 7])
+    rows = rng.normal(0.3, 0.5, (int(rng.integers(1, 5)), 6))
+    rows[:, 0] = -1.0                   # an empty column becomes uniform
+    rows[0, 1] = math.nan               # so does one that sums to NaN
+    assert (_project_rows(rows).tobytes()
+            == project_rows_by_column(rows).tobytes())

@@ -6,9 +6,10 @@ import pytest
 from roadflow.errors import HorizonExceeded
 from roadflow.network import PiecewiseConstant
 from roadflow.nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                                      congestion_law, constant_law, exit_time,
-                                      nonlocal_term, outflux,
-                                      solve_characteristic, solve_link)
+                                      congestion_law, constant_law,
+                                      nonlocal_term, solve_link)
+
+from oracles import exit_time, outflux, solve_characteristic
 
 WHOLE = NonlocalWindow()
 

@@ -11,8 +11,10 @@ from roadflow.network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
 from roadflow.network_sim import enumerate_paths
 from roadflow.routing import (EquilibriumDemand, LogitRule, RoutingPolicy,
                               equilibrium_iterate, infer_origin, mixed_gap,
-                              policy_grid_splits, wardrop_gap)
+                              policy_grid_splits)
 from roadflow.nonlocal_solver import GridSpec, congestion_law, constant_law
+
+from oracles import wardrop_gap
 
 
 def three_route_net():

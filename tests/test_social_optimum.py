@@ -10,9 +10,10 @@ from roadflow.network_sim import simulate
 from roadflow.nonlocal_solver import GridSpec, constant_law
 from roadflow.social_optimum import (ControlParameterization, DemandSpec,
                                      SourceControl, ThetaControl,
-                                     backlog_objective, build_schedules,
-                                     optimize_social, project_controls,
-                                     project_demand)
+                                     backlog_objective, optimize_social,
+                                     project_controls, project_demand)
+
+from oracles import build_schedules
 
 
 def line_net():
