@@ -542,6 +542,16 @@ def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow,
                      speeds=speeds, method="fv")
 
 
+def link_steps(law: VelocityLaw, horizon: float, grid: GridSpec,
+               length: float, budget: float) -> int:
+    """Time steps of a :func:`solve_link` run before any CFL halving: the
+    CFL step of the largest speed ``law`` reaches on ``[0, horizon]`` with
+    at most ``budget`` mass on the link, and at least 8."""
+    dx = length / grid.cells
+    vmax = max(law.max_speed(horizon, budget), law.floor)
+    return max(8, int(math.ceil(horizon * vmax / (grid.cfl * dx))))
+
+
 def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
                horizon: float, grid: GridSpec | None = None, length: float = 1.0,
                method: str = "auto") -> LinkState:
@@ -568,8 +578,7 @@ def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
     rho_init = _sample_initial(rho0, (np.arange(grid.cells) + 0.5) * dx)
     budget = rho_init.sum() * dx + _inflow_budget(inflow, horizon)
     law.check(horizon, budget)
-    vmax = max(law.max_speed(horizon, budget), law.floor)
-    steps = max(8, int(math.ceil(horizon * vmax / (grid.cfl * dx))))
+    steps = link_steps(law, horizon, grid, length, budget)
     if method == "characteristics":
         return _solve_link_transport(law, inflow, rho_init, horizon, grid,
                                      length, steps)

@@ -3,10 +3,9 @@
 Background traffic follows the whole-road nonlocal law and is unaffected
 by the trucks; the truck density is advected by a controlled space-time
 speed field that may additionally read the windowed background mass.  The
-default solver is Lagrangian: the truck density is carried by particles,
-so mass is conserved exactly and the variance objectives are smooth
-functions of the control values (a conservative upwind solver is kept as
-an independent cross-check).  The control field lives on a coarse knot
+solver is Lagrangian: the truck density is carried by particles, so mass
+is conserved exactly and the variance objectives are smooth functions of
+the control values.  The control field lives on a coarse knot
 grid with box bounds and a rate-of-change bound in the l1 metric over
 (t, x, mass argument); feasibility is restored by clipping and repeated
 neighbor averaging.
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import InadmissibleVelocityField
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
                               _sample_initial, mass_row, nonlocal_term,
-                              solve_link, upwind_step)
+                              solve_link)
 
 #: tolerance for the sampled feasibility conditions
 ADMISSIBLE_TOL = 1e-9
@@ -227,22 +226,18 @@ def _series_step_mass(series, t0: float, t1: float) -> float:
 
 @dataclass
 class PlatoonSolution:
-    """Space-time record of one freight-pair run."""
+    """Space-time record of one freight-pair particle run."""
 
     pair: FreightPair
     control: AdmissibleVelocityField
     times: np.ndarray
     x_centers: np.ndarray
-    method: str
-    weights: Optional[np.ndarray] = None          # particles only
-    positions: Optional[np.ndarray] = None        # (steps+1, n)
-    release_steps: Optional[np.ndarray] = None
-    grid_fields: Optional[np.ndarray] = None      # fv only, (steps+1, cells)
+    weights: np.ndarray
+    positions: np.ndarray                         # (steps+1, elements)
+    release_steps: np.ndarray
     rho_rows: Optional[np.ndarray] = None         # background density rows
     injected: float = 0.0
     initial_mass: float = 0.0
-    exited: float = 0.0                           # fv only
-    _density_cache: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dx(self) -> float:
@@ -251,53 +246,40 @@ class PlatoonSolution:
     def density_fields(self) -> np.ndarray:
         """Truck density on the cell grid at every time node.
 
-        Particle runs deposit mass linearly onto the two nearest cell
-        centers (positions outside the road are clamped to the end cells);
+        Mass is deposited linearly onto the two nearest cell centers
+        (positions outside the road are clamped to the end cells);
         elements at or past the road's end have left and deposit nothing.
         """
-        if self.grid_fields is not None:
-            return self.grid_fields
-        if self._density_cache is None:
-            steps1, n = self.positions.shape
-            cells = len(self.x_centers)
-            dx = self.dx
-            out = np.zeros((steps1, cells))
-            for m in range(steps1):
-                active = self.release_steps <= m
-                if not np.any(active):
-                    continue
-                xs = self.positions[m, active]
-                u = xs / dx - 0.5
-                j = np.clip(np.floor(u).astype(int), 0, cells - 1)
-                frac = np.clip(u - j, 0.0, 1.0)
-                w = _on_road(self.weights[active], xs, self.pair.length)
-                np.add.at(out[m], j, w * (1.0 - frac))
-                np.add.at(out[m], np.minimum(j + 1, cells - 1), w * frac)
-            out /= dx
-            self._density_cache = out
-        return self._density_cache
+        steps1, cells = len(self.positions), len(self.x_centers)
+        dx = self.dx
+        out = np.zeros((steps1, cells))
+        for m in range(steps1):
+            active = self.release_steps <= m
+            if not np.any(active):
+                continue
+            xs = self.positions[m, active]
+            u = xs / dx - 0.5
+            j = np.clip(np.floor(u).astype(int), 0, cells - 1)
+            frac = np.clip(u - j, 0.0, 1.0)
+            w = _on_road(self.weights[active], xs, self.pair.length)
+            np.add.at(out[m], j, w * (1.0 - frac))
+            np.add.at(out[m], np.minimum(j + 1, cells - 1), w * frac)
+        out /= dx
+        return out
 
     def moment_curves(self, weighted: bool = False) -> np.ndarray:
         """(M0, M1, M2) per time node, shape (3, steps+1).
 
         ``weighted`` multiplies each mass element by (1 + background
         density at its position); without a background run the weight is
-        identically one.  Particle elements at or past the road's end have
-        left and weigh nothing.
+        identically one.  Elements at or past the road's end have left and
+        weigh nothing.
         """
-        out = np.zeros((3, len(self.times)))
-        rows = self.rho_rows if weighted else None
-        for m in range(len(self.times)):
-            if self.positions is not None:
-                n = np.searchsorted(self.release_steps, m, side="right")
-                xs = self.positions[m, :n]
-                w = _on_road(self.weights[:n], xs, self.pair.length)
-            else:
-                w, xs = self.grid_fields[m] * self.dx, self.x_centers
-            w, out[1, m], out[2, m] = _moments(
-                w, xs, self.x_centers, None if rows is None else rows[m])
-            out[0, m] = np.add.reduce(w, axis=-1)
-        return out
+        active = self.release_steps.searchsorted(
+            np.arange(len(self.times)), side="right")
+        return _moment_curves(self.positions[:, None], 1, active,
+                              self.weights, self.pair.length, self.x_centers,
+                              self.rho_rows if weighted else None)[:, 0]
 
     def objectives(self) -> tuple[float, float]:
         """(unweighted, background-weighted) concentration objectives."""
@@ -315,11 +297,8 @@ class PlatoonSolution:
         return float(m2[-1] / m0[-1] - mean ** 2)
 
     def mass_report(self) -> dict:
-        """The run's :func:`mass_row`; a particle run counts the released
-        elements at or past the road's end as exited."""
-        if self.positions is None:
-            return mass_row(self.initial_mass, self.injected, self.exited,
-                            float(self.grid_fields[-1].sum() * self.dx))
+        """The run's :func:`mass_row`; the released elements at or past
+        the road's end count as exited."""
         released = self.release_steps <= len(self.times) - 1
         gone = self.positions[-1] >= self.pair.length
         return mass_row(self.initial_mass, self.injected,
@@ -345,15 +324,27 @@ def _on_road(w: np.ndarray, xs: np.ndarray, length: float) -> np.ndarray:
     return np.where(xs < length, w, 0.0)
 
 
-def _moments(w: np.ndarray, xs: np.ndarray, centers: np.ndarray,
-             bg_row: Optional[np.ndarray] = None):
-    """Mass elements ``w`` at positions ``xs`` (last axis), each weighted
-    by (1 + background density) when ``bg_row`` is given, and their M1 and
-    M2 (M0 is the sum of the first).  ``np.vecdot`` over rows equals
-    ``np.dot`` per row bit for bit."""
-    if bg_row is not None:
-        w = w * (1.0 + np.interp(xs, centers, bg_row))
-    return w, np.vecdot(w, xs), np.vecdot(w, xs * xs)
+def _moment_curves(states, fields: int, active: np.ndarray,
+                   weights: np.ndarray, length: float, centers: np.ndarray,
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """(M0, M1, M2) of ``fields`` fields at every time node, shape
+    ``(3, fields, nodes)``, from the ``(fields, elements)`` positions that
+    ``states`` yields at each node.  The first ``active[m]`` elements are
+    released at node m; those at or past ``length`` weigh nothing, and
+    with background ``rows`` each weighs (1 + background density at its
+    position).  ``np.vecdot`` over rows equals ``np.dot`` per row bit for
+    bit."""
+    out = np.empty((3, fields, len(active)))
+    for m, xs in enumerate(states):
+        n = active[m]
+        xs = xs[:, :n]
+        w = _on_road(weights[:n], xs, length)
+        if rows is not None:
+            w = w * (1.0 + np.interp(xs, centers, rows[m]))
+        out[0, :, m] = np.add.reduce(w, axis=-1)
+        out[1, :, m] = np.vecdot(w, xs)
+        out[2, :, m] = np.vecdot(w, xs * xs)
+    return out
 
 
 def truck_steps(length: float, horizon: float, cells: int, lam_max: float) -> int:
@@ -426,60 +417,32 @@ class _ParticleRun:
         ``PROBE_BLOCK`` positions; they are independent, so the blocking
         moves no bits."""
         per = max(1, PROBE_BLOCK // len(self.weights))
-        rows = self.rho_rows if weighted else None
         out = []
         for block in (values[i:i + per] for i in range(0, len(values), per)):
-            m1 = np.empty((len(block), len(self.times)))
-            m2 = np.empty_like(m1)
-            for m, state in enumerate(self.advance(block)):
-                n = self.active[m]
-                xs = state[:, :n]
-                w = _on_road(self.weights[:n], xs, self.pair.length)
-                _, m1[:, m], m2[:, m] = _moments(
-                    w, xs, self.centers, None if rows is None else rows[m])
+            _, m1, m2 = _moment_curves(
+                self.advance(block), len(block), self.active, self.weights,
+                self.pair.length, self.centers,
+                self.rho_rows if weighted else None)
             out.append(np.trapezoid(m2 - m1 ** 2, self.times, axis=-1))
         return np.concatenate(out)
 
 
 def solve_freight_pair(pair: FreightPair, control: AdmissibleVelocityField, *,
-                       cells: int = 200,
-                       method: str = "particles") -> PlatoonSolution:
-    """Solve background then trucks under the given admissible control.
-
-    ``method="particles"`` advects truck mass elements with midpoint
-    stepping (exact conservation); ``method="fv"`` runs the conservative
-    upwind cross-check on the cell grid.
-    """
+                       cells: int = 200) -> PlatoonSolution:
+    """Solve background then trucks under the given admissible control:
+    truck mass elements are advected by midpoint steps, so mass is
+    conserved exactly."""
     control.check()
     run = _ParticleRun(pair, control, cells)
-    times, dx, dt = run.times, run.dx, run.dt
-    common = dict(pair=pair, control=control, times=times, method=method,
-                  x_centers=run.centers, rho_rows=run.rho_rows,
-                  initial_mass=float(run.q0.sum() * dx))
-    if method == "particles":
-        positions = np.empty((len(times), len(run.weights)))
-        for m, state in enumerate(run.advance(control.values[None])):
-            positions[m] = state[0]
-        return PlatoonSolution(weights=run.weights, positions=positions,
-                               release_steps=run.release,
-                               injected=float(run.spawn_mass.sum()), **common)
-    if method != "fv":
-        raise ValueError(f"unknown method {method!r}")
-    edges = np.arange(cells + 1) * dx
-    q = np.zeros((len(times), cells))
-    q[0] = run.q0
-    injected = 0.0
-    exited = 0.0
-    for m in range(len(times) - 1):
-        lam_e = control.evaluate(times[m], edges, run.mass_argument(m, edges))
-        if float(lam_e.max()) * dt > dx * (1.0 + 1e-12):
-            raise ValueError("time step too large for the control bound")
-        inflow = run.spawn_mass[m] / dt
-        q[m + 1], out = upwind_step(q[m], lam_e[1:], inflow, dt, dx)
-        injected += inflow * dt
-        exited += out * dt
-    return PlatoonSolution(grid_fields=q, injected=injected, exited=exited,
-                           **common)
+    positions = np.empty((len(run.times), len(run.weights)))
+    for m, state in enumerate(run.advance(control.values[None])):
+        positions[m] = state[0]
+    return PlatoonSolution(pair=pair, control=control, times=run.times,
+                           x_centers=run.centers, weights=run.weights,
+                           positions=positions, release_steps=run.release,
+                           rho_rows=run.rho_rows,
+                           injected=float(run.spawn_mass.sum()),
+                           initial_mass=float(run.q0.sum() * run.dx))
 
 
 @dataclass

@@ -22,7 +22,8 @@ from .network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
                       RoadNetwork, SourceSchedule)
 from .network_sim import _DEFAULT_CELLS, _time_steps
 from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                              congestion_law, constant_law, linear_law)
+                              congestion_law, constant_law, link_steps,
+                              linear_law)
 from .platoon_flow import AdmissibleVelocityField, FreightPair, truck_steps
 from .routing import EquilibriumDemand, LogitRule, RoutingPolicy
 from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
@@ -648,7 +649,7 @@ def build_platoon_flow(payload: dict) -> dict:
             bg_kwargs["background_inflow"] = _segments(
                 bg_inflow, f"{p}.inflow_segments")
         bg_kwargs["window"] = build_window(background.get("window"),
-                                           f"{p}.window")
+                                           f"{p}.window", length)
 
     control = _dict(payload, "control", path)
     cp = f"{path}.control"
@@ -679,6 +680,17 @@ def build_platoon_flow(payload: dict) -> dict:
     _check_size(path, "particle positions",
                 (steps + 1) * (cells + (steps if inflow is not None else 0)),
                 "(time steps + 1) x particles")
+    if background is not None:
+        # a law the schema builds is nonincreasing: no mass budget needed
+        try:
+            bg_steps = link_steps(bg_kwargs["background_law"], horizon,
+                                  GridSpec(cells=cells), length, 0.0)
+        except OverflowError:
+            _fail(f"{path}.background.law", "the background run's time "
+                  "steps, horizon x top speed / (cfl x cell width), "
+                  "overflow a float")
+        _check_size(f"{path}.background", "a density block",
+                    (bg_steps + 1) * cells, "(time steps + 1) x cells")
 
     pair = FreightPair(length=length, horizon=horizon, truck_initial=initial,
                        truck_inflow=inflow_series, **bg_kwargs)

@@ -7,12 +7,15 @@ vehicles into groups that can ever meet, and a single learning iteration.
 For the single link, the displacement fixed point on one window, the
 boundary outflux and a parcel's exit time; for routing, the single-class
 Wardrop gap; for the social optimum, the controls as the simulator's
-schedule objects.
+schedule objects; for platooning, the truck density of a freight pair by
+first-order conservative upwind on the cell grid (LeVeque, *Finite Volume
+Methods for Hyperbolic Problems*, 2002), the cross-check of the particle
+solver.
 """
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,10 @@ from roadflow.network import (Commodity, PiecewiseConstant, SourceSchedule,
 from roadflow.network_sim import NetworkState
 from roadflow.nonlocal_solver import (CharacteristicResult, LinkState,
                                       VelocityLaw, _picard_window,
-                                      _sample_initial, _sample_series)
+                                      _sample_initial, _sample_series,
+                                      mass_row, upwind_step)
+from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
+                                   _ParticleRun)
 from roadflow.routing import USED_PATH_EPS, mixed_gap
 from roadflow.scheduler import (BRUTE_FORCE_CAP, CACHE_JOINT_CAP, FreightGraph,
                                 ScheduleState, VehicleAssignment, _LiveCounts,
@@ -254,3 +260,68 @@ def build_schedules(param: ControlParameterization, demand: DemandSpec,
         rates = vals * (total / integral) if integral > 0 else np.zeros_like(vals)
         entries[c.key()] = _series_from_intervals(param.knots, rates)
     return SplitSchedule(rows), SourceSchedule(entries)
+
+
+# ------------------------------------------------------------ platooning
+
+@dataclass
+class GridTruckRun:
+    """Truck density on the cell grid at every time node, with its mass
+    record."""
+
+    times: np.ndarray
+    x_centers: np.ndarray
+    fields: np.ndarray                  # (steps+1, cells)
+    rho_rows: Optional[np.ndarray] = None
+    injected: float = 0.0
+    initial_mass: float = 0.0
+    exited: float = 0.0
+
+    @property
+    def dx(self) -> float:
+        return float(self.x_centers[1] - self.x_centers[0])
+
+    def objectives(self) -> tuple[float, float]:
+        """(unweighted, background-weighted) concentration objectives: each
+        cell's mass sits at its center, weighted by (1 + background density)
+        in the second."""
+        j = []
+        for rows in (None, self.rho_rows):
+            m1, m2 = np.zeros((2, len(self.times)))
+            for m in range(len(self.times)):
+                w, xs = self.fields[m] * self.dx, self.x_centers
+                if rows is not None:
+                    w = w * (1.0 + np.interp(xs, xs, rows[m]))
+                m1[m], m2[m] = np.vecdot(w, xs), np.vecdot(w, xs * xs)
+            j.append(float(np.trapezoid(m2 - m1 ** 2, self.times)))
+        return j[0], j[1]
+
+    def mass_report(self) -> dict:
+        return mass_row(self.initial_mass, self.injected, self.exited,
+                        float(self.fields[-1].sum() * self.dx))
+
+
+def reference_fv_pair(pair: FreightPair, control: AdmissibleVelocityField,
+                      cells: int) -> GridTruckRun:
+    """The trucks of ``pair`` under ``control`` by conservative upwind steps
+    on ``cells`` cells, at the particle solver's time nodes, background rows
+    and initial and inflow masses."""
+    control.check()
+    run = _ParticleRun(pair, control, cells)
+    times, dx, dt = run.times, run.dx, run.dt
+    edges = np.arange(cells + 1) * dx
+    q = np.zeros((len(times), cells))
+    q[0] = run.q0
+    injected = 0.0
+    exited = 0.0
+    for m in range(len(times) - 1):
+        lam_e = control.evaluate(times[m], edges, run.mass_argument(m, edges))
+        if float(lam_e.max()) * dt > dx * (1.0 + 1e-12):
+            raise ValueError("time step too large for the control bound")
+        inflow = run.spawn_mass[m] / dt
+        q[m + 1], out = upwind_step(q[m], lam_e[1:], inflow, dt, dx)
+        injected += inflow * dt
+        exited += out * dt
+    return GridTruckRun(times=times, x_centers=run.centers, fields=q,
+                        rho_rows=run.rho_rows, injected=injected,
+                        initial_mass=float(run.q0.sum() * dx), exited=exited)

@@ -270,6 +270,23 @@ def test_oversized_platoon_flow_is_schema_error(field, value, tmp_path,
     assert_refused(doc, "particle positions", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("free_speed, expected", [
+    # ~4.4e8 density values (3.5 GB), and ~4.4e12 (a MemoryError)
+    (1e5, "platoon-flow.background: a run would hold a density block"),
+    (1e9, "platoon-flow.background: a run would hold a density block"),
+    # horizon x top speed / (cfl x cell width) is infinite
+    (1e308, "platoon-flow.background.law: "),
+])
+def test_oversized_platoon_background_is_schema_error(free_speed, expected,
+                                                      tmp_path, capsys):
+    # the trucks fit the cap; the background run at its own speed does not
+    doc = json.loads(PLATOON.read_text())
+    doc["background"] = {"law": {"kind": "congestion",
+                                 "free_speed": free_speed, "gain": 1},
+                         "initial": 0.0}
+    assert_refused(doc, expected, tmp_path, capsys)
+
+
 def _background_window(doc, window):
     doc["background"] = {"law": {"kind": "constant", "speed": 1.0},
                          "initial": 0.0, "window": window}
@@ -288,6 +305,10 @@ def _background_window(doc, window):
      "simulate.windows: window reaches beyond the link's length 1"),
     (SINGLE_LINK, lambda d: d.update(windows={"7-8": {"lower": 0.5}}),
      "simulate.windows.7-8: window given for a link not in the network"),
+    # the road has length 5; the window would be clipped to nothing
+    (PLATOON, lambda d: _background_window(d, {"lower": 7, "upper": 9}),
+     "platoon-flow.background.window: window reaches beyond the link's "
+     "length 5"),
 ])
 def test_knot_grid_and_window_faults_are_schema_errors(source, edit, expected,
                                                         tmp_path, capsys):

@@ -12,8 +12,10 @@ from roadflow.network import PiecewiseConstant
 from roadflow.nonlocal_solver import (NonlocalWindow, _sample_initial,
                                       congestion_law, cumulative_mass)
 from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
-                                   PlatoonSolution, VelocityOptResult,
-                                   optimize_velocity, solve_freight_pair)
+                                   VelocityOptResult, optimize_velocity,
+                                   solve_freight_pair)
+
+from oracles import GridTruckRun, reference_fv_pair
 
 
 def slab(lo, hi, height=1.0):
@@ -120,7 +122,7 @@ def test_elements_past_the_end_count_as_exited(inflow):
                        truck_inflow=inflow)
     control = constant_control(1.0, horizon=3.0, length=1.0)
     particles = solve_freight_pair(pair, control, cells=40).mass_report()
-    fv = solve_freight_pair(pair, control, cells=40, method="fv").mass_report()
+    fv = reference_fv_pair(pair, control, cells=40).mass_report()
     assert particles["stored_final"] == 0.0
     assert particles["exited"] == pytest.approx(
         particles["stored_initial"] + particles["injected"], abs=1e-12)
@@ -138,7 +140,7 @@ def test_elements_past_the_end_weigh_nothing_in_the_moments(inflow):
                        truck_inflow=inflow)
     control = constant_control(1.0, horizon=3.0, length=1.0)
     particles = solve_freight_pair(pair, control, cells=40)
-    fv = solve_freight_pair(pair, control, cells=40, method="fv")
+    fv = reference_fv_pair(pair, control, cells=40)
     for jp, jf in zip(particles.objectives(), fv.objectives()):
         assert math.isclose(jp, jf, rel_tol=2e-2)
     m0 = particles.moment_curves()[0]
@@ -182,7 +184,7 @@ def test_trucks_leaving_the_road_property(length, crossings, lo, width, mass,
     control = AdmissibleVelocityField([0.0, horizon], [0.0, length], values,
                                       lam_min=0.5, lam_max=1.0, lip=1.0)
     particles = solve_freight_pair(pair, control, cells=cells)
-    fv = solve_freight_pair(pair, control, cells=cells, method="fv")
+    fv = reference_fv_pair(pair, control, cells=cells)
     report = particles.mass_report()
     assert report["exited"] > 0.0
     # the upwind run is first order: the gap halves with each doubling of
@@ -204,8 +206,8 @@ def test_particles_and_fv_agree_on_objective():
     control = AdmissibleVelocityField(
         np.linspace(0.0, 2.0, 4), np.linspace(0.0, 5.0, 4), vals,
         lam_min=0.5, lam_max=1.0, lip=0.5)
-    p = solve_freight_pair(pair, control, cells=150, method="particles")
-    f = solve_freight_pair(pair, control, cells=150, method="fv")
+    p = solve_freight_pair(pair, control, cells=150)
+    f = reference_fv_pair(pair, control, cells=150)
     jp = p.objectives()[0]
     jf = f.objectives()[0]
     assert math.isclose(jp, jf, rel_tol=2e-2)
@@ -230,11 +232,7 @@ def test_grid_objectives_quadrature():
     q = np.array([[1.0, 1.0], [1.0, 1.0]])     # dx = 0.5, mass 1 each step
 
     def grid_solution(rho):
-        return PlatoonSolution(
-            pair=FreightPair(length=1.0, horizon=1.0),
-            control=constant_control(0.75, horizon=1.0, length=1.0),
-            times=times, x_centers=x, method="fv", grid_fields=q,
-            rho_rows=rho)
+        return GridTruckRun(times=times, x_centers=x, fields=q, rho_rows=rho)
 
     j1, j2 = grid_solution(None).objectives()
     # moments: m1 = 0.5, m2 = 0.3125, integrand = 0.0625 at both nodes
@@ -588,6 +586,6 @@ def test_background_solved_once_per_optimization(monkeypatch):
 def test_negative_truck_inflow_is_refused_by_both_methods(method):
     pair = FreightPair(length=5.0, horizon=2.0, truck_initial=slab(1.0, 2.0),
                        truck_inflow=PiecewiseConstant([(0.0, 0.5, -0.3)]))
+    solve = {"particles": solve_freight_pair, "fv": reference_fv_pair}[method]
     with pytest.raises(ValueError, match="truck inflow must be nonnegative"):
-        solve_freight_pair(pair, constant_control(0.75), cells=40,
-                           method=method)
+        solve(pair, constant_control(0.75), cells=40)
