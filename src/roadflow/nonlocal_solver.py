@@ -9,13 +9,12 @@ with prescribed inflow flux ``u(t)`` at ``x = 0`` and free outflow at
 ``x = L``.  Speeds are strictly positive, so information always travels
 rightward and no shocks form.
 
-Two solvers are provided.  When the averaging window is the whole link the
-speed is space-independent and the density is a rigid transport of the
-initial and boundary data; the transport displacement solves a scalar
-integral fixed point which we resolve by Picard iteration on short time
-windows, restarting with a fresh snapshot whenever the displacement spans
-the link.  For general windows (and as an independent cross-check) a
-first-order conservative upwind scheme is used.
+The window picks the solver.  When it is the whole link the speed is
+space-independent and the density is a rigid transport of the initial and
+boundary data; the transport displacement solves a scalar integral fixed
+point which we resolve by Picard iteration on short time windows,
+restarting with a fresh snapshot whenever the displacement spans the link.
+Every other window runs a first-order conservative upwind scheme.
 """
 
 from __future__ import annotations
@@ -158,10 +157,6 @@ class NonlocalWindow:
             raise ValueError("window upper bound below lower bound")
         return lo, np.maximum(up, lo)
 
-    @classmethod
-    def whole(cls) -> "NonlocalWindow":
-        return cls(0.0, None)
-
 
 @dataclass
 class GridSpec:
@@ -187,7 +182,7 @@ class LinkState:
     last entry is the pointwise flux at the final time).  ``speeds`` holds
     the space-independent transport speed per time node for whole-span
     windows, ``None`` otherwise.  ``mass`` is the total mass on the link
-    per time node.
+    per time node.  ``method`` names the scheme that ran.
     """
 
     times: np.ndarray
@@ -198,7 +193,10 @@ class LinkState:
     length: float
     mass: np.ndarray
     speeds: Optional[np.ndarray] = None
-    method: str = "fv"
+
+    @property
+    def method(self) -> str:
+        return "fv" if self.speeds is None else "characteristics"
 
     @property
     def dx(self) -> float:
@@ -271,9 +269,8 @@ def _sample_series(series, times: np.ndarray) -> np.ndarray:
     elif callable(series):
         vals = np.asarray([series(float(t)) for t in times], dtype=float)
     else:
-        vals = np.asarray(series, dtype=float)
-        if vals.shape != times.shape:
-            raise ValueError("inflow series length does not match the time grid")
+        raise ValueError("inflow must be None, a series with .sample, or a "
+                         "callable of time")
     if np.any(vals < -1e-14):
         raise ValueError("inflow flux must be nonnegative")
     return np.maximum(vals, 0.0)
@@ -351,8 +348,8 @@ def _picard_window(law: VelocityLaw, times_abs: np.ndarray, u_win: np.ndarray,
         f"{err:.3e}); retry on a shorter window")
 
 
-def _transport_rows(law: VelocityLaw, result: CharacteristicResult,
-                    rho_start: np.ndarray, u_win: np.ndarray, centers: np.ndarray,
+def _transport_rows(result: CharacteristicResult, rho_start: np.ndarray,
+                    u_win: np.ndarray, centers: np.ndarray,
                     length: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the transported density on the window's grid rows.
 
@@ -429,7 +426,7 @@ def _solve_link_transport(law: VelocityLaw, inflow, rho_init: np.ndarray,
                                           result.speed[:cut + 1],
                                           result.mass_seen[:cut + 1],
                                           result.iterations)
-        rows, exited_steps = _transport_rows(law, result, rho_cur, u[i0:i1 + 1],
+        rows, exited_steps = _transport_rows(result, rho_cur, u[i0:i1 + 1],
                                              centers, length)
         rho[i0:i1 + 1] = rows
         speeds[i0:i1 + 1] = result.speed
@@ -441,7 +438,7 @@ def _solve_link_transport(law: VelocityLaw, inflow, rho_init: np.ndarray,
 
     return LinkState(times=times, cells=centers, rho=rho, inflow=u,
                      outflow=outflow, length=length, mass=mass,
-                     speeds=speeds, method="characteristics")
+                     speeds=speeds)
 
 
 class _CflRetry(Exception):
@@ -508,38 +505,27 @@ def _solve_link_upwind(law: VelocityLaw, window: NonlocalWindow, inflow,
     times = np.linspace(0.0, horizon, steps + 1)
     dt = times[1] - times[0]
     u = _sample_series(inflow, times)
-    whole = window.is_whole_span(length)
     ifaces = np.arange(1, n + 1) * dx  # interior interfaces plus the right edge
 
     rho = np.empty((steps + 1, n))
     rho[0] = rho_init
-    speeds = np.empty(steps + 1) if whole else None
     mass = np.empty(steps + 1)
     outflow = np.empty(steps + 1)
     mass[0] = rho[0].sum() * dx
 
     for m in range(steps):
         row = rho[m]
-        if whole:
-            iface_speed = float(law(times[m], mass[m]))
-            speeds[m] = iface_speed
-        else:
-            w_iface = nonlocal_term(row, length, window, ifaces)
-            iface_speed = np.asarray(law(times[m], w_iface), dtype=float)
+        w_iface = nonlocal_term(row, length, window, ifaces)
+        iface_speed = np.asarray(law(times[m], w_iface), dtype=float)
         if np.max(iface_speed) * dt > dx * (1.0 + 1e-12):
             raise _CflRetry
         rho[m + 1], outflow[m] = upwind_step(row, iface_speed, u[m], dt, dx)
         mass[m + 1] = rho[m + 1].sum() * dx
 
-    if whole:
-        speeds[steps] = float(law(times[steps], mass[steps]))
-        outflow[steps] = speeds[steps] * rho[steps, -1]
-    else:
-        w_last = nonlocal_term(rho[steps], length, window, np.array([length]))
-        outflow[steps] = float(law(times[steps], w_last[0])) * rho[steps, -1]
+    w_last = nonlocal_term(rho[steps], length, window, np.array([length]))
+    outflow[steps] = float(law(times[steps], w_last[0])) * rho[steps, -1]
     return LinkState(times=times, cells=centers, rho=rho, inflow=u,
-                     outflow=outflow, length=length, mass=mass,
-                     speeds=speeds, method="fv")
+                     outflow=outflow, length=length, mass=mass)
 
 
 def link_steps(law: VelocityLaw, horizon: float, grid: GridSpec,
@@ -553,33 +539,26 @@ def link_steps(law: VelocityLaw, horizon: float, grid: GridSpec,
 
 
 def solve_link(law: VelocityLaw, window: NonlocalWindow, inflow, rho0, *,
-               horizon: float, grid: GridSpec | None = None, length: float = 1.0,
-               method: str = "auto") -> LinkState:
+               horizon: float, grid: GridSpec | None = None,
+               length: float = 1.0) -> LinkState:
     """Solve the link problem on ``[0, horizon]``.
 
-    ``method`` is ``"characteristics"`` (whole-span windows only), ``"fv"``,
-    or ``"auto"`` which picks characteristics when the window spans the link.
-    Both paths size their time step from the sampled maximum speed; the
-    upwind path halves it up to ``MAX_DT_HALVINGS`` times on an observed CFL
-    violation before raising :class:`CflViolated`.
+    A window that spans the link (:meth:`NonlocalWindow.is_whole_span`)
+    runs characteristics; any other window runs upwind.  Both paths size
+    their time step from the sampled maximum speed; the upwind path halves
+    it up to ``MAX_DT_HALVINGS`` times on an observed CFL violation before
+    raising :class:`CflViolated`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     grid = grid or GridSpec()
-    whole = window.is_whole_span(length)
-    if method == "auto":
-        method = "characteristics" if whole else "fv"
-    if method == "characteristics" and not whole:
-        raise ValueError("characteristics path requires a whole-span window")
-    if method not in ("characteristics", "fv"):
-        raise ValueError(f"unknown method {method!r}")
 
     dx = length / grid.cells
     rho_init = _sample_initial(rho0, (np.arange(grid.cells) + 0.5) * dx)
     budget = rho_init.sum() * dx + _inflow_budget(inflow, horizon)
     law.check(horizon, budget)
     steps = link_steps(law, horizon, grid, length, budget)
-    if method == "characteristics":
+    if window.is_whole_span(length):
         return _solve_link_transport(law, inflow, rho_init, horizon, grid,
                                      length, steps)
     return _retry(steps, [0], lambda n, _: [_solve_link_upwind(

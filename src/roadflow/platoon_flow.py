@@ -35,6 +35,8 @@ ADMISSIBLE_TOL = 1e-9
 MAX_REPAIR_PASSES = 10_000
 #: most particle positions advanced at once when probes share one block
 PROBE_BLOCK = 1 << 14
+#: smallest step of the velocity search before it reports convergence
+MIN_STEP = 1e-4
 
 
 class AdmissibleVelocityField:
@@ -104,9 +106,9 @@ class AdmissibleVelocityField:
             worst = max(worst, float(gap.max(initial=0.0)))
         return worst
 
-    def check(self, tol: float = ADMISSIBLE_TOL) -> None:
+    def check(self) -> None:
         v = self.violation()
-        if v > tol:
+        if v > ADMISSIBLE_TOL:
             raise InadmissibleVelocityField(
                 f"field violates its constraints by {v:.3e}")
 
@@ -115,10 +117,10 @@ class AdmissibleVelocityField:
                                        lam_min=self.lam_min, lam_max=self.lam_max,
                                        lip=self.lip, y_knots=self.y_knots)
 
-    def project(self, tol: float = ADMISSIBLE_TOL) -> "AdmissibleVelocityField":
+    def project(self) -> "AdmissibleVelocityField":
         """Feasible field: clip to the box, then average neighbors until the
         rate bound holds.  Feasible input is returned unchanged."""
-        if self.violation() <= tol:
+        if self.violation() <= ADMISSIBLE_TOL:
             return self
         vals = np.clip(self.values, self.lam_min, self.lam_max)
         if self.lip == 0.0:
@@ -126,7 +128,7 @@ class AdmissibleVelocityField:
             return self.with_values(vals)
         trial = self.with_values(vals)
         for _ in range(MAX_REPAIR_PASSES):
-            if trial.violation() <= tol:
+            if trial.violation() <= ADMISSIBLE_TOL:
                 return trial
             smoothed = trial.values
             for axis in range(smoothed.ndim):
@@ -310,7 +312,7 @@ def _background_rows(pair: FreightPair, times: np.ndarray,
                      cells: int) -> Optional[np.ndarray]:
     if not pair.has_background():
         return None
-    window = pair.window or NonlocalWindow.whole()
+    window = pair.window or NonlocalWindow()
     state = solve_link(pair.background_law, window, pair.background_inflow,
                        pair.background_initial, horizon=pair.horizon,
                        grid=GridSpec(cells=cells), length=pair.length)
@@ -382,7 +384,7 @@ class _ParticleRun:
         if not self.control.depends_on_mass or self.rho_rows is None:
             return None
         return nonlocal_term(self.rho_rows[m], self.pair.length,
-                             self.pair.window or NonlocalWindow.whole(), xs)
+                             self.pair.window or NonlocalWindow(), xs)
 
     def advance(self, values: np.ndarray):
         """Element positions under each field of the stack ``values``
@@ -458,9 +460,8 @@ class VelocityOptResult:
 
 def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
                       budget: int, *, objective: str = "unweighted",
-                      cells: int = 120, fd_step: float = 1e-3,
-                      initial_step: Optional[float] = None,
-                      min_step: float = 1e-4) -> VelocityOptResult:
+                      cells: int = 120,
+                      fd_step: float = 1e-3) -> VelocityOptResult:
     """Projected gradient descent on the selected concentration objective.
 
     Gradients are central finite differences over the control knot values;
@@ -488,8 +489,7 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
     x = current.values.copy()
     best_j = solve([current])[0]
     trace = [(evals, best_j)]
-    span = control0.lam_max - control0.lam_min
-    step = initial_step if initial_step is not None else max(0.1 * span, 1e-3)
+    step = max(0.1 * (control0.lam_max - control0.lam_min), 1e-3)
     dim = x.size
     status = "budget_exhausted"
     while evals < budget:
@@ -510,7 +510,7 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
             break
         improved = False
         trial_step = step
-        while trial_step >= min_step and evals < budget:
+        while trial_step >= MIN_STEP and evals < budget:
             cand = feasible(x - (trial_step / gmax) * grad)
             j_cand = solve([cand])[0]
             if j_cand < best_j:
@@ -522,7 +522,7 @@ def optimize_velocity(pair: FreightPair, control0: AdmissibleVelocityField,
             trial_step *= 0.5
         if not improved:
             step *= 0.5
-            if step < min_step:
+            if step < MIN_STEP:
                 status = "converged"
                 break
     final = control0.with_values(x).project()

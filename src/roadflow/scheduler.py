@@ -466,9 +466,9 @@ def drive_learning(state: ScheduleState, iterations: int,
     rebuilding the counts.  The initial profile is priced over ``horizon``
     as every move is.  With ``cache`` on,
     the conditional row of vehicle ``i`` is kept per frozen delays of the
-    others and the oracle is asked only on a miss; a cached row keeps no
-    sums, so a new best reached through one is priced by
-    ``coordination_cost``.  Tracks the best
+    others and the oracle is asked only on a miss; a cached row keeps its
+    sums, which depend only on those delays, so a new best is priced the
+    same way on a hit as on a miss.  Tracks the best
     profile seen by exact coordination cost.  An initial cost or a freshly
     scored row that is not finite has no Gibbs distribution and raises
     ``ComputeError``.
@@ -499,13 +499,13 @@ def drive_learning(state: ScheduleState, iterations: int,
         u = float(rng.random())
         key = None
         row = None
-        totals = None
         if cache:
             others = tau.tolist()
             del others[i]
             key = (i, tuple(others))
             row = rows.get(key)
         if row is None:
+            totals = None
             if exact:
                 scores, totals = counts_without.scores(i, tau)
             else:
@@ -518,10 +518,10 @@ def drive_learning(state: ScheduleState, iterations: int,
                     f"vehicle {i} scored a non-finite cost at iteration "
                     f"{step}; gamma, the edge weights or the delay costs are "
                     "too large")
-            row = (gibbs_row(scores, state.temperature), scores)
+            row = (gibbs_row(scores, state.temperature), scores, totals)
             if cache:
                 rows[key] = row
-        cum, scores = row
+        cum, scores, totals = row
         lo = state.assignments[i].window[0]
         k = _sample_index(cum, u)
         # unilateral move, so the potential (= total cost) shifts by the
@@ -531,7 +531,7 @@ def drive_learning(state: ScheduleState, iterations: int,
         trajectory[step] = tau
         cost_trace[step] = cost
         if cost < best_cost - 1e-12:
-            if totals is None:      # block scoring, or a cached row
+            if totals is None:      # block scoring
                 exact_cost = coordination_cost(
                     state.graph, state.assignments, tau, gamma=state.gamma,
                     reward=state.reward, horizon=horizon)

@@ -568,8 +568,8 @@ def test_cfl_violated_after_every_halving(runner, monkeypatch):
     with monkeypatch.context() as patch:
         if runner == "solve_link":
             calls = counted(patch, nonlocal_solver, "_solve_link_upwind")
-            run = lambda: solve_link(law, NonlocalWindow(), inflow, 0.0,
-                                     horizon=2.0, grid=grid, method="fv")
+            run = lambda: solve_link(law, NonlocalWindow(upper=np.ones_like),
+                                     inflow, 0.0, horizon=2.0, grid=grid)
         elif runner == "simulate":
             calls = counted(patch, network_sim, "_run")
             run = lambda: simulate(net, [k], SplitSchedule({}), sources, law,

@@ -12,6 +12,8 @@ from roadflow.nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
 from oracles import exit_time, outflux, solve_characteristic
 
 WHOLE = NonlocalWindow()
+# the whole unit link as a callable bound, which runs upwind
+WHOLE_UPWIND = NonlocalWindow(upper=lambda x: np.ones_like(x))
 
 
 def l1_error(state_a, state_b, m_frac=1.0):
@@ -62,11 +64,11 @@ def test_characteristics_and_fv_agree_with_grid_refinement():
     law = congestion_law(1.0, 5.0)
     rho0 = lambda x: 2.0 * math.exp(-60.0 * (x - 0.35) ** 2)
     ref = solve_link(law, WHOLE, None, rho0, horizon=0.5,
-                     grid=GridSpec(cells=1600), method="characteristics")
+                     grid=GridSpec(cells=1600))
     errs = []
     for cells in (100, 400):
-        fv = solve_link(law, WHOLE, None, rho0, horizon=0.5,
-                        grid=GridSpec(cells=cells), method="fv")
+        fv = solve_link(law, WHOLE_UPWIND, None, rho0, horizon=0.5,
+                        grid=GridSpec(cells=cells))
         row_ref = np.interp(fv.cells, ref.cells, ref.rho[-1])
         errs.append(float(np.abs(fv.rho[-1] - row_ref).mean()))
     order = math.log(errs[0] / errs[1]) / math.log(4.0)
@@ -93,9 +95,9 @@ def test_whole_window_methods_agree_on_final_mass():
     law = congestion_law(1.0, 5.0)
     rho0 = slab(4.0, 0.5, 0.7)
     a = solve_link(law, WHOLE, None, rho0, horizon=0.5,
-                   grid=GridSpec(cells=400), method="characteristics")
-    b = solve_link(law, WHOLE, None, rho0, horizon=0.5,
-                   grid=GridSpec(cells=400), method="fv")
+                   grid=GridSpec(cells=400))
+    b = solve_link(law, WHOLE_UPWIND, None, rho0, horizon=0.5,
+                   grid=GridSpec(cells=400))
     assert a.mass[-1] == pytest.approx(b.mass[-1], rel=2e-2)
 
 
@@ -150,6 +152,26 @@ def test_window_whole_span_detection():
     assert not NonlocalWindow(lower=0.0, upper=0.5).is_whole_span(1.0)
 
 
+@pytest.mark.parametrize("window, whole", [
+    (NonlocalWindow(), True),
+    (NonlocalWindow(upper=1.0), True),
+    (NonlocalWindow(upper=5.0), True),
+    (NonlocalWindow(lower=0.25), False),
+    (WHOLE_UPWIND, False),
+])
+def test_window_selects_the_scheme(window, whole):
+    state = solve_link(constant_law(1.0), window, None, slab(1.0, 0.1, 0.3),
+                       horizon=0.2, grid=GridSpec(cells=20))
+    assert (state.method == "characteristics") == whole
+
+
+def test_array_inflow_rejected():
+    with pytest.raises(ValueError, match="None, a series with .sample, or "
+                                         "a callable of time"):
+        solve_link(constant_law(1.0), WHOLE, np.full(1025, 0.5), 0.0,
+                   horizon=1.0)
+
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         solve_link(constant_law(1.0), WHOLE, None, -1.0, horizon=1.0)
@@ -164,8 +186,9 @@ def test_negative_inputs_rejected():
 def test_mass_balance_report_matches_the_arrays(method):
     law = congestion_law(1.0, 5.0)
     inflow = lambda t: t / 3.0 if 0.0 <= t <= 2.0 else 0.0
-    state = solve_link(law, WHOLE, inflow, slab(4.0, 0.5, 0.7), horizon=3.0,
-                       grid=GridSpec(cells=200), method=method)
+    window = WHOLE_UPWIND if method == "fv" else WHOLE
+    state = solve_link(law, window, inflow, slab(4.0, 0.5, 0.7), horizon=3.0,
+                       grid=GridSpec(cells=200))
     assert state.method == method
     report = state.mass_balance()
     assert abs(report["relative_residual"]) <= 1e-12

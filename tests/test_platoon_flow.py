@@ -368,7 +368,7 @@ def reference_solve(pair, control, cells):
 
     def speed(m, t, xs):
         if use_mass:
-            window = pair.window or NonlocalWindow.whole()
+            window = pair.window or NonlocalWindow()
             lo, up = window.bounds(xs, pair.length)
             edges, cum = cumulative_mass(rho_rows[m], dx)
             ys = np.interp(up, edges, cum) - np.interp(lo, edges, cum)

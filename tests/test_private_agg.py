@@ -319,7 +319,7 @@ def test_grid_spanning_several_ciphertexts(keypair):
                                                  exclude=0))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), ring=st.integers(2, 9), horizon=st.integers(1, 150))
 def test_packed_counts_exact_property(keypair, data, ring, horizon):
     g = FreightGraph([("A", "B", 1.0, 3), ("B", "C", 1.0, 2),
