@@ -276,8 +276,9 @@ def _schedule_artifacts(built, result, out: Path) -> list:
     graph = built["graph"]
     assignments = built["assignments"]
     state = built["state"]
-    _write_csv(out / "cost_trace.csv", ["iteration", "cost"],
-               [[m, c] for m, c in enumerate(result.cost_trace)])
+    with open(out / "cost_trace.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("iteration,cost\n" + "".join(
+            f"{m},{c}\n" for m, c in enumerate(_reprs(result.cost_trace))))
     _write_csv(out / "best_delays.csv",
                ["vehicle", "depart", "window_lo", "window_hi", "delay"],
                [[i, v.depart, v.window[0], v.window[1], result.best_tau[i]]

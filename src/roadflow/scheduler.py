@@ -15,7 +15,6 @@ satisfy ``f(0) == 0`` so that unoccupied edge-steps contribute nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -30,6 +29,8 @@ BRUTE_FORCE_CAP = 10 ** 6
 CACHE_JOINT_CAP = 4096
 #: most count cells (delays x edges x horizon) one scoring block holds
 SCORE_BLOCK = 1 << 16
+#: most arrival pairs one block of ``pair_distance_histogram`` holds
+PAIR_BLOCK = 1 << 14
 
 
 def square_reward(z):
@@ -302,9 +303,10 @@ def conditional_scores(graph: FreightGraph, vehicle: VehicleAssignment,
 
 def gibbs_row(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Cumulative Gibbs distribution over one window, overflow-guarded."""
-    z = -(scores - scores.min()) / float(temperature)
-    weights = np.exp(z)
-    return weights.cumsum() / weights.sum()
+    # the ufuncs behind ndarray.min, .cumsum and .sum, without the wrappers;
+    # m - s is -(s - m) but for the sign of a zero, which exp maps to 1
+    weights = np.exp((np.minimum.reduce(scores) - scores) / float(temperature))
+    return np.add.accumulate(weights) / np.add.reduce(weights)
 
 
 def _sample_index(cum: np.ndarray, u: float) -> int:
@@ -333,15 +335,14 @@ def joint_state_count(assignments: Sequence[VehicleAssignment]) -> int:
     return n
 
 
-class _LiveGrid:
-    """A flat edge-step grid of every vehicle except the one last queried.
+class _LiveCounts:
+    """Edge-step counts of every vehicle except the one last queried.
 
-    The grid is built once from the initial profile.  A query for vehicle
-    ``i`` under profile ``tau`` puts the previously queried vehicle back
-    at its delay in ``tau``, moves any other vehicle whose delay differs
-    from the kept profile, and takes vehicle ``i`` out, at the cost of
-    one vehicle's cells per move (``_shift``, which each subclass defines
-    by what a cell holds).
+    A query for vehicle ``i`` under profile ``tau`` puts the previously
+    queried vehicle back at its delay in ``tau``, moves any other vehicle
+    whose delay differs from the kept profile, and takes ``i`` out.  It
+    returns the integers of ``occupancy_counts(..., exclude=i)`` in an
+    array that the next query changes in place.
     """
 
     def __init__(self, state: ScheduleState, horizon: int):
@@ -352,7 +353,12 @@ class _LiveGrid:
                                      self.tau, self.shape[1]).reshape(-1)
         self.out: Optional[int] = None
 
-    def _move(self, i: int, tau: np.ndarray) -> None:
+    def _shift(self, j: int, delay: int, step: int) -> None:
+        # a walk holds each cell once, so a gather and a scatter move it
+        cells = self.assignments[j].cells(delay, *self.shape)
+        self.grid[cells] = self.grid[cells] + step
+
+    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
         if self.out is not None:
             self._shift(self.out, int(tau[self.out]), 1)
             self.tau[self.out] = tau[self.out]
@@ -362,77 +368,89 @@ class _LiveGrid:
             self.tau[j] = tau[j]
         self._shift(i, int(tau[i]), -1)
         self.out = i
-
-
-class _LiveCounts(_LiveGrid):
-    """Edge-step counts of every vehicle except the one last queried.
-
-    A query returns the same integers as ``occupancy_counts(...,
-    exclude=i)``; the returned array is changed in place by the next
-    query.
-    """
-
-    def _shift(self, j: int, delay: int, step: int) -> None:
-        # a walk holds each cell once, so a gather and a scatter move it
-        cells = self.assignments[j].cells(delay, *self.shape)
-        self.grid[cells] = self.grid[cells] + step
-
-    def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
-        self._move(i, tau)
         return self.grid.reshape(self.shape)
 
 
-class _LiveSums(_LiveGrid):
-    """The integer platooning sum of every vehicle except the one last
-    queried, for the square reward on integer edge weights ``w``.
+class _LiveSums:
+    """The integer platooning sum of every vehicle, for the square reward
+    on integer edge weights ``w``.
 
     Built when the reward is ``square_reward``, ``gamma`` is not 0, every
     edge weight is an integer and ``sum(w) * horizon * vehicles**2 <=
     2**53`` (``_integer_cell_weights``).  Then every term ``w * c**2`` of
-    the platooning sum that ``conditional_scores`` and
-    ``coordination_cost`` take, and every partial sum of it, is an
-    integer of at most 2**53, which a float holds exactly: any summation
-    order gives the same float.  The instance keeps ``total``, that sum,
-    and the grid ``w * (2c + 1)``, what one more vehicle on a cell adds to
-    it.  ``scores`` rates a vehicle's window from its own cells alone,
-    bit for bit as ``conditional_scores`` rates the counts.
+    the platooning sum, and every partial sum of it, is an integer a
+    float holds exactly: any summation order gives the same float.  The
+    instance keeps ``total``, that sum at the kept profile, and the grid
+    ``w * (2c + 1)``, what one more vehicle on a cell adds to it, with one
+    more cell that stays 0.  ``scores`` rates a window from the vehicle's
+    own cells against the full grid, less its own overlap, bit for bit as
+    ``conditional_scores`` rates the counts of the others.
     """
 
     def __init__(self, state: ScheduleState, horizon: int,
                  weights: np.ndarray):
-        super().__init__(state, horizon)
-        counts = self.grid
+        self.assignments = state.assignments
+        self.shape = (len(state.graph), int(horizon))
+        self.tau = state.tau.copy()
+        counts = occupancy_counts(state.graph, state.assignments, self.tau,
+                                  self.shape[1]).reshape(-1)
         self.gamma = float(state.gamma)
         self.total = int(weights @ (counts * counts))
-        self.grid = weights * (2 * counts + 1)
+        self.grid = np.append(weights * (2 * counts + 1), 0)
         self.double_weights = 2 * weights
+        self.rows: list = [None] * len(state.assignments)
 
-    def _shift(self, j: int, delay: int, step: int) -> None:
-        # entering adds the old w * (2c + 1), leaving takes the new one off
-        cells = self.assignments[j].cells(delay, *self.shape)
-        old = self.grid[cells]
-        if step > 0:
-            self.total += int(np.add.reduce(old))
-            self.grid[cells] = old + self.double_weights[cells]
-        else:
-            new = old - self.double_weights[cells]
-            self.total -= int(np.add.reduce(new))
-            self.grid[cells] = new
+    def _move(self, j: int, delay: int) -> None:
+        # leaving takes the new w * (2c + 1) off, entering adds the old one
+        vehicle = self.assignments[j]
+        cells = vehicle.cells(int(self.tau[j]), *self.shape)
+        self.grid[cells] -= self.double_weights[cells]
+        self.total -= int(np.add.reduce(self.grid[cells]))
+        cells = vehicle.cells(delay, *self.shape)
+        self.total += int(np.add.reduce(self.grid[cells]))
+        self.grid[cells] += self.double_weights[cells]
+        self.tau[j] = delay
+
+    def _row(self, i: int) -> tuple:
+        """Keep and return vehicle ``i``'s window start, delay costs,
+        own-overlap band and its half width, and the gather and segment
+        starts that sum the grid over its cells at each delay: each
+        delay's cells and then the zero cell, between ``half`` segments of
+        the zero cell alone at either end.  ``band[k, half + s]`` is those
+        sums over twice the weights on the cells of delay ``k`` alone, at
+        delay ``k + s``; a walk holds one cell per step, so delays
+        ``len(walk)`` or more apart share none."""
+        vehicle = self.assignments[i]
+        table = vehicle.cell_table(*self.shape)
+        half = min(len(table.starts), len(vehicle.occupied_steps) + 1) - 2
+        ends = [0] * half + table.starts + table.starts[-1:] * half
+        gather = np.insert(table.cells, ends[1:], self.grid.size - 1)
+        segs = np.array(ends[:-1]) + np.arange(len(ends) - 1)
+        band = np.empty((len(table.starts) - 1, 2 * half + 1), dtype=np.int64)
+        own = np.zeros_like(self.grid)
+        for k in range(len(band)):
+            cells = table.cells[table.starts[k]:table.starts[k + 1]]
+            own[cells] = self.double_weights[cells]
+            band[k] = np.add.reduceat(own[gather], segs)[k:k + 2 * half + 1]
+            own[cells] = 0
+        self.rows[i] = (vehicle.window[0], vehicle.delay_costs(), band, half,
+                        gather, segs)
+        return self.rows[i]
 
     def scores(self, i: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vehicle ``i``'s ``conditional_scores`` under ``tau`` and the
         integer platooning sum at each delay of its window."""
-        self._move(i, tau)
-        vehicle = self.assignments[i]
-        table = vehicle.cell_table(*self.shape)
-        # a running sum over the own cells: each delay's sum is a
-        # difference of it, 0 where the delay leaves no cell in the horizon
-        run = np.zeros(len(table.cells) + 1, dtype=np.int64)
-        np.add.accumulate(self.grid[table.cells], out=run[1:])
-        run = run[table.starts]
-        totals = self.total + (run[1:] - run[:-1])
-        return (vehicle.delay_costs()
-                + (-self.gamma) * totals.astype(float)), totals
+        for j in (self.tau != tau).nonzero()[0]:
+            self._move(j, int(tau[j]))
+        lo, costs, band, half, gather, segs = self.rows[i] or self._row(i)
+        k = int(tau[i]) - lo
+        # the grid over each delay's cells less the vehicle's own overlap
+        # with delay k: the sums with every other vehicle on the grid
+        sums = np.add.reduceat(self.grid[gather], segs)
+        sums[k:k + 2 * half + 1] -= band[k]
+        totals = sums[half:len(sums) - half]
+        totals += self.total - int(totals[k])
+        return costs + (-self.gamma) * totals.astype(float), totals
 
 
 def _integer_cell_weights(state: ScheduleState,
@@ -459,19 +477,16 @@ def drive_learning(state: ScheduleState, iterations: int,
     Each iteration draws the vehicle index, then one uniform, so drivers
     given the same seed follow the same trajectory.  ``counts_without(i,
     tau)`` is the counts oracle: the edge-step counts of every vehicle but
-    ``i`` under profile ``tau``, which the loop only reads.  Its counts are
-    scored by ``conditional_scores``.  A ``_LiveSums`` in its place rates
-    the row itself with the same bits, and the integer platooning sums it
-    gives with the row give the exact cost of a new best profile without
-    rebuilding the counts.  The initial profile is priced over ``horizon``
-    as every move is.  With ``cache`` on,
-    the conditional row of vehicle ``i`` is kept per frozen delays of the
-    others and the oracle is asked only on a miss; a cached row keeps its
-    sums, which depend only on those delays, so a new best is priced the
-    same way on a hit as on a miss.  Tracks the best
-    profile seen by exact coordination cost.  An initial cost or a freshly
-    scored row that is not finite has no Gibbs distribution and raises
-    ``ComputeError``.
+    ``i`` under profile ``tau``, which the loop only reads and scores by
+    ``conditional_scores``.  A ``_LiveSums`` in its place rates the row
+    itself with the same bits, and its integer platooning sums price a
+    new best profile exactly without rebuilding the counts.  The initial
+    profile is priced over ``horizon`` as every move is.  With ``cache``
+    on, the row of vehicle ``i`` and its sums are kept per frozen delays
+    of the others and the oracle is asked only on a miss.  Tracks the
+    best profile seen by exact coordination cost.  An initial cost or a
+    freshly scored row that is not finite has no Gibbs distribution and
+    raises ``ComputeError``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -513,7 +528,7 @@ def drive_learning(state: ScheduleState, iterations: int,
                                             counts_without(i, tau),
                                             gamma=state.gamma,
                                             reward=state.reward)
-            if not np.isfinite(scores).all():
+            if not np.logical_and.reduce(np.isfinite(scores)):
                 raise ComputeError(
                     f"vehicle {i} scored a non-finite cost at iteration "
                     f"{step}; gamma, the edge weights or the delay costs are "
@@ -557,22 +572,17 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     query takes the moving vehicle's cells out, and the next puts them
     back at its new delay.  A row is scored as one block of delays, each
     summed in the order of a delay-by-delay ``np.sum`` (see
-    ``conditional_scores``), so the counts, scores and trajectory are
-    exactly those of a full rebuild and per-delay scoring per iteration.
-    With the square reward, ``gamma`` not 0, integer edge weights and
-    ``sum(w) * horizon * vehicles**2 <= 2**53`` (the Sweden corridor),
-    every term and partial sum of that ``np.sum`` is an integer a float
-    holds exactly, so its result does not depend on the summation order:
-    the live grid then keeps that sum as an integer, and a row is scored
-    from the moving vehicle's own cells, one gather per iteration instead
-    of one pass over the whole edge-step grid per delay, with the same
-    bits (``_LiveSums``).  Other rewards, fractional weights, ``gamma`` 0
-    and larger sums keep the counts and the block scoring.
-    On small instances (a joint space of at most ``CACHE_JOINT_CAP``
-    profiles) conditional rows are cached, keyed by the frozen delays of
-    the other vehicles.  A cache hit touches no counts; the next miss
-    brings them up to date with every move made since.  The cache never
-    changes sampled values, only skips their recomputation.
+    ``conditional_scores``), so the scores and trajectory are exactly
+    those of a full rebuild and per-delay scoring per iteration.  With
+    the square reward, ``gamma`` not 0, integer edge weights and ``sum(w)
+    * horizon * vehicles**2 <= 2**53`` (the Sweden corridor), that sum is
+    an exact integer in any order, and ``_LiveSums`` scores a row from the
+    moving vehicle's own cells against the full grid, less its own
+    overlap, with the same bits: one gather per iteration, and the grid
+    changes only when a delay does.  On small instances (a joint space of
+    at most ``CACHE_JOINT_CAP`` profiles) conditional rows are cached,
+    keyed by the frozen delays of the other vehicles; a hit touches no
+    grid, and the cache never changes sampled values.
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
     cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP
@@ -590,28 +600,32 @@ def pair_distance_histogram(graph: FreightGraph,
     """Per-edge histogram of |arrival-step difference| over vehicle pairs.
 
     Arrivals falling outside the horizon are dropped, matching the
-    occupancy truncation.
+    occupancy truncation; two arrivals of one vehicle are no pair.  Each
+    edge's pairs are counted in blocks of at most ``PAIR_BLOCK``, without
+    a sort: numpy's first sort call alone reads about 0.4 MB of code.
     """
     tau = np.asarray(tau, dtype=int)
     horizon = default_horizon(assignments) if horizon is None else horizon
-    arrivals: dict = {e: [] for e in range(len(graph))}
-    for i, veh in enumerate(assignments):
-        for e, entry in zip(veh.edge_seq, veh.entry_steps):
-            step = int(entry) + int(tau[i])
-            if 0 <= step < horizon:
-                arrivals[int(e)].append((i, step))
+    owner = np.repeat(np.arange(len(assignments)),
+                      [len(veh.edge_seq) for veh in assignments])
+    edge = np.array([e for veh in assignments for e in veh.edge_seq], int)
+    step = tau[owner] + np.array(
+        [s for veh in assignments for s in veh.entry_steps.tolist()], int)
+    keep = (step >= 0) & (step < horizon)
     hist: dict = {}
-    for e, items in arrivals.items():
-        if len(items) < 2:
-            continue
-        bins: dict = {}
-        for (i, si), (j, sj) in itertools.combinations(items, 2):
-            if i == j:
-                continue
-            d = abs(si - sj)
-            bins[d] = bins.get(d, 0) + 1
-        if bins:
-            hist[e] = bins
+    for e in (np.bincount(edge[keep]) > 1).nonzero()[0].tolist():
+        on = keep & (edge == e)
+        who, at = owner[on], step[on]
+        rows = max(1, PAIR_BLOCK // len(at))
+        bins = np.zeros(horizon, dtype=int)     # a gap is under the horizon
+        for r in range(0, len(at), rows):
+            first = np.arange(r, min(r + rows, len(at)))[:, None]
+            pair = (first < np.arange(len(at))) & (who[first] != who)
+            gap = np.abs(at[first] - at)[pair]
+            bins += np.bincount(gap, minlength=horizon)
+        gaps = bins.nonzero()[0]
+        if len(gaps):
+            hist[e] = dict(zip(gaps.tolist(), bins[gaps].tolist()))
     return hist
 
 

@@ -3,7 +3,8 @@
 For the delay-coordination game, exhaustive and one-step references: the
 global optimum and the stationary Gibbs law by enumeration, the
 exact-potential identity through two independent code paths, the split of
-vehicles into groups that can ever meet, and a single learning iteration.
+vehicles into groups that can ever meet, a single learning iteration and
+the pair-distance histogram pair by pair.
 For the single link, the displacement fixed point on one window, the
 boundary outflux and a parcel's exit time; for routing, the single-class
 Wardrop gap; for the social optimum, the controls as the simulator's
@@ -161,6 +162,34 @@ def interaction_groups(graph: FreightGraph,
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
+
+
+def reference_pair_distance_histogram(graph: FreightGraph,
+                                      assignments: Sequence[VehicleAssignment],
+                                      tau: Sequence[int],
+                                      horizon: Optional[int] = None) -> dict:
+    """``pair_distance_histogram`` one pair of arrivals at a time."""
+    tau = np.asarray(tau, dtype=int)
+    horizon = default_horizon(assignments) if horizon is None else horizon
+    arrivals: dict = {e: [] for e in range(len(graph))}
+    for i, veh in enumerate(assignments):
+        for e, entry in zip(veh.edge_seq, veh.entry_steps):
+            step = int(entry) + int(tau[i])
+            if 0 <= step < horizon:
+                arrivals[int(e)].append((i, step))
+    hist: dict = {}
+    for e, items in arrivals.items():
+        if len(items) < 2:
+            continue
+        bins: dict = {}
+        for (i, si), (j, sj) in itertools.combinations(items, 2):
+            if i == j:
+                continue
+            d = abs(si - sj)
+            bins[d] = bins.get(d, 0) + 1
+        if bins:
+            hist[e] = bins
+    return hist
 
 
 # ---------------------------------------------------------------- single link

@@ -16,13 +16,6 @@ WHOLE = NonlocalWindow()
 WHOLE_UPWIND = NonlocalWindow(upper=lambda x: np.ones_like(x))
 
 
-def l1_error(state_a, state_b, m_frac=1.0):
-    """Discrete L1 distance of the final rows, resampled onto state_a's cells."""
-    row_a = state_a.rho[-1]
-    row_b = np.interp(state_a.cells, state_b.cells, state_b.rho[-1])
-    return float(np.abs(row_a - row_b).sum() / len(row_a))
-
-
 def slab(height, lo, hi):
     return lambda x: height if lo <= x < hi else 0.0
 

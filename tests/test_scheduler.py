@@ -18,7 +18,8 @@ from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
                                 square_reward)
 
 from oracles import (brute_force_schedule, exact_gibbs_distribution,
-                     interaction_groups, log_linear_step, potential_check)
+                     interaction_groups, log_linear_step, potential_check,
+                     reference_pair_distance_histogram)
 
 
 def reference_counts(graph, assignments, tau, horizon, exclude=None):
@@ -268,6 +269,18 @@ def test_single_step_changes_one_vehicle():
         veh.check_delay(int(t))
 
 
+def test_gibbs_row_equals_the_method_form_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        scores = np.round(rng.normal(0.0, 1e4, rng.integers(1, 9)),
+                          rng.integers(0, 3))
+        scores[rng.integers(len(scores))] = scores.min()   # a tie
+        for temperature in (1e-3, 1.0, 100.0, 1e7):
+            weights = np.exp(-(scores - scores.min()) / temperature)
+            assert gibbs_row(scores, temperature).tobytes() == (
+                weights.cumsum() / weights.sum()).tobytes()
+
+
 def test_state_validation():
     g = FreightGraph([("A", "B", 1.0, 1)])
     veh = VehicleAssignment(g, [0], 0, (0, 1))
@@ -319,6 +332,38 @@ def test_pair_distance_histogram_and_ratios():
         platoon_opportunity_gain(hist, {0: {2: 5}})
     # scheduled pairs at a distance the baseline never had
     assert pair_distance_ratio({0: {1: 4}}, {})[0][1] == math.inf
+
+
+@pytest.mark.parametrize("block", [scheduler.PAIR_BLOCK, 7, 1])
+def test_pair_histogram_equals_pair_by_pair_reference(block, monkeypatch):
+    # blocks of 7 and 1 pairs split each edge's rows into many blocks
+    monkeypatch.setattr(scheduler, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(41)
+    g = FreightGraph([("A", "B", 2.0, 2), ("B", "A", 3.0, 1),
+                      ("B", "C", 1.0, 3), ("C", "D", 1.0, 2)])
+    # the first and last walks arrive on A->B twice: one vehicle's two
+    # arrivals are no pair
+    walks = [("A", "B", "A", "B", "C"), ("B", "C", "D"),
+             ("A", "B", "C", "D"), ("B", "A", "B")]
+    cases = []
+    for _ in range(25):
+        vehs = [VehicleAssignment.from_hub_path(
+            g, walks[int(rng.integers(len(walks)))], int(rng.integers(-5, 6)),
+            (0, int(rng.integers(0, 5)))) for _ in range(rng.integers(1, 12))]
+        tau = [int(rng.integers(0, v.window[1] + 1)) for v in vehs]
+        # the default horizon, and horizons that cut late arrivals
+        cases += [(g, vehs, tau, h) for h in (None, int(rng.integers(1, 12)))]
+    graph, sweden = build_sweden_scenario()
+    cases += [(graph, sweden, rng.integers(0, 4, 80), h) for h in (None, 60)]
+    for graph, vehs, tau, horizon in cases:
+        hist = pair_distance_histogram(graph, vehs, tau, horizon)
+        assert hist == reference_pair_distance_histogram(graph, vehs, tau,
+                                                         horizon)
+        assert all(type(x) is int for e, row in hist.items()
+                   for x in (e, *row, *row.values()))
+    assert any(len(hist) > 1 for hist in (
+        pair_distance_histogram(*case) for case in cases[:-2]))
+    assert pair_distance_histogram(g, [], [], 5) == {}
 
 
 def test_brute_force_cap():
@@ -518,25 +563,93 @@ def test_exact_mode_bound_is_inclusive():
     assert not exact_mode(state(2.5))
 
 
-def test_live_sums_equal_rebuilt_sums():
-    state = sweden_state(tau=np.arange(80) % 4)
-    horizon = default_horizon(state.assignments)
+def assert_live_sums_match(state, horizon, seed, queries=20, moved=1):
+    """Query ``_LiveSums`` ``queries`` times, moving ``moved`` random
+    vehicles to random delays of their windows between two queries.  The
+    kept sum and grid are those of every vehicle, and each row's scores
+    and sums are those of the reference counts without the asker."""
+    graph, vehs = state.graph, state.assignments
     weights = scheduler._integer_cell_weights(state, horizon)
     live = scheduler._LiveSums(state, horizon, weights)
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(seed)
     tau = state.tau.copy()
-    for _ in range(20):
-        i = int(rng.integers(80))
+    for _ in range(queries):
+        i = int(rng.integers(len(vehs)))
         scores, totals = live.scores(i, tau)
-        counts = reference_counts(state.graph, state.assignments, tau,
-                                  horizon, exclude=i).reshape(-1)
-        # the platooning sum and the grid w * (2c + 1) of the others
+        counts = reference_counts(graph, vehs, tau, horizon).reshape(-1)
+        # the platooning sum and the grid w * (2c + 1) of every vehicle,
+        # then the cell that stays 0
         assert live.total == int(weights @ (counts * counts))
-        assert np.array_equal(live.grid, weights * (2 * counts + 1))
+        assert np.array_equal(live.grid[:-1], weights * (2 * counts + 1))
+        assert live.grid[-1] == 0
+        others = reference_counts(graph, vehs, tau, horizon, exclude=i)
         assert scores.tobytes() == reference_scores(
-            state.graph, state.assignments[i], counts.reshape(8, -1),
-            gamma=state.gamma).tobytes()
-        tau[i] = int(rng.integers(4))
+            graph, vehs[i], others, gamma=state.gamma).tobytes()
+        for k, delay in enumerate(vehs[i].delays()):
+            at = tau.copy()
+            at[i] = delay
+            c = reference_counts(graph, vehs, at, horizon).reshape(-1)
+            assert totals[k] == int(weights @ (c * c))
+        for j in rng.choice(len(vehs), moved, replace=False):
+            tau[j] = rng.integers(vehs[j].window[0], vehs[j].window[1] + 1)
+
+
+def test_live_sums_equal_rebuilt_sums():
+    state = sweden_state(tau=np.arange(80) % 4)
+    assert_live_sums_match(state, default_horizon(state.assignments), 8)
+
+
+@pytest.mark.parametrize("horizon", [100, 40])
+def test_live_sums_on_a_horizon_that_cuts_walks(horizon):
+    state = sweden_state(tau=np.arange(80) % 4)
+    assert exact_mode(state, horizon)
+    assert_live_sums_match(state, horizon, 12, moved=3)
+
+
+def test_live_sums_after_several_moves_between_queries():
+    state = sweden_state(weights=[3.0, 1.0, 7.0, 2.0, 5.0, 11.0, 1.0, 4.0],
+                         gamma=0.7, tau=np.arange(80) % 3)
+    assert_live_sums_match(state, default_horizon(state.assignments), 3,
+                           moved=17)
+
+
+def test_live_sums_on_walks_that_revisit_an_edge():
+    # A-B-A-B-C visits A->B twice; wide windows overlap a walk with itself
+    # at many shifts, and departures before step 0 and a short horizon cut
+    # walks at both ends
+    g = FreightGraph([("A", "B", 2.0, 2), ("B", "A", 3.0, 1),
+                      ("B", "C", 1.0, 3)])
+    walk = ("A", "B", "A", "B", "C")
+    vehs = tuple(VehicleAssignment.from_hub_path(
+        g, walk, depart, window, None if j % 2 else (lambda d: 0.5 * d))
+        for j, (depart, window) in enumerate(
+            [(-4, (0, 9)), (0, (2, 7)), (1, (0, 12)), (3, (0, 0)),
+             (-1, (1, 5)), (2, (0, 3))]))
+    state = ScheduleState(g, vehs, np.array([v.window[0] for v in vehs]),
+                          gamma=1.5)
+    for horizon in (default_horizon(vehs), 12, 6):
+        assert exact_mode(state, horizon)
+        assert_live_sums_match(state, horizon, horizon, queries=30, moved=2)
+
+
+def test_hot_learning_matches_block_scoring():
+    # at this temperature most iterations move a vehicle, so the kept grid
+    # changes on most queries
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.arange(80) % 4,
+                          temperature=1e7)
+    horizon = default_horizon(vehs)
+    assert exact_mode(state)
+    result = run_learning(state, 1000, rng_seed=31)
+    block = scheduler.drive_learning(state, 1000, np.random.default_rng(31),
+                                     scheduler._LiveCounts(state, horizon),
+                                     horizon=horizon)
+    moves = (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum()
+    assert moves > 600
+    assert np.array_equal(result.trajectory, block.trajectory)
+    assert result.cost_trace.tobytes() == block.cost_trace.tobytes()
+    assert np.array_equal(result.best_tau, block.best_tau)
+    assert result.best_cost == block.best_cost
 
 
 def test_sweden_learning_never_rescores_the_grid(monkeypatch):
