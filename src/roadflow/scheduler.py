@@ -31,6 +31,10 @@ CACHE_JOINT_CAP = 4096
 SCORE_BLOCK = 1 << 16
 #: most arrival pairs one block of ``pair_distance_histogram`` holds
 PAIR_BLOCK = 1 << 14
+#: learning draws this many (vehicle, uniform) pairs at a time
+DRAW_BLOCK = 1 << 12
+#: iterations after a move that learning plays one by one before a stretch
+PLAYED_SINGLY = 4
 
 
 def square_reward(z):
@@ -82,11 +86,17 @@ class FreightGraph:
 
 
 class CellTable(NamedTuple):
-    """Delay ``lo + k`` of a window occupies ``cells[starts[k]:starts[k + 1]]``;
-    ``block`` adds ``k * edges * horizon``, its row of a scoring block."""
+    """Delay ``lo + k`` of a window occupies ``cells[starts[k]:starts[k + 1]]``
+    of a grid of ``size`` cells."""
     cells: np.ndarray
     starts: list
-    block: np.ndarray
+    size: int
+
+    @property
+    def block(self) -> np.ndarray:
+        """The cells plus ``k * size``, each delay's row of a scoring block."""
+        return self.cells + self.size * np.repeat(
+            np.arange(len(self.starts) - 1), np.diff(self.starts))
 
 
 class VehicleAssignment:
@@ -166,9 +176,8 @@ class VehicleAssignment:
         table = self._cell_tables.get(key)
         if table is None:
             flat, keep = self._shifted_cells(self.delays(), key[1])
-            rows = np.arange(len(flat))[:, None] * (key[0] * key[1])
             starts = [0] + np.cumsum(keep.sum(axis=1)).tolist()
-            table = CellTable(flat[keep], starts, (flat + rows)[keep])
+            table = CellTable(flat[keep], starts, key[0] * key[1])
             self._cell_tables[key] = table
         return table
 
@@ -206,9 +215,6 @@ class ScheduleState:
             raise ValueError("temperature must be positive")
         if float(np.asarray(self.reward(np.array([0])))[0]) != 0.0:
             raise ValueError("count reward must vanish at zero occupancy")
-
-    def horizon(self) -> int:
-        return default_horizon(self.assignments)
 
     def cost(self) -> float:
         return coordination_cost(self.graph, self.assignments, self.tau,
@@ -287,13 +293,14 @@ def conditional_scores(graph: FreightGraph, vehicle: VehicleAssignment,
     if gamma == 0.0:
         return scores   # adding -0.0 platooning terms changes no bit
     table = vehicle.cell_table(n_edges, horizon)
+    block = table.block
     weights = graph.weights[:, None]
     per = max(1, SCORE_BLOCK // size)
     for k0 in range(0, len(scores), per):
         k1 = min(k0 + per, len(scores))
         total = np.empty((k1 - k0, size), dtype=counts_excl.dtype)
         total[...] = counts_excl.reshape(-1)
-        cells = table.block[table.starts[k0]:table.starts[k1]] - k0 * size
+        cells = block[table.starts[k0]:table.starts[k1]] - k0 * size
         total.reshape(-1)[cells] += 1
         r = reward(total.reshape(k1 - k0, n_edges, horizon))
         scores[k0:k1] += (-float(gamma)) * (weights * r).reshape(
@@ -309,8 +316,32 @@ def gibbs_row(scores: np.ndarray, temperature: float) -> np.ndarray:
     return np.add.accumulate(weights) / np.add.reduce(weights)
 
 
-def _sample_index(cum: np.ndarray, u: float) -> int:
-    return min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
+def _learning_draws(rng: np.random.Generator, n: int,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` pairs ``(rng.integers(n), rng.random())`` as two arrays, and
+    ``rng`` left as those calls leave it.  From PCG64's ``random_raw``,
+    ``integers`` is Lemire's multiply-shift (ACM TOMACS 2019) of the low
+    half of a fresh word or of the high half it kept (``has_uint32``), and
+    ``random`` is ``(w >> 11) * 2**-53``; a block with a draw Lemire
+    rejects, or another generator, takes the scalar calls."""
+    bitgen, state = rng.bit_generator, rng.bit_generator.state
+    if type(bitgen) is np.random.PCG64 and 1 < n <= 2 ** 32:
+        kept = state["has_uint32"]
+        fresh = (np.arange(count) + kept) % 2 == 0
+        ends = np.cumsum(1 + fresh)     # each pair's words end at its uniform
+        words = bitgen.random_raw(int(ends[-1]))
+        ints = words[ends[fresh] - 2]
+        halves = np.append(np.full(kept, state["uinteger"], np.uint64),
+                           np.stack([ints & 0xFFFFFFFF, ints >> 32], axis=1))
+        scaled = halves[:count] * np.uint64(n)
+        if not np.logical_or.reduce(scaled & 0xFFFFFFFF < 2 ** 32 % n):
+            bitgen.state = dict(bitgen.state, has_uint32=(count + kept) % 2,
+                                uinteger=int(halves[-1]))
+            return ((scaled >> 32).astype(np.intp),
+                    (words[ends - 1] >> 11) * 2.0 ** -53)
+        bitgen.state = state
+    draws = np.array([(rng.integers(n), rng.random()) for _ in range(count)])
+    return draws[:, 0].astype(np.intp), draws[:, 1]
 
 
 @dataclass
@@ -335,15 +366,8 @@ def joint_state_count(assignments: Sequence[VehicleAssignment]) -> int:
     return n
 
 
-class _LiveCounts:
-    """Edge-step counts of every vehicle except the one last queried.
-
-    A query for vehicle ``i`` under profile ``tau`` puts the previously
-    queried vehicle back at its delay in ``tau``, moves any other vehicle
-    whose delay differs from the kept profile, and takes ``i`` out.  It
-    returns the integers of ``occupancy_counts(..., exclude=i)`` in an
-    array that the next query changes in place.
-    """
+class _LiveGrid:
+    """A grid over the edge-step cells, moved to each queried profile."""
 
     def __init__(self, state: ScheduleState, horizon: int):
         self.assignments = state.assignments
@@ -351,35 +375,37 @@ class _LiveCounts:
         self.tau = state.tau.copy()
         self.grid = occupancy_counts(state.graph, state.assignments,
                                      self.tau, self.shape[1]).reshape(-1)
-        self.out: Optional[int] = None
 
-    def _shift(self, j: int, delay: int, step: int) -> None:
-        # a walk holds each cell once, so a gather and a scatter move it
-        cells = self.assignments[j].cells(delay, *self.shape)
-        self.grid[cells] = self.grid[cells] + step
+    def _sync(self, tau: np.ndarray) -> None:
+        for j in (self.tau != tau).nonzero()[0]:
+            self._move(j, int(tau[j]))
+
+
+class _LiveCounts(_LiveGrid):
+    """Edge-step counts of every vehicle; a query for vehicle ``i`` under
+    ``tau`` returns the integers of ``occupancy_counts(..., exclude=i)``."""
+
+    def _move(self, j: int, delay: int) -> None:
+        # a walk holds each cell once, so a fancy-index += moves it
+        self.grid[self.assignments[j].cells(int(self.tau[j]),
+                                            *self.shape)] -= 1
+        self.grid[self.assignments[j].cells(delay, *self.shape)] += 1
+        self.tau[j] = delay
 
     def __call__(self, i: int, tau: np.ndarray) -> np.ndarray:
-        if self.out is not None:
-            self._shift(self.out, int(tau[self.out]), 1)
-            self.tau[self.out] = tau[self.out]
-        for j in (self.tau != tau).nonzero()[0]:
-            self._shift(j, int(self.tau[j]), -1)
-            self._shift(j, int(tau[j]), 1)
-            self.tau[j] = tau[j]
-        self._shift(i, int(tau[i]), -1)
-        self.out = i
-        return self.grid.reshape(self.shape)
+        self._sync(tau)
+        counts = self.grid.copy()
+        counts[self.assignments[i].cells(int(tau[i]), *self.shape)] -= 1
+        return counts.reshape(self.shape)
 
 
-class _LiveSums:
+class _LiveSums(_LiveGrid):
     """The integer platooning sum of every vehicle, for the square reward
     on integer edge weights ``w``.
 
-    Built when the reward is ``square_reward``, ``gamma`` is not 0, every
-    edge weight is an integer and ``sum(w) * horizon * vehicles**2 <=
-    2**53`` (``_integer_cell_weights``).  Then every term ``w * c**2`` of
-    the platooning sum, and every partial sum of it, is an integer a
-    float holds exactly: any summation order gives the same float.  The
+    Built where ``_integer_cell_weights`` allows: then every term ``w *
+    c**2`` of the platooning sum, and every partial sum of it, is an
+    integer a float holds exactly, in any summation order.  The
     instance keeps ``total``, that sum at the kept profile, and the grid
     ``w * (2c + 1)``, what one more vehicle on a cell adds to it, with one
     more cell that stays 0.  ``scores`` rates a window from the vehicle's
@@ -389,16 +415,14 @@ class _LiveSums:
 
     def __init__(self, state: ScheduleState, horizon: int,
                  weights: np.ndarray):
-        self.assignments = state.assignments
-        self.shape = (len(state.graph), int(horizon))
-        self.tau = state.tau.copy()
-        counts = occupancy_counts(state.graph, state.assignments, self.tau,
-                                  self.shape[1]).reshape(-1)
+        super().__init__(state, horizon)
         self.gamma = float(state.gamma)
-        self.total = int(weights @ (counts * counts))
-        self.grid = np.append(weights * (2 * counts + 1), 0)
+        self.temperature = float(state.temperature)
+        self.total = int(weights @ (self.grid * self.grid))
+        self.grid = np.append(weights * (2 * self.grid + 1), 0)
         self.double_weights = 2 * weights
         self.rows: list = [None] * len(state.assignments)
+        self.stay = np.full((2, len(state.assignments)), np.nan)
 
     def _move(self, j: int, delay: int) -> None:
         # leaving takes the new w * (2c + 1) off, entering adds the old one
@@ -410,13 +434,14 @@ class _LiveSums:
         self.total += int(np.add.reduce(self.grid[cells]))
         self.grid[cells] += self.double_weights[cells]
         self.tau[j] = delay
+        self.stay[:] = np.nan
 
     def _row(self, i: int) -> tuple:
         """Keep and return vehicle ``i``'s window start, delay costs,
-        own-overlap band and its half width, and the gather and segment
-        starts that sum the grid over its cells at each delay: each
-        delay's cells and then the zero cell, between ``half`` segments of
-        the zero cell alone at either end.  ``band[k, half + s]`` is those
+        own-overlap band and its half width, and the gather with the segment
+        starts and lengths that sum the grid over its cells at each delay:
+        each delay's cells and then the zero cell, between ``half`` segments
+        of the zero cell alone at either end.  ``band[k, half + s]`` is those
         sums over twice the weights on the cells of delay ``k`` alone, at
         delay ``k + s``; a walk holds one cell per step, so delays
         ``len(walk)`` or more apart share none."""
@@ -434,15 +459,14 @@ class _LiveSums:
             band[k] = np.add.reduceat(own[gather], segs)[k:k + 2 * half + 1]
             own[cells] = 0
         self.rows[i] = (vehicle.window[0], vehicle.delay_costs(), band, half,
-                        gather, segs)
+                        gather, segs, np.diff(ends) + 1)
         return self.rows[i]
 
     def scores(self, i: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vehicle ``i``'s ``conditional_scores`` under ``tau`` and the
         integer platooning sum at each delay of its window."""
-        for j in (self.tau != tau).nonzero()[0]:
-            self._move(j, int(tau[j]))
-        lo, costs, band, half, gather, segs = self.rows[i] or self._row(i)
+        self._sync(tau)
+        lo, costs, band, half, gather, segs, _ = self.rows[i] or self._row(i)
         k = int(tau[i]) - lo
         # the grid over each delay's cells less the vehicle's own overlap
         # with delay k: the sums with every other vehicle on the grid
@@ -451,6 +475,55 @@ class _LiveSums:
         totals = sums[half:len(sums) - half]
         totals += self.total - int(totals[k])
         return costs + (-self.gamma) * totals.astype(float), totals
+
+    def _rate(self, vehicles, tau: np.ndarray) -> None:
+        """Keep ``stay[:, i]``, the uniforms ``[lower, upper)`` that sample the
+        current delay of each vehicle ``i`` until a move, scoring the rows as
+        ``scores`` does in one gather and ``np.add.reduceat`` per row shape."""
+        stacks: dict = {}
+        for i in vehicles:
+            row = self.rows[i] or self._row(i)
+            stacks.setdefault(row[2].shape, []).append((i, *row))
+        for (width, span), rows in stacks.items():
+            members, starts, costs, bands, _, gathers, _, lengths = zip(*rows)
+            members, at = np.array(members), np.arange(len(rows))
+            k = tau[members] - starts
+            lengths = np.concatenate(lengths)
+            sums = np.add.reduceat(self.grid[np.concatenate(gathers)],
+                                   np.cumsum(lengths) - lengths).reshape(
+                                       len(rows), -1)
+            sums[at[:, None], k[:, None] + np.arange(span)] -= [
+                band[kk] for band, kk in zip(bands, k.tolist())]
+            totals = sums[:, span // 2:span // 2 + width]
+            totals += (self.total - totals[at, k])[:, None]
+            scores = np.array(costs) + (-self.gamma) * totals.astype(float)
+            # a column of the transpose is one row, reduced along its
+            # contiguous axis: the bits of gibbs_row on that row alone
+            cum = gibbs_row(scores.T, self.temperature).T
+            lower = np.where(k > 0, cum[at, k - 1], -np.inf)
+            # a row that is not finite stops the look-ahead where it is drawn
+            lower[~np.logical_and.reduce(np.isfinite(scores), axis=1)] = np.inf
+            self.stay[:, members] = lower, np.where(k < width - 1,
+                                                    cum[at, k], np.inf)
+
+    def next_move(self, tau: np.ndarray, picks: np.ndarray,
+                  uniforms: np.ndarray, start: int, size: int) -> int:
+        """The first draw from ``start`` on that moves its vehicle off its
+        delay in ``tau`` or draws a row that is not finite, else
+        ``len(picks)``: looks ahead ``size`` draws, then twice as many and
+        so on, and rates the vehicles each chunk draws anew."""
+        self._sync(tau)
+        while start < len(picks):
+            drawn = picks[start:start + size]
+            self._rate(dict.fromkeys(
+                drawn[np.isnan(self.stay[0, drawn])].tolist()), tau)
+            u = uniforms[start:start + size]
+            moved = ((u < self.stay[0, drawn])
+                     | (u >= self.stay[1, drawn])).nonzero()[0]
+            if len(moved):
+                return start + int(moved[0])
+            start, size = start + size, 2 * size
+        return len(picks)
 
 
 def _integer_cell_weights(state: ScheduleState,
@@ -480,13 +553,14 @@ def drive_learning(state: ScheduleState, iterations: int,
     ``i`` under profile ``tau``, which the loop only reads and scores by
     ``conditional_scores``.  A ``_LiveSums`` in its place rates the row
     itself with the same bits, and its integer platooning sums price a
-    new best profile exactly without rebuilding the counts.  The initial
-    profile is priced over ``horizon`` as every move is.  With ``cache``
-    on, the row of vehicle ``i`` and its sums are kept per frozen delays
-    of the others and the oracle is asked only on a miss.  Tracks the
-    best profile seen by exact coordination cost.  An initial cost or a
-    freshly scored row that is not finite has no Gibbs distribution and
-    raises ``ComputeError``.
+    new best profile exactly.  Without ``cache``, once ``PLAYED_SINGLY``
+    iterations kept the profile, it finds the next move (``next_move``),
+    and the iterations before it, which price no new best, are filled at
+    once with the ``cost + 0.0`` each adds.  With ``cache`` on, the row of
+    vehicle ``i`` and its sums are kept per frozen delays of the others.
+    The initial profile is priced over ``horizon`` as every move is.  An
+    initial cost or a freshly scored row that is not finite has no Gibbs
+    distribution and raises ``ComputeError``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -509,11 +583,25 @@ def drive_learning(state: ScheduleState, iterations: int,
     visits: dict = {}
     tau = state.tau.copy()
 
-    for step in range(1, iterations + 1):
-        i = int(rng.integers(n_vehicles))
-        u = float(rng.random())
-        key = None
-        row = None
+    step, calm = 1, 0   # the next iteration, and those since the last move
+    while step <= iterations:
+        at = (step - 1) % DRAW_BLOCK
+        if at == 0:
+            picks, uniforms = _learning_draws(
+                rng, n_vehicles, min(DRAW_BLOCK, iterations + 1 - step))
+        if exact and not cache and calm >= PLAYED_SINGLY:
+            ahead = counts_without.next_move(tau, picks, uniforms, at,
+                                             calm) - at
+            if ahead:
+                trajectory[step:step + ahead] = tau
+                cost_trace[step:step + ahead] = cost = cost + 0.0
+                profile = tuple(tau.tolist())
+                visits[profile] = visits.get(profile, 0) + ahead
+                step, at, calm = step + ahead, at + ahead, calm + ahead
+                if at == len(picks):
+                    continue
+        i = int(picks[at])
+        key = row = None
         if cache:
             others = tau.tolist()
             del others[i]
@@ -538,10 +626,12 @@ def drive_learning(state: ScheduleState, iterations: int,
                 rows[key] = row
         cum, scores, totals = row
         lo = state.assignments[i].window[0]
-        k = _sample_index(cum, u)
+        k = min(int(cum.searchsorted(uniforms[at], side="right")),
+                len(cum) - 1)
         # unilateral move, so the potential (= total cost) shifts by the
         # score difference of the moving vehicle
         cost += float(scores[k] - scores[int(tau[i]) - lo])
+        calm = calm + 1 if tau[i] == lo + k else 0
         tau[i] = lo + k
         trajectory[step] = tau
         cost_trace[step] = cost
@@ -559,6 +649,7 @@ def drive_learning(state: ScheduleState, iterations: int,
                 best_tau = tau.copy()
         profile = tuple(tau.tolist())
         visits[profile] = visits.get(profile, 0) + 1
+        step += 1
 
     return LearningResult(trajectory, cost_trace, visits, best_tau, best_cost)
 
@@ -568,21 +659,20 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     """Run log-linear learning; deterministic given the seed.
 
     The plaintext driver.  Occupancy counts are built once from the
-    initial profile and then kept incrementally (``_LiveCounts``): each
-    query takes the moving vehicle's cells out, and the next puts them
-    back at its new delay.  A row is scored as one block of delays, each
-    summed in the order of a delay-by-delay ``np.sum`` (see
-    ``conditional_scores``), so the scores and trajectory are exactly
-    those of a full rebuild and per-delay scoring per iteration.  With
-    the square reward, ``gamma`` not 0, integer edge weights and ``sum(w)
-    * horizon * vehicles**2 <= 2**53`` (the Sweden corridor), that sum is
-    an exact integer in any order, and ``_LiveSums`` scores a row from the
-    moving vehicle's own cells against the full grid, less its own
-    overlap, with the same bits: one gather per iteration, and the grid
-    changes only when a delay does.  On small instances (a joint space of
-    at most ``CACHE_JOINT_CAP`` profiles) conditional rows are cached,
-    keyed by the frozen delays of the other vehicles; a hit touches no
-    grid, and the cache never changes sampled values.
+    initial profile and then kept incrementally (``_LiveCounts``).  A row
+    is scored as one block of delays, each summed in the order of a
+    delay-by-delay ``np.sum`` (see ``conditional_scores``), so the scores
+    and trajectory are exactly those of a full rebuild and per-delay
+    scoring per iteration.  With the square reward, ``gamma`` not 0,
+    integer edge weights and ``sum(w) * horizon * vehicles**2 <= 2**53``
+    (the Sweden corridor), that sum is an exact integer in any order, and
+    ``_LiveSums`` scores rows from the vehicles' own cells against the
+    full grid, less their own overlap, with the same bits.  Between two
+    moves the rows stay as they are, so after a few single iterations the
+    look-ahead scores the rows it draws together, once per profile, and
+    jumps to the next move.  On small instances (a joint space of at most
+    ``CACHE_JOINT_CAP`` profiles) rows are cached instead, keyed by the
+    frozen delays of the others.
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
     cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP

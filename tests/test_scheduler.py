@@ -1,6 +1,7 @@
 """Delay-coordination game: costs, potential structure, learning dynamics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,7 +398,8 @@ def test_sweden_scenario_shape():
 def rebuilt_learning(state, iterations, seed, horizon=None):
     """Learning with the counts rebuilt from scratch at every step and no
     conditional-row cache, counted and scored by the reference helpers above;
-    draws and best-profile rule as in run_learning."""
+    one iteration at a time with scalar draws, and the best-profile rule and
+    visit counts as in run_learning."""
     rng = np.random.default_rng(seed)
     if horizon is None:
         horizon = default_horizon(state.assignments)
@@ -407,6 +409,7 @@ def rebuilt_learning(state, iterations, seed, horizon=None):
                              horizon=horizon)
     trajectory, costs = [tau.copy()], [cost]
     best_tau, best_cost = tau.copy(), cost
+    visits = {}
     for _ in range(iterations):
         i = int(rng.integers(len(tau)))
         u = float(rng.random())
@@ -427,19 +430,25 @@ def rebuilt_learning(state, iterations, seed, horizon=None):
                                       horizon=horizon)
             if exact < best_cost:
                 best_tau, best_cost = tau.copy(), exact
-    return np.array(trajectory), np.array(costs), best_tau, best_cost
+        profile = tuple(tau.tolist())
+        visits[profile] = visits.get(profile, 0) + 1
+    return (np.array(trajectory), np.array(costs), best_tau, best_cost,
+            visits)
 
 
 def assert_matches_rebuilt(state, iterations, seed, horizon=None):
     result = run_learning(state, iterations, rng_seed=seed, horizon=horizon)
-    trajectory, costs, best_tau, best_cost = rebuilt_learning(
+    trajectory, costs, best_tau, best_cost, visits = rebuilt_learning(
         state, iterations, seed, horizon)
     assert np.array_equal(result.trajectory, trajectory)
-    assert np.array_equal(result.cost_trace, costs)
+    assert result.cost_trace.tobytes() == costs.tobytes()
     assert np.array_equal(result.best_tau, best_tau)
     assert result.best_cost == best_cost
+    # the same counts, first visited in the same order
+    assert list(result.visits.items()) == list(visits.items())
     # the walk must actually move, or the comparison proves little
     assert len(np.unique(trajectory, axis=0)) > 10
+    return result
 
 
 @pytest.mark.parametrize("seed", [7, 2026])
@@ -650,6 +659,159 @@ def test_hot_learning_matches_block_scoring():
     assert result.cost_trace.tobytes() == block.cost_trace.tobytes()
     assert np.array_equal(result.best_tau, block.best_tau)
     assert result.best_cost == block.best_cost
+
+
+def assert_draws_match_scalar_calls(block, scalar, n, count):
+    picks, uniforms = scheduler._learning_draws(block, n, count)
+    pairs = [(int(scalar.integers(n)), float(scalar.random()))
+             for _ in range(count)]
+    assert picks.tolist() == [p for p, _ in pairs]
+    assert uniforms.tolist() == [u for _, u in pairs]
+    # left in the same state, has_uint32 and the kept half included
+    assert repr(block.bit_generator.state) == repr(scalar.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 80, 2 ** 31 + 1])
+def test_block_draws_equal_scalar_generator_calls(n):
+    for seed in (0, 7, 2026):
+        # odd and even counts, from a generator with and without a kept half
+        for count, kept in ((1, 0), (2, 0), (7, 0), (1, 1), (4096, 1),
+                            (4097, 0)):
+            block, scalar = (np.random.default_rng(seed) for _ in range(2))
+            if kept:    # one integer draw keeps the high half of its word
+                block.integers(9)
+                scalar.integers(9)
+            if n == 2 ** 31 + 1 and not kept and count > 1:
+                # Lemire rejects about half the draws of this bound: the
+                # scalar calls take more words than a block reads, so the
+                # block rewinds and takes them too
+                plain = np.random.default_rng(seed)
+                plain.bit_generator.advance(count + (count + 1) // 2)
+                probe = np.random.default_rng(seed)
+                for _ in range(count):
+                    probe.integers(n)
+                    probe.random()
+                assert (plain.bit_generator.state["state"]
+                        != probe.bit_generator.state["state"])
+            assert_draws_match_scalar_calls(block, scalar, n, count)
+
+
+def test_block_draws_of_other_generators_are_the_scalar_calls():
+    block, scalar = (np.random.Generator(np.random.Philox(5))
+                     for _ in range(2))
+    assert_draws_match_scalar_calls(block, scalar, 80, 9)
+    block, scalar = (np.random.default_rng(3) for _ in range(2))
+    assert_draws_match_scalar_calls(block, scalar, 1, 5)     # draws no index
+
+
+def test_chained_single_steps_equal_one_run():
+    # each single step takes one pair and leaves a kept half to the next
+    state = sweden_state(tau=np.arange(80) % 4)
+    rng = np.random.default_rng(12)
+    taus = [state.tau]
+    for _ in range(60):
+        taus.append(log_linear_step(replace(state, tau=taus[-1]), rng).tau)
+    result = run_learning(state, 60, rng_seed=12)
+    assert np.array_equal(np.array(taus), result.trajectory)
+    assert (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum() > 10
+    scalar = np.random.default_rng(12)
+    for _ in range(60):
+        scalar.integers(80)
+        scalar.random()
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def count_row_scores(monkeypatch):
+    calls = {"scores": 0}
+    inner = scheduler._LiveSums.scores
+
+    def counted(self, i, tau):
+        calls["scores"] += 1
+        return inner(self, i, tau)
+    monkeypatch.setattr(scheduler._LiveSums, "scores", counted)
+    return calls
+
+
+def test_stretches_match_rebuild_on_cold_sweden(monkeypatch):
+    calls = count_row_scores(monkeypatch)
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.zeros(80, dtype=int))
+    # seed 7 moves late too, after a stretch of about 400 iterations
+    result = assert_matches_rebuilt(state, 1000, 7)
+    moves = (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum()
+    assert moves < 60
+    # rows are scored one at a time only around moves
+    assert calls["scores"] < 8 * moves
+
+
+def test_stretches_match_rebuild_on_hot_sweden():
+    # at this temperature most iterations move; stretches are short
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.arange(80) % 4,
+                          temperature=1e7)
+    result = assert_matches_rebuilt(state, 1000, 31)
+    assert (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum() > 600
+
+
+def test_stretches_match_rebuild_on_warm_sweden(monkeypatch):
+    # about one iteration in eight moves: stretches are short, and the rows
+    # the look-ahead scores keep weight off their current delays
+    calls = count_row_scores(monkeypatch)
+    graph, vehs = build_sweden_scenario()
+    state = ScheduleState(graph, tuple(vehs), np.arange(80) % 4,
+                          temperature=1000.0)
+    result = assert_matches_rebuilt(state, 1000, 5)
+    assert 100 < (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum()
+    assert calls["scores"] < 800
+
+
+def test_stretches_match_rebuild_on_a_wide_window():
+    # 11 delays: np.add.reduce sums a row's Gibbs weights pairwise, not in
+    # the order of np.add.accumulate, so the last cumulative weight may
+    # differ from 1
+    graph, vehs = build_sweden_scenario(10)
+    state = ScheduleState(graph, tuple(vehs), np.arange(80) % 11,
+                          temperature=40.0)
+    assert exact_mode(state)
+    assert_matches_rebuilt(state, 600, 3)
+
+
+def test_stretches_match_rebuild_with_delay_costs_on_a_cut_horizon():
+    # a walk the horizon cuts overlaps itself less at its late delays, so
+    # its rows of the own-overlap band differ from delay to delay
+    state = replace(sweden_state(
+        weights=[3.0, 1.0, 7.0, 2.0, 5.0, 11.0, 1.0, 4.0],
+        costs=lambda j: (lambda d, s=0.05 * (j % 7): s * d * d),
+        tau=np.arange(80) % 4), temperature=100.0)
+    assert exact_mode(state, 100)
+    assert_matches_rebuilt(state, 600, 9, horizon=100)
+
+
+def test_stretches_raise_at_the_iteration_that_draws_a_non_finite_row(
+        monkeypatch):
+    # vehicle 75 scores an infinite delay cost at delay 3; learning from
+    # delay 0 raises where it is first drawn, in a stretch after the last
+    # move of this seed
+    graph, vehs = build_sweden_scenario()
+    late = 75
+    vehs[late] = VehicleAssignment(
+        graph, vehs[late].edge_seq, vehs[late].depart, vehs[late].window,
+        lambda d: math.inf if d == 3 else 0.0)
+    state = ScheduleState(graph, tuple(vehs), np.zeros(80, dtype=int))
+    rng = np.random.default_rng(19)
+    picks = []
+    for _ in range(3000):
+        picks.append(int(rng.integers(80)))
+        rng.random()
+    first = picks.index(late) + 1
+    assert first == 294
+    calls = count_row_scores(monkeypatch)
+    with pytest.raises(ComputeError,
+                       match=f"vehicle {late} scored a non-finite cost at "
+                             f"iteration {first};"):
+        run_learning(state, 3000, rng_seed=19)
+    # the look-ahead found it: far fewer rows were scored one at a time
+    assert calls["scores"] < first
 
 
 def test_sweden_learning_never_rescores_the_grid(monkeypatch):
