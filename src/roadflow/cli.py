@@ -26,16 +26,26 @@ import numpy as np
 
 from . import __version__
 from .errors import ComputeError, RoadflowError, SchemaError
-from .network import as_split_schedule
-from .network_sim import simulate
-from .platoon_flow import optimize_velocity, solve_freight_pair
-from .private_agg import chain_aggregate, keygen, run_private_learning
-from .routing import equilibrium_iterate
 from .scenario import BUILDERS, KINDS, load_scenario
-from .scheduler import (default_horizon, pair_distance_histogram,
-                        pair_distance_ratio, platoon_opportunity_gain,
-                        run_learning)
-from .social_optimum import optimize_social
+
+#: the layer functions the runners call, each imported through the package
+#: root on its first lookup here, so a command loads only the layers it
+#: runs; the runners look them up on this module (``_cli``) at call time,
+#: so a function set in one's place is the one called
+_LAYER_CALLS = frozenset((
+    "simulate", "equilibrium_iterate", "optimize_social", "optimize_velocity",
+    "solve_freight_pair", "run_learning", "pair_distance_histogram",
+    "pair_distance_ratio", "platoon_opportunity_gain", "default_horizon",
+    "run_private_learning", "keygen", "chain_aggregate"))
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 TIME_ROW_CAP = 201   # density tables subsample to at most this many time rows
 
@@ -159,16 +169,17 @@ def _write_tables(jobs) -> None:
 # ----------------------------------------------------------------- runners
 
 def _run_simulate(built, out: Path, seed: int) -> list:
+    from .network import as_split_schedule
     net = built["net"]
     commodities = built["commodities"]
     splits = as_split_schedule(built["base_rows"], commodities)
     names, tables = [], []
     for case in built["cases"]:
-        state = simulate(net, commodities, splits, case["sources"],
-                         built["laws"], horizon=built["horizon"],
-                         grid=built["grid"],
-                         initial_density=case["initial"] or None,
-                         windows=built["windows"])
+        state = _cli.simulate(net, commodities, splits, case["sources"],
+                              built["laws"], horizon=built["horizon"],
+                              grid=built["grid"],
+                              initial_density=case["initial"] or None,
+                              windows=built["windows"])
         keep = _time_rows(len(state.times))
         t_text = _reprs(state.times[keep])
         x_text = _reprs(state.cells)
@@ -196,7 +207,7 @@ def _run_simulate(built, out: Path, seed: int) -> list:
 
 
 def _run_equilibrium(built, out: Path, seed: int) -> list:
-    rounds = equilibrium_iterate(
+    rounds = _cli.equilibrium_iterate(
         built["net"], built["demand"], built["alpha"], built["policies"],
         built["rounds"], laws=built["laws"], horizon=built["horizon"],
         base_splits=built["base_rows"], grid=built["grid"], eps=built["eps"])
@@ -206,7 +217,7 @@ def _run_equilibrium(built, out: Path, seed: int) -> list:
 
 
 def _run_social_opt(built, out: Path, seed: int) -> list:
-    result = optimize_social(
+    result = _cli.optimize_social(
         built["net"], built["demand"], built["param"], built["budget"],
         laws=built["laws"], base_splits=built["base_rows"],
         grid=built["grid"], fd_step=built["fd_step"],
@@ -242,11 +253,11 @@ def _write_q_table(path: Path, sol) -> None:
 def _run_platoon_flow(built, out: Path, seed: int) -> list:
     pair = built["pair"]
     cells = built["cells"]
-    base_sol = solve_freight_pair(pair, built["baseline"], cells=cells)
-    result = optimize_velocity(pair, built["control0"], built["budget"],
-                               objective=built["objective"], cells=cells,
-                               fd_step=built["fd_step"])
-    opt_sol = solve_freight_pair(pair, result.control, cells=cells)
+    base_sol = _cli.solve_freight_pair(pair, built["baseline"], cells=cells)
+    result = _cli.optimize_velocity(pair, built["control0"], built["budget"],
+                                    objective=built["objective"], cells=cells,
+                                    fd_step=built["fd_step"])
+    opt_sol = _cli.solve_freight_pair(pair, result.control, cells=cells)
 
     _write_csv(out / "j_trace.csv", ["solves", "objective"],
                [[n, j] for n, j in result.trace])
@@ -284,9 +295,10 @@ def _schedule_artifacts(built, result, out: Path) -> list:
                [[i, v.depart, v.window[0], v.window[1], result.best_tau[i]]
                 for i, v in enumerate(assignments)])
     tau0 = state.tau
-    hist_base = pair_distance_histogram(graph, assignments, tau0)
-    hist_sched = pair_distance_histogram(graph, assignments, result.best_tau)
-    ratios = pair_distance_ratio(hist_sched, hist_base)
+    hist_base = _cli.pair_distance_histogram(graph, assignments, tau0)
+    hist_sched = _cli.pair_distance_histogram(graph, assignments,
+                                              result.best_tau)
+    ratios = _cli.pair_distance_ratio(hist_sched, hist_base)
     rows = []
     for e in sorted(ratios):
         tail, head = graph.edges[e][0], graph.edges[e][1]
@@ -298,7 +310,7 @@ def _schedule_artifacts(built, result, out: Path) -> list:
                ["tail", "head", "distance", "scheduled_pairs",
                 "baseline_pairs", "ratio"], rows)
     try:
-        gain = platoon_opportunity_gain(hist_sched, hist_base)
+        gain = _cli.platoon_opportunity_gain(hist_sched, hist_base)
     except ValueError:
         gain = ""
     _write_csv(out / "summary.csv",
@@ -310,24 +322,24 @@ def _schedule_artifacts(built, result, out: Path) -> list:
 
 
 def _run_schedule(built, out: Path, seed: int) -> list:
-    result = run_learning(built["state"], built["iterations"], seed)
+    result = _cli.run_learning(built["state"], built["iterations"], seed)
     return _schedule_artifacts(built, result, out)
 
 
 def _run_schedule_private(built, out: Path, seed: int) -> list:
-    result = run_private_learning(built["state"], built["iterations"], seed,
-                                  bits=built["bits"])
+    result = _cli.run_private_learning(built["state"], built["iterations"],
+                                       seed, bits=built["bits"])
     names = _schedule_artifacts(built, result, out)
     # one demonstration ring pass at the best profile, fresh keypair
     assignments = built["assignments"]
     graph = built["graph"]
     rng = np.random.default_rng([seed, 0xDEC0DE])
-    keypair = keygen(built["bits"], rng)
+    keypair = _cli.keygen(built["bits"], rng)
     ring = [(veh, int(result.best_tau[i]))
             for i, veh in enumerate(assignments)]
     transcript: list = []
-    chain_aggregate(ring, graph, default_horizon(assignments), keypair, rng,
-                    transcript=transcript)
+    _cli.chain_aggregate(ring, graph, _cli.default_horizon(assignments),
+                         keypair, rng, transcript=transcript)
     rows = [[entry[0], entry[1], entry[2], entry[3], entry[4].hex()]
             if entry[0] == "hop" else [entry[0], entry[1], "", "", ""]
             for entry in transcript]

@@ -4,7 +4,8 @@ A scenario file is a single JSON object with a ``kind`` selecting the
 pipeline and a payload the kind's builder validates field by field
 before any computation starts.  Builders raise :class:`SchemaError`
 with the offending field path, so a failed validation never costs a
-simulation.
+simulation.  Each builder, and each reader it calls, imports the classes
+it builds, so reading a scenario loads only the layers of its kind.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import SchemaError
-from .network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
-                      RoadNetwork, SourceSchedule)
-from .network_sim import _DEFAULT_CELLS, _time_steps
-from .nonlocal_solver import (GridSpec, NonlocalWindow, VelocityLaw,
-                              congestion_law, constant_law, link_steps,
-                              linear_law)
-from .platoon_flow import AdmissibleVelocityField, FreightPair, truck_steps
-from .routing import EquilibriumDemand, LogitRule, RoutingPolicy
-from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
-                        build_sweden_scenario, default_horizon)
-from .social_optimum import (ControlParameterization, DemandSpec,
-                             SourceControl, ThetaControl)
 
 KINDS = ("simulate", "equilibrium", "social-opt", "platoon-flow",
          "schedule", "schedule-private")
@@ -202,6 +191,7 @@ def _per_link(spec: dict, net: RoadNetwork, path, what, build) -> dict:
 
 
 def _segments(value, path) -> PiecewiseConstant:
+    from .network import PiecewiseConstant
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of [start, end, value] segments")
     segs = []
@@ -225,6 +215,7 @@ def _segments(value, path) -> PiecewiseConstant:
 
 def build_velocity_law(spec, path) -> VelocityLaw:
     """Named speed laws: constant, congestion (v0/(1+g W)), linear."""
+    from .nonlocal_solver import congestion_law, constant_law, linear_law
     if not isinstance(spec, dict):
         _fail(path, "expected a law object")
     kind = _string(spec, "kind", path)
@@ -246,6 +237,7 @@ def build_window(spec, path, length: Optional[float] = None
                  ) -> NonlocalWindow:
     """Window bounds with ``lower <= upper``; with a ``length``, on a link
     of that length (an absent ``upper`` is the link's end)."""
+    from .nonlocal_solver import NonlocalWindow
     if spec is None or spec == "whole":
         return NonlocalWindow()
     if not isinstance(spec, dict):
@@ -286,6 +278,7 @@ def build_profile(spec, path):
 
 
 def build_network(spec, path) -> RoadNetwork:
+    from .network import RoadNetwork
     links_spec = _list(spec, "links", path)
     links = []
     for k, entry in enumerate(links_spec):
@@ -317,6 +310,7 @@ def build_laws(spec, net: RoadNetwork, path):
 
 
 def build_grid(spec, path) -> Optional[GridSpec]:
+    from .nonlocal_solver import GridSpec
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -330,6 +324,7 @@ def build_grid(spec, path) -> Optional[GridSpec]:
 
 
 def build_commodities(spec, net, path) -> tuple:
+    from .network import Commodity
     if not isinstance(spec, list) or not spec:
         _fail(path, "expected a nonempty list of commodities")
     out = []
@@ -354,6 +349,8 @@ def _state_values(net: RoadNetwork, n_commodities: int, laws, horizon: float,
     is nonincreasing, so the step count needs no mass budget.  A step count
     that overflows a float names ``fields[0]``, the horizon, if it does so
     at unit speed, and the laws, ``fields[1]``, otherwise."""
+    from .network_sim import _DEFAULT_CELLS, _time_steps
+    from .nonlocal_solver import GridSpec
     grid = grid or GridSpec(cells=_DEFAULT_CELLS)
     law_list = list(laws.values()) if isinstance(laws, dict) else [laws]
     try:
@@ -388,6 +385,7 @@ def _source_key(entry, net, commodities, path) -> tuple:
 
 
 def build_sources(spec, net, commodities, path) -> SourceSchedule:
+    from .network import SourceSchedule
     entries = {}
     for k, entry in enumerate(spec):
         p = f"{path}[{k}]"
@@ -406,6 +404,7 @@ def _fraction(value, path) -> float:
 
 def build_base_rows(spec, net, path) -> dict:
     """Plain split rows {node: {out_link: fraction}} shared by both classes."""
+    from .network import ROW_SUM_TOL
     rows: dict = {}
     if not isinstance(spec, dict):
         _fail(path, "expected {node: {link: fraction}}")
@@ -431,6 +430,7 @@ def build_base_rows(spec, net, path) -> dict:
 
 
 def build_policy(spec, net, base_rows, path) -> RoutingPolicy:
+    from .routing import LogitRule, RoutingPolicy
     if not isinstance(spec, dict):
         _fail(path, "expected a policy object")
     kind = _string(spec, "kind", path)
@@ -524,6 +524,7 @@ def build_simulate(payload: dict) -> dict:
 
 
 def build_equilibrium(payload: dict) -> dict:
+    from .routing import EquilibriumDemand
     path = "equilibrium"
     net = build_network(_dict(payload, "network", path), f"{path}.network")
     laws = build_laws(_field(payload, "laws", path), net, f"{path}.laws")
@@ -565,6 +566,8 @@ def build_equilibrium(payload: dict) -> dict:
 
 
 def build_social_opt(payload: dict) -> dict:
+    from .social_optimum import (ControlParameterization, DemandSpec,
+                                 SourceControl, ThetaControl)
     path = "social-opt"
     net = build_network(_dict(payload, "network", path), f"{path}.network")
     laws = build_laws(_field(payload, "laws", path), net, f"{path}.laws")
@@ -627,6 +630,8 @@ def build_social_opt(payload: dict) -> dict:
 
 
 def build_platoon_flow(payload: dict) -> dict:
+    from .nonlocal_solver import GridSpec, link_steps
+    from .platoon_flow import AdmissibleVelocityField, FreightPair, truck_steps
     path = "platoon-flow"
     length = _number(payload, "length", path, minimum=1e-9)
     horizon = _number(payload, "horizon", path, minimum=1e-9)
@@ -706,6 +711,8 @@ def build_platoon_flow(payload: dict) -> dict:
 
 
 def _build_schedule_common(payload: dict, path: str) -> dict:
+    from .scheduler import (FreightGraph, ScheduleState, VehicleAssignment,
+                            build_sweden_scenario, default_horizon)
     iterations = _integer(payload, "iterations", path, minimum=1)
     preset = payload.get("preset")
     if preset is not None:

@@ -552,15 +552,16 @@ def drive_learning(state: ScheduleState, iterations: int,
     tau)`` is the counts oracle: the edge-step counts of every vehicle but
     ``i`` under profile ``tau``, which the loop only reads and scores by
     ``conditional_scores``.  A ``_LiveSums`` in its place rates the row
-    itself with the same bits, and its integer platooning sums price a
-    new best profile exactly.  Without ``cache``, once ``PLAYED_SINGLY``
-    iterations kept the profile, it finds the next move (``next_move``),
-    and the iterations before it, which price no new best, are filled at
-    once with the ``cost + 0.0`` each adds.  With ``cache`` on, the row of
-    vehicle ``i`` and its sums are kept per frozen delays of the others.
-    The initial profile is priced over ``horizon`` as every move is.  An
-    initial cost or a freshly scored row that is not finite has no Gibbs
-    distribution and raises ``ComputeError``.
+    itself with the same bits, and its integer platooning sums price the
+    initial profile and each new best exactly.  Without ``cache``, once
+    ``PLAYED_SINGLY`` iterations kept the profile, it finds the next move
+    (``next_move``), and the iterations before it, which price no new
+    best, are filled at once with the ``cost + 0.0`` each adds.  With
+    ``cache`` on, the row of vehicle ``i`` and its sums are kept per
+    frozen delays of the others.  The initial profile is priced over
+    ``horizon`` as every move is.  An initial cost or a freshly scored row
+    that is not finite has no Gibbs distribution and raises
+    ``ComputeError``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
@@ -571,9 +572,13 @@ def drive_learning(state: ScheduleState, iterations: int,
     trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
     trajectory[0] = state.tau
     cost_trace = np.empty(iterations + 1)
-    cost = coordination_cost(state.graph, state.assignments, state.tau,
-                             gamma=state.gamma, reward=state.reward,
-                             horizon=horizon)
+    if exact:   # the kept sum prices the initial profile
+        total = -float(state.gamma) * float(counts_without.total)
+        cost = _plus_delay_costs(total, state.assignments, state.tau)
+    else:
+        cost = coordination_cost(state.graph, state.assignments, state.tau,
+                                 gamma=state.gamma, reward=state.reward,
+                                 horizon=horizon)
     if not math.isfinite(cost):
         raise ComputeError(f"the initial coordination cost is {cost}; gamma, "
                            "the edge weights or the delay costs are too large")

@@ -831,8 +831,9 @@ def test_sweden_learning_never_rescores_the_grid(monkeypatch):
     state = ScheduleState(graph, tuple(vehs), np.zeros(len(vehs), dtype=int))
     result = run_learning(state, 300, rng_seed=7)
     assert result.best_cost < result.cost_trace[0]   # new bests were priced
-    # the live counts and the initial cost, both before the first iteration
-    assert calls == {"conditional_scores": 0, "occupancy_counts": 2}
+    # the live sums, before the first iteration, which also price the
+    # initial profile
+    assert calls == {"conditional_scores": 0, "occupancy_counts": 1}
 
 
 def assert_scores_match_reference(graph, vehicle, counts, **kwargs):
