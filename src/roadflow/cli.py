@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
-import os
-import pickle
 import platform
 import sys
 import time
@@ -98,72 +97,34 @@ def _write_space_time(path: Path, header, t_text, x_text, values,
                 for x, cell in zip(x_text, values[j].tolist())))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_share(jobs, first: int, step: int):
-    """Write jobs ``first``, ``first + step``, ... in order; return the
-    index and error of the first that fails, or None."""
-    for i in range(first, len(jobs), step):
+def _write_share(jobs, indices) -> list:
+    """Write ``jobs[i]`` for each of ``indices`` in order, up to the first
+    that fails: its error in its place, None in every other."""
+    errors = [None] * len(indices)
+    for k, i in enumerate(indices):
         try:
             _write_space_time(*jobs[i])
         except Exception as exc:     # reported in file order by the caller
-            return i, exc
-    return None
+            errors[k] = exc
+            break
+    return errors
 
 
 def _write_tables(jobs) -> None:
     """Write each ``_write_space_time`` argument tuple of ``jobs``.
 
-    ``repr`` of every float holds the interpreter lock, so the jobs are
-    split round-robin over one process per usable CPU: the parent writes
-    the first share and forks a child for each other one.  Each child
-    sends the first failure of its share back through a pipe and leaves
-    by ``os._exit``, so it never flushes the parent's stdio buffers.  The
-    error raised is that of the first failing table in ``jobs`` order,
-    wherever it was written; the bytes do not depend on the split.
+    ``repr`` of every float holds the interpreter lock, so the tables are
+    dealt round-robin over forked helpers, one per usable CPU beside this
+    process, which the fork hands ``jobs``.  The error raised is that of
+    the first failing table in ``jobs`` order, wherever it was written;
+    the bytes do not depend on the split.
     """
-    workers = (max(1, min(len(jobs), _usable_cpus()))
-               if hasattr(os, "fork") else 1)
-    children, statuses = [], []      # (pid, read end of its pipe), status
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read)
-                    with open(write, "wb") as fh:
-                        pickle.dump(_write_share(jobs, w, workers), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        failures = [_write_share(jobs, 0, workers)]
-        reports = [fh.read() for _, fh in children]
-    finally:
-        for pid, fh in children:
-            fh.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for status, report in zip(statuses, reports):
-        if status:
-            raise RuntimeError(
-                f"table writer process exited with status {status}")
-        failures.append(pickle.loads(report))
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    from .forked import Helpers
+    with Helpers(functools.partial(_write_share, jobs), len(jobs)) as helpers:
+        errors = helpers.map(list(range(len(jobs))))
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 # ----------------------------------------------------------------- runners
@@ -327,19 +288,22 @@ def _run_schedule(built, out: Path, seed: int) -> list:
 
 
 def _run_schedule_private(built, out: Path, seed: int) -> list:
-    result = _cli.run_private_learning(built["state"], built["iterations"],
-                                       seed, bits=built["bits"])
-    names = _schedule_artifacts(built, result, out)
-    # one demonstration ring pass at the best profile, fresh keypair
+    from .private_agg import modexp_helpers
     assignments = built["assignments"]
-    graph = built["graph"]
-    rng = np.random.default_rng([seed, 0xDEC0DE])
-    keypair = _cli.keygen(built["bits"], rng)
-    ring = [(veh, int(result.best_tau[i]))
-            for i, veh in enumerate(assignments)]
     transcript: list = []
-    _cli.chain_aggregate(ring, graph, _cli.default_horizon(assignments),
-                         keypair, rng, transcript=transcript)
+    with modexp_helpers():      # one set of helpers for the whole command
+        result = _cli.run_private_learning(built["state"],
+                                           built["iterations"], seed,
+                                           bits=built["bits"])
+        # one demonstration ring pass at the best profile, fresh keypair
+        rng = np.random.default_rng([seed, 0xDEC0DE])
+        keypair = _cli.keygen(built["bits"], rng)
+        ring = [(veh, int(result.best_tau[i]))
+                for i, veh in enumerate(assignments)]
+        _cli.chain_aggregate(ring, built["graph"],
+                             _cli.default_horizon(assignments), keypair, rng,
+                             transcript=transcript)
+    names = _schedule_artifacts(built, result, out)
     rows = [[entry[0], entry[1], entry[2], entry[3], entry[4].hex()]
             if entry[0] == "hop" else [entry[0], entry[1], "", "", ""]
             for entry in transcript]
@@ -424,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override the scenario seed")
             sp.add_argument("--threads", type=int, default=1,
                             help="accepted and ignored (kept so older "
-                                 "scripts still run): simulate writes its "
-                                 "density tables from one process per "
-                                 "usable CPU, everything else is serial")
+                                 "scripts still run): simulate's tables "
+                                 "and schedule-private's modular powers "
+                                 "use one process per usable CPU, "
+                                 "everything else is serial")
             sp.add_argument("--validate-only", action="store_true",
                             help="stop after schema validation")
     return parser

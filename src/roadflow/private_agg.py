@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, KeyMismatch, PlaintextOutOfRange,
                      PrimeGenerationFailed)
+from .forked import Helpers
 from .scheduler import (FreightGraph, LearningResult, ScheduleState,
                         VehicleAssignment, default_horizon, drive_learning)
 # the learning driver tracks the best profile through the scheduler's own
@@ -46,7 +48,8 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 #: candidate primes tried before giving up
 PRIME_ATTEMPTS = 20_000
-#: Miller-Rabin witnesses drawn per candidate, whether or not each is tested
+#: Miller-Rabin witnesses drawn by a candidate that passes every tested
+#: round; one that fails a round draws none after it
 MR_ROUNDS = 40
 #: (smallest bit length, rounds tested): Miller-Rabin rounds that give an
 #: error of at most 2^-80 on a uniformly random odd candidate of that many
@@ -59,10 +62,64 @@ _MR_TESTED = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
 
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
+_SIEVE = math.prod(_SMALL_PRIMES)
+#: sieved candidates per helper whose first rounds one batch tests
+_SPECULATED = 4
+
+_RUNNING: list = []     # the helpers of the outermost call running, if any
 
 
-def _rand_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) from generator bytes."""
+def _powmod_all(jobs: list) -> list:
+    return [_powmod(*job) for job in jobs]
+
+
+@contextmanager
+def modexp_helpers():
+    """Helpers for the modular powers of this call and the calls it makes:
+    forked by the outermost call, closed when that call ends."""
+    if _RUNNING:
+        yield
+        return
+    with Helpers(_powmod_all) as helpers:
+        _RUNNING.append(helpers)
+        try:
+            yield
+        finally:
+            _RUNNING.clear()
+
+
+def _powmods(jobs: list) -> list:
+    """``pow(base, exp, mod)`` of each job, shared with the running helpers."""
+    return _RUNNING[0].map(jobs) if _RUNNING else _powmod_all(jobs)
+
+
+class _Words:
+    """``rng.bytes`` from bulk draws, taking ``ceil(k / 4)`` 32-bit words a
+    call as numpy does.  ``at`` counts the words taken, and may be set back;
+    on exit ``rng`` is left where ``at`` words leave it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.start = rng, rng.bit_generator.state
+        self.buffer, self.at = b"", 0
+
+    def bytes(self, k: int) -> bytes:
+        first, self.at = 4 * self.at, self.at + ((k + 3) // 4 or 1)
+        while len(self.buffer) < 4 * self.at:
+            self.buffer += self.rng.bytes(4096)
+        return self.buffer[first:first + k]
+
+    def __enter__(self) -> "_Words":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.rng.bit_generator.state = self.start
+        if self.at:
+            self.rng.bytes(4 * self.at)
+
+
+def _rand_below(rng, bound: int) -> int:
+    """Uniform integer in [0, bound) from the bytes of ``rng``, a generator
+    or ``_Words``."""
     nbytes = (bound.bit_length() + 7) // 8 + 1
     while True:
         r = int.from_bytes(rng.bytes(nbytes), "big")
@@ -70,44 +127,77 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
             return r % bound
 
 
-def _is_probable_prime(n: int, rng: np.random.Generator) -> bool:
-    """Miller-Rabin for a random candidate.  Every one of the MR_ROUNDS
-    witnesses is drawn, in order, so the generator ends where a test of
-    all of them leaves it; only the first `_MR_TESTED` many are tested."""
-    if n < 2:
+def _mr_setup(n: int):
+    """``(d, s, rounds tested)`` with ``n - 1 = d 2^s``, or None if a small
+    prime divides ``n``."""
+    if math.gcd(n, _SIEVE) != 1:
+        return None
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # the lowest bit of n - 1
+    return (n - 1) >> s, s, next(
+        (r for k, r in _MR_TESTED if n.bit_length() >= k), MR_ROUNDS)
+
+
+def _mr_round(x: int, n: int, s: int) -> bool:
+    """Whether the round whose witness gives ``x = a^d mod n`` passes."""
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = _powmod(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_probable_prime(n: int, rng) -> bool:
+    """Miller-Rabin for a random candidate, with witnesses from ``rng``, a
+    generator or ``_Words``.  All MR_ROUNDS are drawn and the first
+    `_MR_TESTED` many tested at once; the stream is then set back to just
+    after the first that fails, where testing one after another stops."""
+    if isinstance(rng, np.random.Generator):
+        with _Words(rng) as words:
+            return _is_probable_prime(n, words)
+    if n < 2 or n in _SMALL_PRIMES:
+        return n in _SMALL_PRIMES
+    if (setup := _mr_setup(n)) is None:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    tested = next((r for k, r in _MR_TESTED if n.bit_length() >= k),
-                  MR_ROUNDS)
-    for i in range(MR_ROUNDS):
-        a = 2 + _rand_below(rng, n - 3)
-        if i >= tested:
-            continue
-        x = _powmod(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = _powmod(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    d, s, tested = setup
+    rounds = [(2 + _rand_below(rng, n - 3), rng.at)
+              for _ in range(MR_ROUNDS)][:tested]
+    powers = _powmods([(a, d, n) for a, _ in rounds])
+    failed = next((at for x, (_, at) in zip(powers, rounds)
+                   if not _mr_round(x, n, s)), None)
+    if failed is not None:
+        rng.at = failed
+    return failed is None
 
 
 def _random_prime(bits: int, rng: np.random.Generator) -> int:
-    for _ in range(PRIME_ATTEMPTS):
-        candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        candidate &= (1 << bits) - 1
-        if _is_probable_prime(candidate, rng):
-            return candidate
+    """The first random candidate that ``_is_probable_prime`` accepts.  The
+    first rounds of a block of sieved candidates (one without helpers) are
+    tested at once; the stream is set back to the first witness of the
+    first that passes, which is then tested in full.  So the draws, the
+    attempts counted and the prime are those of a one-by-one search."""
+    if bits < 8:
+        raise ValueError("a random prime needs at least 8 bits")
+    size = max(1, _SPECULATED * (_RUNNING[0].processes - 1 if _RUNNING else 0))
+    top = (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+    with _Words(rng) as words:
+        attempts = 0
+        while attempts < PRIME_ATTEMPTS:
+            block, firsts = [], []      # (attempts, n, s, words), (a, d, n)
+            while attempts < PRIME_ATTEMPTS and len(block) < size:
+                attempts += 1
+                n = int.from_bytes(words.bytes((bits + 7) // 8), "big")
+                n = (n | top) & ((1 << bits) - 1)
+                if setup := _mr_setup(n):
+                    block.append((attempts, n, setup[1], words.at))
+                    firsts.append((2 + _rand_below(words, n - 3), setup[0], n))
+            for (count, n, s, at), x in zip(block, _powmods(firsts)):
+                if _mr_round(x, n, s):
+                    words.at, attempts = at, count
+                    if _is_probable_prime(n, words):
+                        return n
+                    break
     raise PrimeGenerationFailed(f"no {bits}-bit prime in {PRIME_ATTEMPTS} attempts")
 
 
@@ -151,13 +241,14 @@ def keygen(bits: int, rng: np.random.Generator) -> Keypair:
     if bits < 256:
         raise ValueError("modulus below 256 bits is meaningless even for tests")
     half = bits // 2
-    for _ in range(PRIME_ATTEMPTS):
-        p = _random_prime(half, rng)
-        q = _random_prime(bits - half, rng)
-        if p != q:
-            break
-    else:  # pragma: no cover
-        raise PrimeGenerationFailed("could not find two distinct primes")
+    with modexp_helpers():
+        for _ in range(PRIME_ATTEMPTS):
+            p = _random_prime(half, rng)
+            q = _random_prime(bits - half, rng)
+            if p != q:
+                break
+        else:  # pragma: no cover
+            raise PrimeGenerationFailed("could not find two distinct primes")
     n = p * q
     lam = math.lcm(p - 1, q - 1)
     mu = pow(lam, -1, n)
@@ -174,25 +265,46 @@ class Ciphertext:
         return hashlib.sha256(self.value.to_bytes(size, "big")).digest()
 
 
-def encrypt(m: int, public: PublicKey, rng: np.random.Generator) -> Ciphertext:
-    """Probabilistic encryption; fresh randomness every call."""
+def _noise(public: PublicKey, count: int, rng, secret=None, own: int = 0):
+    """``rng`` if it is an iterator; else one over ``r^n mod n^2`` of the
+    next ``count`` encryptions, whose ``r`` hang on the stream and ``n``
+    alone, so all are drawn first as one encryption after another does.
+    The first ``own`` are the key holder's, who has the ``secret`` to take
+    them mod p^2 and q^2 (as r coprime to n allows) and join them."""
+    if not isinstance(rng, np.random.Generator):
+        return rng
+    n, rs = public.n, []
+    while len(rs) < count:
+        r = 1 + _rand_below(rng, n - 1)
+        if math.gcd(r, n) == 1:
+            rs.append(r)
+    jobs = [(r, n, public.n_squared) for r in rs]
+    if own:
+        p, q = secret.p, secret.q
+        jobs[:own] = [(r % (f * f), n % (f * (f - 1)), f * f)
+                      for r in rs[:own] for f in (p, q)]
+    x = _powmods(jobs)
+    if own:
+        inv, q2 = pow(q * q, -1, p * p), q * q
+        x[:2 * own] = [xq + q2 * ((xp - xq) * inv % (p * p))
+                       for xp, xq in zip(x[:2 * own:2], x[1:2 * own:2])]
+    return iter(x)
+
+
+def encrypt(m: int, public: PublicKey, rng) -> Ciphertext:
+    """Probabilistic encryption; fresh randomness every call, from a
+    generator or a ``_noise`` iterator."""
     m = int(m)
     if not 0 <= m < public.n:
         raise PlaintextOutOfRange(f"plaintext must lie in [0, {public.n})")
     n, n2 = public.n, public.n_squared
-    while True:
-        r = 1 + _rand_below(rng, n - 1)
-        if math.gcd(r, n) == 1:
-            break
-    value = ((1 + m * n) % n2) * _powmod(r, n, n2) % n2
+    value = ((1 + m * n) % n2) * next(_noise(public, 1, rng)) % n2
     return Ciphertext(value, n)
 
 
-def _residue(c: int, p: int, q: int) -> int:
-    """The plaintext mod ``p``: L_p(c^(p-1) mod p^2) / L_p(g^(p-1) mod p^2),
-    where the n+1 generator makes the denominator -q mod p."""
-    p2 = p * p
-    x = _powmod(c % p2, p - 1, p2)
+def _residue(x: int, p: int, q: int) -> int:
+    """The plaintext mod ``p`` from ``x = c^(p-1) mod p^2``: L_p(x) over
+    L_p(g^(p-1) mod p^2), which the n+1 generator makes -q mod p."""
     return (x - 1) // p * pow(-q, -1, p) % p
 
 
@@ -204,8 +316,9 @@ def decrypt(c: Ciphertext, keypair: Keypair) -> int:
     if c.n != secret.n:
         raise KeyMismatch("ciphertext was produced under a different modulus")
     p, q = secret.p, secret.q
-    mp = _residue(c.value, p, q)
-    mq = _residue(c.value, q, p)
+    p2, q2 = p * p, q * q
+    xp, xq = _powmods([(c.value % p2, p - 1, p2), (c.value % q2, q - 1, q2)])
+    mp, mq = _residue(xp, p, q), _residue(xq, q, p)
     return mq + q * ((mp - mq) * pow(q, -1, p) % p)
 
 
@@ -278,18 +391,18 @@ class CipherMatrix:
 
     @classmethod
     def zeros(cls, shape: tuple[int, int], capacity: int, public: PublicKey,
-              rng: np.random.Generator) -> "CipherMatrix":
+              rng) -> "CipherMatrix":
         """Encrypted zeros in slots wide enough for counts up to
-        ``capacity``."""
+        ``capacity``; ``rng`` is a generator or a ``_noise`` iterator."""
         width = max(1, int(capacity).bit_length())
         count = -(-shape[0] * shape[1] // _slots(public, width))
+        rng = _noise(public, count, rng)
         return cls([encrypt(0, public, rng) for _ in range(count)], shape,
                    width, public)
 
-    def add_indicator(self, indicator: np.ndarray,
-                      rng: np.random.Generator) -> "CipherMatrix":
+    def add_indicator(self, indicator: np.ndarray, rng) -> "CipherMatrix":
         """Fresh encryption of the packed 0/1 indicator multiplied into
-        every ciphertext."""
+        every ciphertext; ``rng`` is a generator or a ``_noise`` iterator."""
         if indicator.shape != self.shape:
             raise DimensionMismatch(
                 f"indicator shape {indicator.shape} vs matrix {self.shape}")
@@ -300,6 +413,7 @@ class CipherMatrix:
             raise PlaintextOutOfRange(
                 f"{self.width}-bit slots already hold {self.terms} indicators")
         plain = _pack(flags, self.width, self.slots)
+        rng = _noise(self.public, len(plain), rng)
         chunks = [homomorphic_add(chunk, encrypt(m, self.public, rng),
                                   self.public)
                   for chunk, m in zip(self.chunks, plain)]
@@ -340,22 +454,31 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
     messages look unrelated.  The transcript records one
     ("hop", hop, sender, receiver, matrix digest) entry per message plus one
     final ("decrypt", holder_index) marker; no other party ever sees the
-    secret key, which the marker makes checkable.
+    secret key, which the marker makes checkable.  Every encryption of the
+    pass is drawn first (see ``_noise``) and its power shared with helpers;
+    the holder's zeros take theirs by the CRT.
     """
     if len(vehicles) < 2:
         raise ValueError("the ring needs at least two vehicles")
     shape = (len(graph), int(horizon))
-    matrix = CipherMatrix.zeros(shape, len(vehicles) - 1, keypair.public, rng)
-    if transcript is not None:
-        transcript.append(("hop", 0, 0, 1, matrix.digest()))
-    for hop in range(1, len(vehicles)):
-        vehicle, tau = vehicles[hop]
-        indicator = occupancy_indicator(vehicle, tau, *shape)
-        matrix = matrix.add_indicator(indicator, rng)
+    public = keypair.public
+    slots = _slots(public, max(1, (len(vehicles) - 1).bit_length()))
+    with modexp_helpers():
+        count = -(-shape[0] * shape[1] // slots)
+        rng = _noise(public, len(vehicles) * count, rng, keypair.secret,
+                     count)
+        matrix = CipherMatrix.zeros(shape, len(vehicles) - 1, public, rng)
         if transcript is not None:
-            receiver = (hop + 1) % len(vehicles)
-            transcript.append(("hop", hop, hop, receiver, matrix.digest()))
-    zeta = matrix.decrypt_counts(keypair)
+            transcript.append(("hop", 0, 0, 1, matrix.digest()))
+        for hop in range(1, len(vehicles)):
+            vehicle, tau = vehicles[hop]
+            indicator = occupancy_indicator(vehicle, tau, *shape)
+            matrix = matrix.add_indicator(indicator, rng)
+            if transcript is not None:
+                receiver = (hop + 1) % len(vehicles)
+                transcript.append(("hop", hop, hop, receiver,
+                                   matrix.digest()))
+        zeta = matrix.decrypt_counts(keypair)
     if transcript is not None:
         transcript.append(("decrypt", 0))
     return zeta
@@ -383,7 +506,6 @@ def run_private_learning(state0: ScheduleState, iterations: int,
     crypto_rng = np.random.default_rng([rng_seed, 0x5EC2E7])
     n_vehicles = len(state0.assignments)
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
-    keypairs = [keygen(bits, crypto_rng) for _ in range(n_vehicles)]
 
     def ring_counts(i: int, tau: np.ndarray) -> np.ndarray:
         ring = [(state0.assignments[j], int(tau[j]))
@@ -391,5 +513,8 @@ def run_private_learning(state0: ScheduleState, iterations: int,
         return chain_aggregate(ring, state0.graph, horizon, keypairs[i],
                                crypto_rng)
 
-    return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
-                          ring_counts, horizon=horizon)
+    with modexp_helpers():
+        keypairs = [keygen(bits, crypto_rng) for _ in range(n_vehicles)]
+        return drive_learning(state0, iterations,
+                              np.random.default_rng(rng_seed), ring_counts,
+                              horizon=horizon)

@@ -11,7 +11,9 @@ Wardrop gap; for the social optimum, the controls as the simulator's
 schedule objects; for platooning, the truck density of a freight pair by
 first-order conservative upwind on the cell grid (LeVeque, *Finite Volume
 Methods for Hyperbolic Problems*, 2002), the cross-check of the particle
-solver.
+solver.  For the Paillier keys, the prime search one candidate after
+another, testing every one of the ``MR_ROUNDS`` Miller-Rabin witnesses and
+drawing straight from the generator.
 """
 
 import itertools
@@ -29,6 +31,8 @@ from roadflow.nonlocal_solver import (CharacteristicResult, LinkState,
                                       VelocityLaw, _picard_window,
                                       _sample_initial, _sample_series,
                                       mass_row, upwind_step)
+from roadflow.private_agg import (MR_ROUNDS, PRIME_ATTEMPTS, _SMALL_PRIMES,
+                                  _rand_below)
 from roadflow.platoon_flow import (AdmissibleVelocityField, FreightPair,
                                    _ParticleRun)
 from roadflow.routing import USED_PATH_EPS, mixed_gap
@@ -354,3 +358,38 @@ def reference_fv_pair(pair: FreightPair, control: AdmissibleVelocityField,
     return GridTruckRun(times=times, x_centers=run.centers, fields=q,
                         rho_rows=run.rho_rows, injected=injected,
                         initial_mass=float(run.q0.sum() * dx), exited=exited)
+
+
+def reference_is_probable_prime(n, rng):
+    """Miller-Rabin with every one of the MR_ROUNDS witnesses tested."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(MR_ROUNDS):
+        a = 2 + _rand_below(rng, n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_random_prime(bits, rng):
+    for _ in range(PRIME_ATTEMPTS):
+        candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
+        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        candidate &= (1 << bits) - 1
+        if reference_is_probable_prime(candidate, rng):
+            return candidate
+    raise AssertionError("no prime found")

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import signal
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,8 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from roadflow import cli
+from roadflow import cli, forked, private_agg
 from roadflow.cli import main
+from roadflow.errors import ComputeError
 from roadflow.network_sim import PATH_CAP
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -631,7 +634,7 @@ def test_table_writers_match_one_process_write(workers, tmp_path,
     (tmp_path / "ours").mkdir()
     for job in table_jobs(tmp_path / "ref", 5):
         cli._write_space_time(*job)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: workers)
     cli._write_tables(table_jobs(tmp_path / "ours", 5))
     for i in range(5):
         name = f"table_{i}.csv"
@@ -643,7 +646,7 @@ def test_table_failing_in_a_child_is_compute_error(tmp_path, capsys,
                                                    monkeypatch):
     messages = []
     for workers in (1, 2):      # the slab table is the child's with two
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(forked, "_usable_cpus", lambda: workers)
         out = tmp_path / f"out_{workers}"
         (out / "density_slab_0-1.csv").mkdir(parents=True)
         code = main(["simulate", "--scenario", str(SINGLE_LINK),
@@ -662,7 +665,7 @@ def test_first_failing_table_in_file_order_is_reported(failing, tmp_path,
                                                        monkeypatch):
     # three workers write tables {0, 3}, {1, 4} and {2, 5}; the parent the
     # first share, a child each of the others
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 3)
     jobs = table_jobs(tmp_path, 6)
     for i in failing:
         jobs[i][0].mkdir()
@@ -676,8 +679,8 @@ def test_failed_fork_is_compute_error_and_closes_its_pipe(tmp_path, capsys,
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked.os, "fork", no_fork)
     fds = sorted(os.listdir("/proc/self/fd"))
     code = main(["simulate", "--scenario", str(SINGLE_LINK),
                  "--out", str(tmp_path / "out")])
@@ -686,3 +689,104 @@ def test_failed_fork_is_compute_error_and_closes_its_pipe(tmp_path, capsys,
     assert payload["error"] == "compute"
     assert "Resource temporarily unavailable" in payload["message"]
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runs_leave_no_process_on_any_exit(tmp_path, capsys, monkeypatch):
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked.os, "fork", counting_fork)
+    private = ["schedule-private", "--scenario", str(PRIVATE), "--out"]
+    assert main(private + [str(tmp_path / "ok")]) == 0
+    assert len(forks) == 1                  # one helper for the command
+    assert_no_child_left()
+
+    real_pass = private_agg.chain_aggregate
+
+    def failing_pass(*args, **kwargs):
+        real_pass(*args, **kwargs)
+        raise ComputeError("injected after the first ring pass")
+
+    monkeypatch.setattr(private_agg, "chain_aggregate", failing_pass)
+    capsys.readouterr()
+    assert main(private + [str(tmp_path / "failed")]) == 1
+    assert "injected" in json.loads(capsys.readouterr().err)["message"]
+    assert_no_child_left()
+    assert not private_agg._RUNNING
+
+    out = tmp_path / "tables"
+    (out / "density_slab_0-1.csv").mkdir(parents=True)
+    assert main(["simulate", "--scenario", str(SINGLE_LINK),
+                 "--out", str(out)]) == 1
+    assert_no_child_left()
+
+
+def test_helper_ends_when_its_parent_closes_the_pipe(monkeypatch):
+    # the parent sends no stop message: the end of its requests is the stop
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    helpers = forked.Helpers(lambda items: [2 * x for x in items])
+    assert helpers.map([1, 2, 3]) == [2, 4, 6]
+    (pid, request_w, result_r), = helpers.pipes
+    helpers.pipes = []
+    forked._PARENT_ENDS.difference_update((request_w, result_r.fileno()))
+    os.close(request_w)
+    result_r.close()
+    deadline = time.monotonic() + 10
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the helper outlived its parent's pipe")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+    assert_no_child_left()
+
+
+def test_helper_that_fails_is_an_error_and_is_waited_for(monkeypatch):
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="ended early"):
+        with forked.Helpers(lambda items: [1 // x for x in items]) as helpers:
+            assert helpers.map([1, 2]) == [1, 0]
+            helpers.map([1, 0])     # the helper's share divides by zero
+    assert_no_child_left()
+
+
+def test_helpers_closed_out_of_order_end(monkeypatch):
+    # a helper forked later holds none of an earlier helper's pipe ends,
+    # so the earlier one ends as soon as its own parent closes them
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    first = forked.Helpers(lambda items: items)
+    second = forked.Helpers(lambda items: items)
+
+    def late(signum, frame):
+        raise TimeoutError("the first helper waited for the second")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(10)
+    try:
+        first.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        second.close()
+
+
+def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forked.os, "fork", no_fork)
+    for kind, scenario in (("schedule-private", PRIVATE),
+                           ("simulate", SINGLE_LINK)):
+        assert main([kind, "--scenario", str(scenario),
+                     "--out", str(tmp_path / kind)]) == 0

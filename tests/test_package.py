@@ -96,8 +96,10 @@ def test_run_loads_only_its_kinds_layers(path, tmp_path):
     kind = json.loads(path.read_text())["kind"]
     argv = [kind, "--scenario", str(path), "--out", str(tmp_path)]
     code = f"from roadflow.cli import main\nassert main({argv!r}) == 0"
-    # the private run's ring pass is the one layer its validation skips
-    extra = {"roadflow.private_agg"} if kind == "schedule-private" else set()
+    # the private run's ring pass is the one layer its validation skips;
+    # it and simulate's table writer share the forked helpers
+    extra = {"schedule-private": {"roadflow.private_agg", "roadflow.forked"},
+             "simulate": {"roadflow.forked"}}.get(kind, set())
     assert modules_after(code) == FRONT | KIND_LAYERS[kind] | extra
 
 

@@ -1,10 +1,11 @@
 """Paillier primitives, the ring protocol, and plaintext equivalence.
 
-``reference_is_probable_prime`` and ``reference_random_prime`` keep the
-prime search as it tested all ``MR_ROUNDS`` Miller-Rabin witnesses on every
-candidate, as the oracle for the search that tests only as many as the
-candidate's size needs: both must accept and refuse the same numbers and
-leave the generator in the same state, so every key stays the same.
+``oracles.reference_is_probable_prime`` and ``reference_random_prime`` keep
+the prime search as it tested all ``MR_ROUNDS`` Miller-Rabin witnesses on
+every candidate, one after another, as the oracle for the search that
+tests only as many as the candidate's size needs, in batches shared with
+forked helpers: both must accept and refuse the same numbers and leave the
+generator in the same state, so every key stays the same.
 """
 
 import math
@@ -13,18 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roadflow import private_agg
+from roadflow import forked, private_agg
 from roadflow.errors import (DimensionMismatch, KeyMismatch,
                              PlaintextOutOfRange)
-from roadflow.private_agg import (MR_ROUNDS, PRIME_ATTEMPTS, _SMALL_PRIMES,
-                                  Ciphertext, CipherMatrix, _is_probable_prime,
-                                  _rand_below, _random_prime, chain_aggregate,
-                                  decrypt, encrypt, homomorphic_add, keygen,
-                                  occupancy_indicator, run_private_learning)
+from roadflow.private_agg import (_SMALL_PRIMES, Ciphertext, CipherMatrix,
+                                  _is_probable_prime, _random_prime,
+                                  chain_aggregate, decrypt, encrypt,
+                                  homomorphic_add, keygen, occupancy_indicator,
+                                  run_private_learning)
 from roadflow.scheduler import (FreightGraph, ScheduleState,
                                 VehicleAssignment, conditional_scores,
                                 default_horizon, occupancy_counts,
                                 run_learning)
+
+from oracles import reference_is_probable_prime, reference_random_prime
 
 BITS = 256      # small keys keep the suite fast; never a production choice
 
@@ -32,41 +35,6 @@ BITS = 256      # small keys keep the suite fast; never a production choice
 @pytest.fixture(scope="module")
 def keypair():
     return keygen(BITS, np.random.default_rng(1234))
-
-
-def reference_is_probable_prime(n, rng):
-    """Miller-Rabin with every one of the MR_ROUNDS witnesses tested."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(MR_ROUNDS):
-        a = 2 + _rand_below(rng, n - 3)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def reference_random_prime(bits, rng):
-    for _ in range(PRIME_ATTEMPTS):
-        candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        candidate &= (1 << bits) - 1
-        if reference_is_probable_prime(candidate, rng):
-            return candidate
-    raise AssertionError("no prime found")
 
 
 def test_keygen_is_deterministic():
@@ -101,21 +69,30 @@ def test_keygen_equals_all_rounds_reference(monkeypatch, bits, seeds):
 
 
 def count_rounds(monkeypatch, n, seed):
-    """Whether the search accepts ``n``, the Miller-Rabin rounds it tested
-    (each starts with the one modexp whose exponent is not 2), and whether
-    it leaves the generator where the all-rounds reference does."""
-    calls = []
+    """Whether the search accepts ``n``, the Miller-Rabin rounds it judged,
+    up to the first that fails, and whether it leaves the generator where
+    the all-rounds reference does.  An accepted ``n`` takes one modexp
+    whose exponent is not 2 per round judged: no untested round is run."""
+    verdicts, exps = [], []
+    judge = private_agg._mr_round
+
+    def counting_round(x, n, s):
+        verdicts.append(judge(x, n, s))
+        return verdicts[-1]
 
     def counting_powmod(base, exp, mod):
-        calls.append(exp)
+        exps.append(exp)
         return pow(base, exp, mod)
 
+    monkeypatch.setattr(private_agg, "_mr_round", counting_round)
     monkeypatch.setattr(private_agg, "_powmod", counting_powmod)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     accepted = _is_probable_prime(n, rng)
     assert accepted == reference_is_probable_prime(n, ref_rng)
+    if accepted:
+        assert sum(exp != 2 for exp in exps) == len(verdicts)
     same_stream = rng.bit_generator.state == ref_rng.bit_generator.state
-    return accepted, sum(exp != 2 for exp in calls), same_stream
+    return accepted, len(verdicts), same_stream
 
 
 def chernick_carmichael():
@@ -384,3 +361,218 @@ def test_private_learning_bit_identical_to_plaintext():
     assert plain.visits == private.visits
     with pytest.raises(ValueError):
         run_private_learning(state, 0, rng_seed=1, bits=BITS)
+
+
+# ------------------------------------------- bulk draws and forked helpers
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), words=st.integers(0, 3),
+       lengths=st.lists(st.integers(0, 70), min_size=1, max_size=12))
+def test_words_are_generator_bytes(seed, words, lengths):
+    # an odd count of 32-bit words taken before leaves a high half kept, an
+    # even one a dead high half in the state; the state dicts must match.
+    # numpy takes one word for zero bytes
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(words):
+        rng.bytes(4)
+        ref.bytes(4)
+    assert rng.bit_generator.state["has_uint32"] == words % 2
+    with private_agg._Words(rng) as stream:
+        for k in lengths:
+            assert stream.bytes(k) == ref.bytes(k)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_words_rewind_replays_and_leaves_the_generator_at_the_mark():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    rng.bytes(4)
+    ref.bytes(4)
+    with private_agg._Words(rng) as stream:
+        assert stream.bytes(33) == ref.bytes(33)
+        mark = stream.at
+        long = stream.bytes(5001)       # past one bulk block
+        stream.at = mark
+        assert stream.bytes(5001) == long == ref.bytes(5001)
+        stream.at = mark
+    ref = np.random.default_rng(3)
+    ref.bytes(4)
+    ref.bytes(33)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_candidates_without_witnesses_leave_the_generator_alone():
+    for n in (97, 3 * P127, 2 ** 130 + 1, 1):      # sieved or small
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        assert _is_probable_prime(n, rng) == reference_is_probable_prime(n,
+                                                                         ref)
+        assert rng.bit_generator.state == ref.bit_generator.state \
+            == np.random.default_rng(9).bit_generator.state
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_keygen_on_any_cpu_count_equals_the_one_by_one_search(cpus,
+                                                              monkeypatch):
+    cases = [(256, seed) for seed in range(12)] + [(512, 0), (512, 1)]
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(private_agg, "_random_prime", reference_random_prime)
+    expected = []
+    for bits, seed in cases:
+        rng = np.random.default_rng(seed)
+        expected.append((keygen(bits, rng).secret, rng.bit_generator.state))
+    monkeypatch.undo()
+    use_cpus(monkeypatch, cpus)
+    with private_agg.modexp_helpers():
+        assert private_agg._RUNNING[0].processes == cpus
+        for (bits, seed), (secret, state) in zip(cases, expected):
+            rng = np.random.default_rng(seed)
+            assert keygen(bits, rng).secret == secret
+            assert rng.bit_generator.state == state
+    assert not private_agg._RUNNING
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_small_primes_equal_the_one_by_one_search_and_rewind(cpus,
+                                                             monkeypatch):
+    # every search sets its stream back to just before the first witness
+    # of the candidate that passes its first round; with helpers, that
+    # also takes back the later candidates of the block drawn ahead
+    use_cpus(monkeypatch, cpus)
+    rewinds = []
+
+    class Words(private_agg._Words):
+        def __setattr__(self, name, value):
+            if name == "at" and value < self.__dict__.get("at", 0):
+                rewinds.append(self.at - value)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(private_agg, "_Words", Words)
+    with private_agg.modexp_helpers():
+        for bits in (12, 16, 20, 24, 32, 40):
+            witness = -(-((bits + 7) // 8 + 1) // 4)   # its 32-bit words
+            for seed in range(30):
+                rng = np.random.default_rng([bits, seed])
+                ref = np.random.default_rng([bits, seed])
+                assert _random_prime(bits, rng) == \
+                    reference_random_prime(bits, ref)
+                assert rng.bit_generator.state == ref.bit_generator.state
+    assert len(rewinds) >= 180
+    assert (max(rewinds) > witness) == (cpus > 1)
+    with pytest.raises(ValueError):
+        _random_prime(7, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_composite_past_its_first_round_sets_the_stream_back(cpus,
+                                                             monkeypatch):
+    # a quarter of this composite's bases are strong liars, so some seeds
+    # pass rounds before the one that fails; random candidates of 12-40
+    # bits almost never do: the sieve removes every composite below 101^2
+    n = quarter_liar_composite()
+    d, s, _ = private_agg._mr_setup(n)
+    use_cpus(monkeypatch, cpus)
+    passed_first = 0
+    with private_agg.modexp_helpers():
+        for seed in range(16):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert not _is_probable_prime(n, rng)
+            assert not reference_is_probable_prime(n, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            a = 2 + private_agg._rand_below(np.random.default_rng(seed), n - 3)
+            passed_first += private_agg._mr_round(pow(a, d, n), n, s)
+    assert passed_first >= 2
+
+
+def one_by_one_pass(ring, g, horizon, keypair, rng):
+    """The ring pass with every encryption drawing its own ``r`` in turn:
+    the message digests, the final ciphertexts and the counts."""
+    matrix = CipherMatrix.zeros((len(g), horizon), len(ring) - 1,
+                                keypair.public, rng)
+    digests = [matrix.digest()]
+    for vehicle, tau in ring[1:]:
+        matrix = matrix.add_indicator(
+            occupancy_indicator(vehicle, tau, len(g), horizon), rng)
+        digests.append(matrix.digest())
+    return (digests, [c.value for c in matrix.chunks],
+            matrix.decrypt_counts(keypair))
+
+
+def spied_run(monkeypatch, cpus, run):
+    """What ``run()`` returns, the keys made, the ciphertexts decrypted and
+    the state of every generator made, with ``cpus`` usable."""
+    use_cpus(monkeypatch, cpus)
+    made, keys, decrypted = [], [], []
+    default_rng, real_keygen, real_decrypt = (np.random.default_rng,
+                                              keygen, decrypt)
+
+    def spy_rng(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    def spy_keygen(*args):
+        keys.append(real_keygen(*args))
+        return keys[-1]
+
+    def spy_decrypt(c, keypair):
+        decrypted.append(c.value)
+        return real_decrypt(c, keypair)
+
+    monkeypatch.setattr(private_agg.np.random, "default_rng", spy_rng)
+    monkeypatch.setattr(private_agg, "keygen", spy_keygen)
+    monkeypatch.setattr(private_agg, "decrypt", spy_decrypt)
+    out = run()
+    monkeypatch.undo()
+    return out, keys, decrypted, [g.bit_generator.state for g in made]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_private_run_on_any_cpu_count_equals_the_one_process_run(cpus,
+                                                                 monkeypatch):
+    g, vehs = ring_fixture()
+    state = ScheduleState(g, tuple(vehs), np.zeros(4, dtype=int),
+                          temperature=2.0)
+
+    def run():
+        result = run_private_learning(state, 12, rng_seed=21, bits=BITS)
+        return result.trajectory, result.cost_trace, result.best_tau
+
+    one = spied_run(monkeypatch, 1, run)
+    many = spied_run(monkeypatch, cpus, run)
+    for a, b in zip(one[0], many[0]):
+        assert np.array_equal(a, b)
+    assert one[1] == many[1] and len(one[1]) == 4
+    assert one[2] == many[2] and len(one[2]) >= 12
+    assert one[3] == many[3] and len(one[3]) == 2   # crypto, then learning
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ring_pass_on_any_cpu_count_equals_one_by_one_encryption(
+        cpus, keypair, monkeypatch):
+    g = FreightGraph([("A", "B", 2.0, 40), ("B", "C", 1.0, 50),
+                      ("B", "D", 1.0, 45)])
+    vehs = [VehicleAssignment(g, [0, 1 + k % 2], k, (0, 5))
+            for k in range(6)]
+    ring = list(zip(vehs, [3, 0, 5, 1, 2, 4]))
+    horizon = default_horizon(vehs)
+    ref_rng = np.random.default_rng(17)
+    digests, chunks, counts = one_by_one_pass(ring, g, horizon, keypair,
+                                              ref_rng)
+    assert len(chunks) >= 3
+    use_cpus(monkeypatch, cpus)
+    decrypted = []
+
+    def spy_decrypt(c, keypair):
+        decrypted.append(c.value)
+        return decrypt(c, keypair)
+
+    monkeypatch.setattr(private_agg, "decrypt", spy_decrypt)
+    rng, transcript = np.random.default_rng(17), []
+    zeta = chain_aggregate(ring, g, horizon, keypair, rng,
+                           transcript=transcript)
+    assert [e[4] for e in transcript if e[0] == "hop"] == digests
+    assert decrypted == chunks
+    assert np.array_equal(zeta, counts)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
