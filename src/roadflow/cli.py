@@ -291,7 +291,7 @@ def _run_schedule_private(built, out: Path, seed: int) -> list:
     from .private_agg import modexp_helpers
     assignments = built["assignments"]
     transcript: list = []
-    with modexp_helpers():      # one set of helpers for the whole command
+    with modexp_helpers():      # one helper for the whole command
         result = _cli.run_private_learning(built["state"],
                                            built["iterations"], seed,
                                            bits=built["bits"])

@@ -8,8 +8,6 @@ copy-on-write, so only shares and results travel, pickled.
 import os
 import pickle
 
-_PARENT_ENDS: set = set()   # live helpers' pipe ends, closed in a new helper
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
@@ -50,13 +48,12 @@ class Helpers:
     ``target`` on each process's share of the items.  Leaving the ``with``
     block closes every helper's pipe and waits for the helper to end."""
 
-    def __init__(self, target, processes: int | None = None):
+    def __init__(self, target, processes: int):
         self.target, self.pipes = target, []    # (pid, request fd, results)
-        cpus = _usable_cpus() if hasattr(os, "fork") else 1
+        cpus = min(processes, _usable_cpus() if hasattr(os, "fork") else 1)
         spare = _other_cpus() if cpus > 1 else []
         try:
-            for w in range(min(cpus, cpus if processes is None
-                               else processes) - 1):
+            for w in range(cpus - 1):
                 self._fork(spare[w % len(spare)] if spare else None)
         except BaseException:
             self.close()
@@ -78,8 +75,8 @@ class Helpers:
         if pid == 0:
             code = 1
             try:        # leaves by os._exit: never flushes the parent's stdio
-                for fd in _PARENT_ENDS | {request_w, result_r}:
-                    os.close(fd)
+                os.close(request_w)
+                os.close(result_r)
                 if cpu is not None:
                     os.sched_setaffinity(0, {cpu})
                 with open(request_r, "rb") as requests:
@@ -90,7 +87,6 @@ class Helpers:
                 os._exit(code)
         os.close(request_r)
         os.close(result_w)
-        _PARENT_ENDS.update((request_w, result_r))
         self.pipes.append((pid, request_w, open(result_r, "rb")))
 
     def map(self, items: list) -> list:
@@ -109,9 +105,10 @@ class Helpers:
         return results
 
     def close(self) -> None:
+        """A later helper holds an earlier one's pipe ends by the fork and
+        ends first, so every pipe is closed before any helper is waited for."""
         pipes, self.pipes = self.pipes, []
         for _, request_w, result_r in pipes:
-            _PARENT_ENDS.difference_update((request_w, result_r.fileno()))
             os.close(request_w)
             result_r.close()
         for pid, _, _ in pipes:

@@ -63,10 +63,10 @@ _MR_TESTED = ((1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
 _SIEVE = math.prod(_SMALL_PRIMES)
-#: sieved candidates per helper whose first rounds one batch tests
+#: sieved candidates whose first rounds one batch with a helper tests
 _SPECULATED = 4
 
-_RUNNING: list = []     # the helpers of the outermost call running, if any
+_RUNNING: list = []     # the helper of the outermost call running, if any
 
 
 def _powmod_all(jobs: list) -> list:
@@ -75,12 +75,17 @@ def _powmod_all(jobs: list) -> list:
 
 @contextmanager
 def modexp_helpers():
-    """Helpers for the modular powers of this call and the calls it makes:
-    forked by the outermost call, closed when that call ends."""
+    """One helper for the modular powers of this call and the calls it
+    makes: forked by the outermost call, closed when that call ends.  If
+    the fork fails, this process takes every power: the bits are the same."""
     if _RUNNING:
         yield
         return
-    with Helpers(_powmod_all) as helpers:
+    try:
+        helpers = Helpers(_powmod_all, 2)
+    except OSError:
+        helpers = Helpers(_powmod_all, 1)
+    with helpers:
         _RUNNING.append(helpers)
         try:
             yield
@@ -89,7 +94,7 @@ def modexp_helpers():
 
 
 def _powmods(jobs: list) -> list:
-    """``pow(base, exp, mod)`` of each job, shared with the running helpers."""
+    """``pow(base, exp, mod)`` of each job, shared with the running helper."""
     return _RUNNING[0].map(jobs) if _RUNNING else _powmod_all(jobs)
 
 
@@ -148,14 +153,11 @@ def _mr_round(x: int, n: int, s: int) -> bool:
     return False
 
 
-def _is_probable_prime(n: int, rng) -> bool:
-    """Miller-Rabin for a random candidate, with witnesses from ``rng``, a
-    generator or ``_Words``.  All MR_ROUNDS are drawn and the first
-    `_MR_TESTED` many tested at once; the stream is then set back to just
-    after the first that fails, where testing one after another stops."""
-    if isinstance(rng, np.random.Generator):
-        with _Words(rng) as words:
-            return _is_probable_prime(n, words)
+def _is_probable_prime(n: int, rng: _Words) -> bool:
+    """Miller-Rabin for a random candidate.  All MR_ROUNDS witnesses are
+    drawn and the first `_MR_TESTED` many tested at once; the stream is
+    then set back to just after the first that fails, where testing one
+    after another stops."""
     if n < 2 or n in _SMALL_PRIMES:
         return n in _SMALL_PRIMES
     if (setup := _mr_setup(n)) is None:
@@ -173,13 +175,13 @@ def _is_probable_prime(n: int, rng) -> bool:
 
 def _random_prime(bits: int, rng: np.random.Generator) -> int:
     """The first random candidate that ``_is_probable_prime`` accepts.  The
-    first rounds of a block of sieved candidates (one without helpers) are
+    first rounds of a block of sieved candidates (one without a helper) are
     tested at once; the stream is set back to the first witness of the
     first that passes, which is then tested in full.  So the draws, the
     attempts counted and the prime are those of a one-by-one search."""
     if bits < 8:
         raise ValueError("a random prime needs at least 8 bits")
-    size = max(1, _SPECULATED * (_RUNNING[0].processes - 1 if _RUNNING else 0))
+    size = _SPECULATED if _RUNNING and _RUNNING[0].processes > 1 else 1
     top = (1 << (bits - 1)) | (1 << (bits - 2)) | 1
     with _Words(rng) as words:
         attempts = 0
@@ -241,14 +243,13 @@ def keygen(bits: int, rng: np.random.Generator) -> Keypair:
     if bits < 256:
         raise ValueError("modulus below 256 bits is meaningless even for tests")
     half = bits // 2
-    with modexp_helpers():
-        for _ in range(PRIME_ATTEMPTS):
-            p = _random_prime(half, rng)
-            q = _random_prime(bits - half, rng)
-            if p != q:
-                break
-        else:  # pragma: no cover
-            raise PrimeGenerationFailed("could not find two distinct primes")
+    for _ in range(PRIME_ATTEMPTS):
+        p = _random_prime(half, rng)
+        q = _random_prime(bits - half, rng)
+        if p != q:
+            break
+    else:  # pragma: no cover
+        raise PrimeGenerationFailed("could not find two distinct primes")
     n = p * q
     lam = math.lcm(p - 1, q - 1)
     mu = pow(lam, -1, n)
@@ -455,30 +456,28 @@ def chain_aggregate(vehicles: Sequence[tuple[VehicleAssignment, int]],
     ("hop", hop, sender, receiver, matrix digest) entry per message plus one
     final ("decrypt", holder_index) marker; no other party ever sees the
     secret key, which the marker makes checkable.  Every encryption of the
-    pass is drawn first (see ``_noise``) and its power shared with helpers;
-    the holder's zeros take theirs by the CRT.
+    pass is drawn first (see ``_noise``), its powers shared with the helper
+    of ``modexp_helpers`` if one runs; the holder's zeros take theirs by
+    the CRT.
     """
     if len(vehicles) < 2:
         raise ValueError("the ring needs at least two vehicles")
     shape = (len(graph), int(horizon))
     public = keypair.public
     slots = _slots(public, max(1, (len(vehicles) - 1).bit_length()))
-    with modexp_helpers():
-        count = -(-shape[0] * shape[1] // slots)
-        rng = _noise(public, len(vehicles) * count, rng, keypair.secret,
-                     count)
-        matrix = CipherMatrix.zeros(shape, len(vehicles) - 1, public, rng)
+    count = -(-shape[0] * shape[1] // slots)
+    rng = _noise(public, len(vehicles) * count, rng, keypair.secret, count)
+    matrix = CipherMatrix.zeros(shape, len(vehicles) - 1, public, rng)
+    if transcript is not None:
+        transcript.append(("hop", 0, 0, 1, matrix.digest()))
+    for hop in range(1, len(vehicles)):
+        vehicle, tau = vehicles[hop]
+        indicator = occupancy_indicator(vehicle, tau, *shape)
+        matrix = matrix.add_indicator(indicator, rng)
         if transcript is not None:
-            transcript.append(("hop", 0, 0, 1, matrix.digest()))
-        for hop in range(1, len(vehicles)):
-            vehicle, tau = vehicles[hop]
-            indicator = occupancy_indicator(vehicle, tau, *shape)
-            matrix = matrix.add_indicator(indicator, rng)
-            if transcript is not None:
-                receiver = (hop + 1) % len(vehicles)
-                transcript.append(("hop", hop, hop, receiver,
-                                   matrix.digest()))
-        zeta = matrix.decrypt_counts(keypair)
+            receiver = (hop + 1) % len(vehicles)
+            transcript.append(("hop", hop, hop, receiver, matrix.digest()))
+    zeta = matrix.decrypt_counts(keypair)
     if transcript is not None:
         transcript.append(("decrypt", 0))
     return zeta

@@ -691,6 +691,28 @@ def test_failed_fork_is_compute_error_and_closes_its_pipe(tmp_path, capsys,
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def test_failed_fork_leaves_the_private_run_in_one_process(tmp_path,
+                                                           monkeypatch):
+    # the helper only shares powers: without it the same bits come out
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    private = ["schedule-private", "--scenario", str(PRIVATE), "--out"]
+    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
+    assert main(private + [str(tmp_path / "forked")]) == 0
+    monkeypatch.setattr(forked.os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert main(private + [str(tmp_path / "unforked")]) == 0
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+    assert "transcript.csv" in names
+    assert sorted(p.name for p in (tmp_path / "unforked").iterdir()) == names
+    for name in names:
+        if name != "run_manifest.json":
+            assert (sha256(tmp_path / "unforked" / name)
+                    == sha256(tmp_path / "forked" / name))
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -733,11 +755,10 @@ def test_runs_leave_no_process_on_any_exit(tmp_path, capsys, monkeypatch):
 def test_helper_ends_when_its_parent_closes_the_pipe(monkeypatch):
     # the parent sends no stop message: the end of its requests is the stop
     monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
-    helpers = forked.Helpers(lambda items: [2 * x for x in items])
+    helpers = forked.Helpers(lambda items: [2 * x for x in items], 2)
     assert helpers.map([1, 2, 3]) == [2, 4, 6]
     (pid, request_w, result_r), = helpers.pipes
     helpers.pipes = []
-    forked._PARENT_ENDS.difference_update((request_w, result_r.fileno()))
     os.close(request_w)
     result_r.close()
     deadline = time.monotonic() + 10
@@ -754,30 +775,11 @@ def test_helper_ends_when_its_parent_closes_the_pipe(monkeypatch):
 def test_helper_that_fails_is_an_error_and_is_waited_for(monkeypatch):
     monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="ended early"):
-        with forked.Helpers(lambda items: [1 // x for x in items]) as helpers:
+        with forked.Helpers(lambda items: [1 // x for x in items],
+                            2) as helpers:
             assert helpers.map([1, 2]) == [1, 0]
             helpers.map([1, 0])     # the helper's share divides by zero
     assert_no_child_left()
-
-
-def test_helpers_closed_out_of_order_end(monkeypatch):
-    # a helper forked later holds none of an earlier helper's pipe ends,
-    # so the earlier one ends as soon as its own parent closes them
-    monkeypatch.setattr(forked, "_usable_cpus", lambda: 2)
-    first = forked.Helpers(lambda items: items)
-    second = forked.Helpers(lambda items: items)
-
-    def late(signum, frame):
-        raise TimeoutError("the first helper waited for the second")
-
-    previous = signal.signal(signal.SIGALRM, late)
-    signal.alarm(10)
-    try:
-        first.close()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        second.close()
 
 
 def test_one_usable_cpu_forks_nothing(tmp_path, monkeypatch):
