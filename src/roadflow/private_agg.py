@@ -158,8 +158,8 @@ def _is_probable_prime(n: int, rng: _Words) -> bool:
     drawn and the first `_MR_TESTED` many tested at once; the stream is
     then set back to just after the first that fails, where testing one
     after another stops."""
-    if n < 2 or n in _SMALL_PRIMES:
-        return n in _SMALL_PRIMES
+    if n < 3 or n % 2 == 0 or n in _SMALL_PRIMES:
+        return n == 2 or n in _SMALL_PRIMES
     if (setup := _mr_setup(n)) is None:
         return False
     d, s, tested = setup

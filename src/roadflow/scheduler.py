@@ -16,6 +16,7 @@ satisfy ``f(0) == 0`` so that unoccupied edge-steps contribute nothing.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -25,7 +26,7 @@ from .errors import ComputeError, InfeasibleDelay
 
 #: brute force refuses joint spaces larger than this
 BRUTE_FORCE_CAP = 10 ** 6
-#: conditional distributions are cached when the joint space is at most this big
+#: learning keeps each profile's rated rows when the joint space is at most this big
 CACHE_JOINT_CAP = 4096
 #: most count cells (delays x edges x horizon) one scoring block holds
 SCORE_BLOCK = 1 << 16
@@ -33,8 +34,8 @@ SCORE_BLOCK = 1 << 16
 PAIR_BLOCK = 1 << 14
 #: learning draws this many (vehicle, uniform) pairs at a time
 DRAW_BLOCK = 1 << 12
-#: iterations after a move that learning plays one by one before a stretch
-PLAYED_SINGLY = 4
+#: draws the learning look-ahead reads first after a move, doubled per chunk
+LOOK_AHEAD = 8
 
 
 def square_reward(z):
@@ -405,12 +406,14 @@ class _LiveSums(_LiveGrid):
 
     Built where ``_integer_cell_weights`` allows: then every term ``w *
     c**2`` of the platooning sum, and every partial sum of it, is an
-    integer a float holds exactly, in any summation order.  The
-    instance keeps ``total``, that sum at the kept profile, and the grid
-    ``w * (2c + 1)``, what one more vehicle on a cell adds to it, with one
-    more cell that stays 0.  ``scores`` rates a window from the vehicle's
-    own cells against the full grid, less its own overlap, bit for bit as
-    ``conditional_scores`` rates the counts of the others.
+    integer a float holds exactly, in any summation order.  The instance
+    keeps ``total``, that sum at the kept profile, and the grid ``w * (2c
+    + 1)``, what one more vehicle on a cell adds to it, with one more cell
+    that stays 0.  ``_rate`` rates and keeps rows from the vehicles' own
+    cells against the full grid, less their own overlap, bit for bit as
+    ``conditional_scores`` rates the counts of the others; on a small game
+    (``CACHE_JOINT_CAP``) ``memo`` keeps each profile's rows, and the grid
+    moves to a profile only to rate a row there.
     """
 
     def __init__(self, state: ScheduleState, horizon: int,
@@ -421,8 +424,12 @@ class _LiveSums(_LiveGrid):
         self.total = int(weights @ (self.grid * self.grid))
         self.grid = np.append(weights * (2 * self.grid + 1), 0)
         self.double_weights = 2 * weights
-        self.rows: list = [None] * len(state.assignments)
-        self.stay = np.full((2, len(state.assignments)), np.nan)
+        n = len(state.assignments)
+        self.plans: list = [None] * n
+        unrated = lambda: (np.full((2, n), np.nan), [None] * n)    # noqa: E731
+        self.memo = (defaultdict(unrated) if joint_state_count(
+            state.assignments) <= CACHE_JOINT_CAP else None)
+        self.stay, self.kept = unrated()
 
     def _move(self, j: int, delay: int) -> None:
         # leaving takes the new w * (2c + 1) off, entering adds the old one
@@ -434,17 +441,17 @@ class _LiveSums(_LiveGrid):
         self.total += int(np.add.reduce(self.grid[cells]))
         self.grid[cells] += self.double_weights[cells]
         self.tau[j] = delay
-        self.stay[:] = np.nan
+        if self.memo is None:   # a kept row is read only where stay is set
+            self.stay[:] = np.nan
 
-    def _row(self, i: int) -> tuple:
+    def _plan(self, i: int) -> tuple:
         """Keep and return vehicle ``i``'s window start, delay costs,
-        own-overlap band and its half width, and the gather with the segment
-        starts and lengths that sum the grid over its cells at each delay:
-        each delay's cells and then the zero cell, between ``half`` segments
-        of the zero cell alone at either end.  ``band[k, half + s]`` is those
-        sums over twice the weights on the cells of delay ``k`` alone, at
-        delay ``k + s``; a walk holds one cell per step, so delays
-        ``len(walk)`` or more apart share none."""
+        own-overlap band, and the gather with the segment lengths that sum
+        the grid over its cells at each delay: each delay's cells and then
+        the zero cell, between ``half`` segments of the zero cell alone at
+        either end.  ``band[k, half + s]`` is those sums over twice the
+        weights on the cells of delay ``k`` alone, at delay ``k + s``
+        (delays ``len(walk)`` or more apart share no cell)."""
         vehicle = self.assignments[i]
         table = vehicle.cell_table(*self.shape)
         half = min(len(table.starts), len(vehicle.occupied_steps) + 1) - 2
@@ -458,40 +465,29 @@ class _LiveSums(_LiveGrid):
             own[cells] = self.double_weights[cells]
             band[k] = np.add.reduceat(own[gather], segs)[k:k + 2 * half + 1]
             own[cells] = 0
-        self.rows[i] = (vehicle.window[0], vehicle.delay_costs(), band, half,
-                        gather, segs, np.diff(ends) + 1)
-        return self.rows[i]
+        self.plans[i] = (vehicle.window[0], vehicle.delay_costs(), band,
+                         gather, np.diff(ends) + 1)
+        return self.plans[i]
 
-    def scores(self, i: int, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vehicle ``i``'s ``conditional_scores`` under ``tau`` and the
-        integer platooning sum at each delay of its window."""
-        self._sync(tau)
-        lo, costs, band, half, gather, segs, _ = self.rows[i] or self._row(i)
-        k = int(tau[i]) - lo
-        # the grid over each delay's cells less the vehicle's own overlap
-        # with delay k: the sums with every other vehicle on the grid
-        sums = np.add.reduceat(self.grid[gather], segs)
-        sums[k:k + 2 * half + 1] -= band[k]
-        totals = sums[half:len(sums) - half]
-        totals += self.total - int(totals[k])
-        return costs + (-self.gamma) * totals.astype(float), totals
-
-    def _rate(self, vehicles, tau: np.ndarray) -> None:
-        """Keep ``stay[:, i]``, the uniforms ``[lower, upper)`` that sample the
-        current delay of each vehicle ``i`` until a move, scoring the rows as
-        ``scores`` does in one gather and ``np.add.reduceat`` per row shape."""
+    def _rate(self, vehicles) -> None:
+        """Rate ``vehicles`` at the kept profile.  Keep each one's row ``(cum,
+        scores, totals)``, its Gibbs row, ``conditional_scores`` and integer
+        sums per delay, and ``stay[:, i]``, the uniforms ``[lower, upper)``
+        that keep its delay; one gather and ``np.add.reduceat`` per shape."""
         stacks: dict = {}
         for i in vehicles:
-            row = self.rows[i] or self._row(i)
-            stacks.setdefault(row[2].shape, []).append((i, *row))
+            plan = self.plans[i] or self._plan(i)
+            stacks.setdefault(plan[2].shape, []).append((i, *plan))
         for (width, span), rows in stacks.items():
-            members, starts, costs, bands, _, gathers, _, lengths = zip(*rows)
+            members, starts, costs, bands, gathers, lengths = zip(*rows)
             members, at = np.array(members), np.arange(len(rows))
-            k = tau[members] - starts
+            k = self.tau[members] - starts
             lengths = np.concatenate(lengths)
             sums = np.add.reduceat(self.grid[np.concatenate(gathers)],
                                    np.cumsum(lengths) - lengths).reshape(
                                        len(rows), -1)
+            # the grid over each delay's cells less the vehicle's own
+            # overlap with delay k: the sums with every other vehicle on it
             sums[at[:, None], k[:, None] + np.arange(span)] -= [
                 band[kk] for band, kk in zip(bands, k.tolist())]
             totals = sums[:, span // 2:span // 2 + width]
@@ -500,6 +496,8 @@ class _LiveSums(_LiveGrid):
             # a column of the transpose is one row, reduced along its
             # contiguous axis: the bits of gibbs_row on that row alone
             cum = gibbs_row(scores.T, self.temperature).T
+            for r, i in enumerate(members.tolist()):
+                self.kept[i] = (cum[r], scores[r], totals[r])
             lower = np.where(k > 0, cum[at, k - 1], -np.inf)
             # a row that is not finite stops the look-ahead where it is drawn
             lower[~np.logical_and.reduce(np.isfinite(scores), axis=1)] = np.inf
@@ -507,16 +505,21 @@ class _LiveSums(_LiveGrid):
                                                     cum[at, k], np.inf)
 
     def next_move(self, tau: np.ndarray, picks: np.ndarray,
-                  uniforms: np.ndarray, start: int, size: int) -> int:
+                  uniforms: np.ndarray, start: int) -> int:
         """The first draw from ``start`` on that moves its vehicle off its
         delay in ``tau`` or draws a row that is not finite, else
-        ``len(picks)``: looks ahead ``size`` draws, then twice as many and
-        so on, and rates the vehicles each chunk draws anew."""
-        self._sync(tau)
+        ``len(picks)``; looks ahead ``LOOK_AHEAD`` draws, then twice as many
+        and so on, rating (and keeping) the rows each chunk draws anew."""
+        if self.memo is None:
+            self._sync(tau)
+        else:   # the grid moves to a profile only to rate a row there
+            self.stay, self.kept = self.memo[tuple(tau.tolist())]
+        size = LOOK_AHEAD
         while start < len(picks):
             drawn = picks[start:start + size]
-            self._rate(dict.fromkeys(
-                drawn[np.isnan(self.stay[0, drawn])].tolist()), tau)
+            if len(fresh := drawn[np.isnan(self.stay[0, drawn])]):
+                self._sync(tau)
+                self._rate(dict.fromkeys(fresh.tolist()))
             u = uniforms[start:start + size]
             moved = ((u < self.stay[0, drawn])
                      | (u >= self.stay[1, drawn])).nonzero()[0]
@@ -544,30 +547,25 @@ def drive_learning(state: ScheduleState, iterations: int,
                    rng: np.random.Generator,
                    counts_without: Union[Callable[[int, np.ndarray],
                                                   np.ndarray], _LiveSums],
-                   *, horizon: int, cache: bool = False) -> LearningResult:
+                   *, horizon: int) -> LearningResult:
     """The log-linear learning loop behind every learning driver.
 
     Each iteration draws the vehicle index, then one uniform, so drivers
     given the same seed follow the same trajectory.  ``counts_without(i,
     tau)`` is the counts oracle: the edge-step counts of every vehicle but
-    ``i`` under profile ``tau``, which the loop only reads and scores by
-    ``conditional_scores``.  A ``_LiveSums`` in its place rates the row
-    itself with the same bits, and its integer platooning sums price the
-    initial profile and each new best exactly.  Without ``cache``, once
-    ``PLAYED_SINGLY`` iterations kept the profile, it finds the next move
-    (``next_move``), and the iterations before it, which price no new
-    best, are filled at once with the ``cost + 0.0`` each adds.  With
-    ``cache`` on, the row of vehicle ``i`` and its sums are kept per
-    frozen delays of the others.  The initial profile is priced over
-    ``horizon`` as every move is.  An initial cost or a freshly scored row
-    that is not finite has no Gibbs distribution and raises
-    ``ComputeError``.
+    ``i`` under ``tau``, scored by ``conditional_scores`` every iteration.
+    A ``_LiveSums`` in its place sends every iteration through its
+    look-ahead (``next_move``): the iterations before the next move, which
+    price no new best, are filled at once with the ``cost + 0.0`` each
+    adds, and the move is played from the row the look-ahead kept, with the
+    same bits, and its integer sums price the initial profile and each new
+    best exactly.  Costs are over ``horizon``; an initial cost or a drawn
+    row that is not finite has no Gibbs distribution: ``ComputeError``.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n_vehicles = len(state.assignments)
     exact = isinstance(counts_without, _LiveSums)
-    rows: dict = {}
 
     trajectory = np.empty((iterations + 1, n_vehicles), dtype=int)
     trajectory[0] = state.tau
@@ -588,55 +586,42 @@ def drive_learning(state: ScheduleState, iterations: int,
     visits: dict = {}
     tau = state.tau.copy()
 
-    step, calm = 1, 0   # the next iteration, and those since the last move
+    step = 1
     while step <= iterations:
         at = (step - 1) % DRAW_BLOCK
         if at == 0:
             picks, uniforms = _learning_draws(
                 rng, n_vehicles, min(DRAW_BLOCK, iterations + 1 - step))
-        if exact and not cache and calm >= PLAYED_SINGLY:
-            ahead = counts_without.next_move(tau, picks, uniforms, at,
-                                             calm) - at
+        if exact:
+            ahead = counts_without.next_move(tau, picks, uniforms, at) - at
             if ahead:
                 trajectory[step:step + ahead] = tau
                 cost_trace[step:step + ahead] = cost = cost + 0.0
                 profile = tuple(tau.tolist())
                 visits[profile] = visits.get(profile, 0) + ahead
-                step, at, calm = step + ahead, at + ahead, calm + ahead
+                step, at = step + ahead, at + ahead
                 if at == len(picks):
                     continue
         i = int(picks[at])
-        key = row = None
-        if cache:
-            others = tau.tolist()
-            del others[i]
-            key = (i, tuple(others))
-            row = rows.get(key)
-        if row is None:
+        if exact:   # a move, or a row that is not finite
+            cum, scores, totals = counts_without.kept[i]
+        else:
+            scores = conditional_scores(state.graph, state.assignments[i],
+                                        counts_without(i, tau),
+                                        gamma=state.gamma, reward=state.reward)
             totals = None
-            if exact:
-                scores, totals = counts_without.scores(i, tau)
-            else:
-                scores = conditional_scores(state.graph, state.assignments[i],
-                                            counts_without(i, tau),
-                                            gamma=state.gamma,
-                                            reward=state.reward)
-            if not np.logical_and.reduce(np.isfinite(scores)):
-                raise ComputeError(
-                    f"vehicle {i} scored a non-finite cost at iteration "
-                    f"{step}; gamma, the edge weights or the delay costs are "
-                    "too large")
-            row = (gibbs_row(scores, state.temperature), scores, totals)
-            if cache:
-                rows[key] = row
-        cum, scores, totals = row
+        if not np.logical_and.reduce(np.isfinite(scores)):
+            raise ComputeError(f"vehicle {i} scored a non-finite cost at "
+                               f"iteration {step}; gamma, the edge weights "
+                               "or the delay costs are too large")
+        if not exact:
+            cum = gibbs_row(scores, state.temperature)
         lo = state.assignments[i].window[0]
         k = min(int(cum.searchsorted(uniforms[at], side="right")),
                 len(cum) - 1)
         # unilateral move, so the potential (= total cost) shifts by the
         # score difference of the moving vehicle
         cost += float(scores[k] - scores[int(tau[i]) - lo])
-        calm = calm + 1 if tau[i] == lo + k else 0
         tau[i] = lo + k
         trajectory[step] = tau
         cost_trace[step] = cost
@@ -666,26 +651,22 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
     The plaintext driver.  Occupancy counts are built once from the
     initial profile and then kept incrementally (``_LiveCounts``).  A row
     is scored as one block of delays, each summed in the order of a
-    delay-by-delay ``np.sum`` (see ``conditional_scores``), so the scores
-    and trajectory are exactly those of a full rebuild and per-delay
-    scoring per iteration.  With the square reward, ``gamma`` not 0,
-    integer edge weights and ``sum(w) * horizon * vehicles**2 <= 2**53``
-    (the Sweden corridor), that sum is an exact integer in any order, and
-    ``_LiveSums`` scores rows from the vehicles' own cells against the
-    full grid, less their own overlap, with the same bits.  Between two
-    moves the rows stay as they are, so after a few single iterations the
-    look-ahead scores the rows it draws together, once per profile, and
-    jumps to the next move.  On small instances (a joint space of at most
-    ``CACHE_JOINT_CAP`` profiles) rows are cached instead, keyed by the
-    frozen delays of the others.
+    delay-by-delay ``np.sum`` (see ``conditional_scores``), so scores and
+    trajectory are exactly those of a full rebuild.  With the square
+    reward, ``gamma`` not 0, integer edge weights and ``sum(w) * horizon *
+    vehicles**2 <= 2**53`` (the Sweden corridor), that sum is an exact
+    integer in any order, and ``_LiveSums`` rates rows from the vehicles'
+    own cells with the same bits, once per profile: the look-ahead rates
+    the rows it draws together and jumps to the next move.  On small games
+    (a joint space of at most ``CACHE_JOINT_CAP`` profiles) each profile's
+    rated rows are kept for its next visit.
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
-    cache = joint_state_count(state0.assignments) <= CACHE_JOINT_CAP
     weights = _integer_cell_weights(state0, horizon)
     live = (_LiveCounts(state0, horizon) if weights is None
             else _LiveSums(state0, horizon, weights))
     return drive_learning(state0, iterations, np.random.default_rng(rng_seed),
-                          live, horizon=horizon, cache=cache)
+                          live, horizon=horizon)
 
 
 def pair_distance_histogram(graph: FreightGraph,

@@ -3,8 +3,9 @@
 For the delay-coordination game, exhaustive and one-step references: the
 global optimum and the stationary Gibbs law by enumeration, the
 exact-potential identity through two independent code paths, the split of
-vehicles into groups that can ever meet, a single learning iteration and
-the pair-distance histogram pair by pair.
+vehicles into groups that can ever meet, a single learning iteration, the
+pair-distance histogram pair by pair, and learning with the counts and
+every row rebuilt one delay at a time.
 For the single link, the displacement fixed point on one window, the
 boundary outflux and a parcel's exit time; for routing, the single-class
 Wardrop gap; for the social optimum, the controls as the simulator's
@@ -39,7 +40,7 @@ from roadflow.routing import USED_PATH_EPS, mixed_gap
 from roadflow.scheduler import (BRUTE_FORCE_CAP, CACHE_JOINT_CAP, FreightGraph,
                                 ScheduleState, VehicleAssignment, _LiveCounts,
                                 conditional_scores, coordination_cost,
-                                default_horizon, drive_learning,
+                                default_horizon, drive_learning, gibbs_row,
                                 joint_state_count, occupancy_counts,
                                 square_reward)
 from roadflow.social_optimum import ControlParameterization, DemandSpec
@@ -194,6 +195,78 @@ def reference_pair_distance_histogram(graph: FreightGraph,
         if bins:
             hist[e] = bins
     return hist
+
+
+def reference_counts(graph, assignments, tau, horizon, exclude=None):
+    """Edge-step counts, one ``np.add.at`` per vehicle on its shifted walk."""
+    counts = np.zeros((len(graph), horizon), dtype=int)
+    for i, veh in enumerate(assignments):
+        if i == exclude:
+            continue
+        cols = veh.occupied_steps + int(tau[i])
+        keep = (cols >= 0) & (cols < horizon)
+        np.add.at(counts, (veh.occupied_edges[keep], cols[keep]), 1)
+    return counts
+
+
+def reference_scores(graph, vehicle, counts_excl, *, gamma,
+                     reward=square_reward):
+    """Conditional scores one delay at a time: the others' counts copied,
+    the vehicle's walk added with ``np.add.at``, and the weighted reward
+    summed over the whole grid."""
+    horizon = counts_excl.shape[1]
+    h_vals = vehicle.delay_costs()
+    scores = np.empty(len(h_vals))
+    for k, tau in enumerate(vehicle.delays()):
+        cols = vehicle.occupied_steps + int(tau)
+        keep = (cols >= 0) & (cols < horizon)
+        total = counts_excl.copy()
+        np.add.at(total, (vehicle.occupied_edges[keep], cols[keep]), 1)
+        scores[k] = h_vals[k] + -float(gamma) * float(
+            np.sum(graph.weights[:, None] * reward(total)))
+    return scores
+
+
+def rebuilt_learning(state, iterations, seed, horizon=None):
+    """Learning with the counts rebuilt from scratch at every iteration by
+    ``reference_counts`` and the row scored by ``reference_scores``, one
+    iteration at a time with scalar draws and no row kept between
+    iterations; the best-profile rule and visit counts as in run_learning,
+    the oracle for every path of its driver."""
+    rng = np.random.default_rng(seed)
+    if horizon is None:
+        horizon = default_horizon(state.assignments)
+    tau = state.tau.copy()
+    cost = coordination_cost(state.graph, state.assignments, tau,
+                             gamma=state.gamma, reward=state.reward,
+                             horizon=horizon)
+    trajectory, costs = [tau.copy()], [cost]
+    best_tau, best_cost = tau.copy(), cost
+    visits = {}
+    for _ in range(iterations):
+        i = int(rng.integers(len(tau)))
+        u = float(rng.random())
+        counts = reference_counts(state.graph, state.assignments, tau,
+                                  horizon, exclude=i)
+        scores = reference_scores(state.graph, state.assignments[i], counts,
+                                  gamma=state.gamma, reward=state.reward)
+        cum = gibbs_row(scores, state.temperature)
+        k = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        lo = state.assignments[i].window[0]
+        cost += float(scores[k] - scores[tau[i] - lo])
+        tau[i] = lo + k
+        trajectory.append(tau.copy())
+        costs.append(cost)
+        if cost < best_cost - 1e-12:
+            exact = coordination_cost(state.graph, state.assignments, tau,
+                                      gamma=state.gamma, reward=state.reward,
+                                      horizon=horizon)
+            if exact < best_cost:
+                best_tau, best_cost = tau.copy(), exact
+        profile = tuple(tau.tolist())
+        visits[profile] = visits.get(profile, 0) + 1
+    return (np.array(trajectory), np.array(costs), best_tau, best_cost,
+            visits)
 
 
 # ---------------------------------------------------------------- single link
@@ -362,8 +435,8 @@ def reference_fv_pair(pair: FreightPair, control: AdmissibleVelocityField,
 
 def reference_is_probable_prime(n, rng):
     """Miller-Rabin with every one of the MR_ROUNDS witnesses tested."""
-    if n < 2:
-        return False
+    if n < 3 or n % 2 == 0:
+        return n == 2
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

@@ -415,6 +415,16 @@ def test_candidates_without_witnesses_leave_the_generator_alone():
             == np.random.default_rng(9).bit_generator.state
 
 
+def test_small_numbers_are_prime_as_by_trial_division():
+    # 2 is the one even prime; below 101 squared the sieve and the small
+    # primes decide every number, and the primes past 97 pass every round
+    for n in range(601):
+        prime = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_probable_prime(n, np.random.default_rng(n)) == prime, n
+        assert reference_is_probable_prime(
+            n, np.random.default_rng(n)) == prime, n
+
+
 def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(forked, "_usable_cpus", lambda: cpus)
 

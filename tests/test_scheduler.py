@@ -20,37 +20,8 @@ from roadflow.scheduler import (CACHE_JOINT_CAP, SWEDEN_EDGES, FreightGraph,
 
 from oracles import (brute_force_schedule, exact_gibbs_distribution,
                      interaction_groups, log_linear_step, potential_check,
-                     reference_pair_distance_histogram)
-
-
-def reference_counts(graph, assignments, tau, horizon, exclude=None):
-    """Edge-step counts, one ``np.add.at`` per vehicle on its shifted walk."""
-    counts = np.zeros((len(graph), horizon), dtype=int)
-    for i, veh in enumerate(assignments):
-        if i == exclude:
-            continue
-        cols = veh.occupied_steps + int(tau[i])
-        keep = (cols >= 0) & (cols < horizon)
-        np.add.at(counts, (veh.occupied_edges[keep], cols[keep]), 1)
-    return counts
-
-
-def reference_scores(graph, vehicle, counts_excl, *, gamma,
-                     reward=square_reward):
-    """Conditional scores one delay at a time: the others' counts copied,
-    the vehicle's walk added with ``np.add.at``, and the weighted reward
-    summed over the whole grid."""
-    horizon = counts_excl.shape[1]
-    h_vals = vehicle.delay_costs()
-    scores = np.empty(len(h_vals))
-    for k, tau in enumerate(vehicle.delays()):
-        cols = vehicle.occupied_steps + int(tau)
-        keep = (cols >= 0) & (cols < horizon)
-        total = counts_excl.copy()
-        np.add.at(total, (vehicle.occupied_edges[keep], cols[keep]), 1)
-        scores[k] = h_vals[k] + -float(gamma) * float(
-            np.sum(graph.weights[:, None] * reward(total)))
-    return scores
+                     rebuilt_learning, reference_counts,
+                     reference_pair_distance_histogram, reference_scores)
 
 
 def chain_graph():
@@ -395,47 +366,6 @@ def test_sweden_scenario_shape():
         build_sweden_scenario(-1)
 
 
-def rebuilt_learning(state, iterations, seed, horizon=None):
-    """Learning with the counts rebuilt from scratch at every step and no
-    conditional-row cache, counted and scored by the reference helpers above;
-    one iteration at a time with scalar draws, and the best-profile rule and
-    visit counts as in run_learning."""
-    rng = np.random.default_rng(seed)
-    if horizon is None:
-        horizon = default_horizon(state.assignments)
-    tau = state.tau.copy()
-    cost = coordination_cost(state.graph, state.assignments, tau,
-                             gamma=state.gamma, reward=state.reward,
-                             horizon=horizon)
-    trajectory, costs = [tau.copy()], [cost]
-    best_tau, best_cost = tau.copy(), cost
-    visits = {}
-    for _ in range(iterations):
-        i = int(rng.integers(len(tau)))
-        u = float(rng.random())
-        counts = reference_counts(state.graph, state.assignments, tau,
-                                  horizon, exclude=i)
-        scores = reference_scores(state.graph, state.assignments[i], counts,
-                                  gamma=state.gamma, reward=state.reward)
-        cum = gibbs_row(scores, state.temperature)
-        k = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-        lo = state.assignments[i].window[0]
-        cost += float(scores[k] - scores[tau[i] - lo])
-        tau[i] = lo + k
-        trajectory.append(tau.copy())
-        costs.append(cost)
-        if cost < best_cost - 1e-12:
-            exact = coordination_cost(state.graph, state.assignments, tau,
-                                      gamma=state.gamma, reward=state.reward,
-                                      horizon=horizon)
-            if exact < best_cost:
-                best_tau, best_cost = tau.copy(), exact
-        profile = tuple(tau.tolist())
-        visits[profile] = visits.get(profile, 0) + 1
-    return (np.array(trajectory), np.array(costs), best_tau, best_cost,
-            visits)
-
-
 def assert_matches_rebuilt(state, iterations, seed, horizon=None):
     result = run_learning(state, iterations, rng_seed=seed, horizon=horizon)
     trajectory, costs, best_tau, best_cost, visits = rebuilt_learning(
@@ -455,7 +385,7 @@ def assert_matches_rebuilt(state, iterations, seed, horizon=None):
 def test_incremental_counts_match_rebuild_on_sweden(seed):
     graph, vehs = build_sweden_scenario()
     state = ScheduleState(graph, tuple(vehs), np.zeros(len(vehs), dtype=int))
-    assert joint_state_count(vehs) > CACHE_JOINT_CAP     # no cache here
+    assert joint_state_count(vehs) > CACHE_JOINT_CAP     # no memo here
     assert_matches_rebuilt(state, 300, seed)
 
 
@@ -470,7 +400,7 @@ def test_incremental_counts_match_rebuild_with_fractional_weights():
     assert_matches_rebuilt(state, 300, 5)
 
 
-def test_incremental_counts_match_rebuild_with_cache():
+def test_incremental_counts_match_rebuild_on_a_small_game():
     g = FreightGraph([("A", "B", 1.5, 2), ("B", "C", 1.0, 1),
                       ("B", "D", 0.5, 2)])
     vehs = (VehicleAssignment(g, [0, 1], 0, (0, 3),
@@ -481,7 +411,7 @@ def test_incremental_counts_match_rebuild_with_cache():
             VehicleAssignment(g, [1], 1, (0, 3),
                               delay_cost=lambda d: 1.0 - 0.1 * d))
     state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), temperature=2.0)
-    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
+    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # a small game
     assert_matches_rebuilt(state, 3000, 17)
 
 
@@ -514,7 +444,7 @@ def test_exact_scores_match_rebuild_with_delay_costs_and_gamma():
     assert_matches_rebuilt(state, 300, 9)
 
 
-def test_exact_scores_match_rebuild_with_cache():
+def test_exact_scores_match_rebuild_on_a_small_game():
     g = FreightGraph([("A", "B", 2.0, 2), ("B", "C", 1.0, 1),
                       ("B", "D", 1.0, 2)])
     vehs = (VehicleAssignment(g, [0, 1], 0, (0, 3),
@@ -528,9 +458,28 @@ def test_exact_scores_match_rebuild_with_cache():
                               delay_cost=lambda d: 1.0 - 0.1 * d))
     state = ScheduleState(g, vehs, np.array([0, 1, 0, 3]), gamma=1.5,
                           temperature=6.0)
-    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # cache is on
+    assert joint_state_count(vehs) <= CACHE_JOINT_CAP    # a small game
     assert exact_mode(state)
     assert_matches_rebuilt(state, 3000, 17)
+
+
+def test_small_games_rate_each_row_once(monkeypatch):
+    # 8 profiles of 2 vehicles: the memo keeps each profile's rated rows,
+    # so however long the run, at most 16 rows are rated
+    rated = record_rated_rows(monkeypatch)
+    state = two_vehicle_state(temperature=1.0)
+    assert joint_state_count(state.assignments) == 8
+    assert exact_mode(state)
+    result = run_learning(state, 200_000, rng_seed=11)
+    assert len(result.visits) == 8
+    assert len({(i, profile) for i, profile, _ in rated}) == len(rated) <= 16
+    # past the cap no profile's rows are kept
+    state = sweden_state()
+    assert joint_state_count(state.assignments) > CACHE_JOINT_CAP
+    horizon = default_horizon(state.assignments)
+    live = scheduler._LiveSums(state, horizon,
+                               scheduler._integer_cell_weights(state, horizon))
+    assert live.memo is None
 
 
 def test_exact_scores_match_rebuild_on_a_short_horizon():
@@ -573,10 +522,11 @@ def test_exact_mode_bound_is_inclusive():
 
 
 def assert_live_sums_match(state, horizon, seed, queries=20, moved=1):
-    """Query ``_LiveSums`` ``queries`` times, moving ``moved`` random
-    vehicles to random delays of their windows between two queries.  The
-    kept sum and grid are those of every vehicle, and each row's scores
-    and sums are those of the reference counts without the asker."""
+    """Rate a row of ``_LiveSums`` ``queries`` times, moving ``moved``
+    random vehicles to random delays of their windows between two queries.
+    The kept sum and grid are those of every vehicle, and each kept row's
+    scores and sums are those of the reference counts without the asker,
+    its Gibbs row that of the reference scores."""
     graph, vehs = state.graph, state.assignments
     weights = scheduler._integer_cell_weights(state, horizon)
     live = scheduler._LiveSums(state, horizon, weights)
@@ -584,7 +534,9 @@ def assert_live_sums_match(state, horizon, seed, queries=20, moved=1):
     tau = state.tau.copy()
     for _ in range(queries):
         i = int(rng.integers(len(vehs)))
-        scores, totals = live.scores(i, tau)
+        live._sync(tau)
+        live._rate([i])
+        cum, scores, totals = live.kept[i]
         counts = reference_counts(graph, vehs, tau, horizon).reshape(-1)
         # the platooning sum and the grid w * (2c + 1) of every vehicle,
         # then the cell that stays 0
@@ -592,8 +544,11 @@ def assert_live_sums_match(state, horizon, seed, queries=20, moved=1):
         assert np.array_equal(live.grid[:-1], weights * (2 * counts + 1))
         assert live.grid[-1] == 0
         others = reference_counts(graph, vehs, tau, horizon, exclude=i)
-        assert scores.tobytes() == reference_scores(
-            graph, vehs[i], others, gamma=state.gamma).tobytes()
+        reference = reference_scores(graph, vehs[i], others,
+                                     gamma=state.gamma)
+        assert scores.tobytes() == reference.tobytes()
+        assert cum.tobytes() == gibbs_row(reference,
+                                          state.temperature).tobytes()
         for k, delay in enumerate(vehs[i].delays()):
             at = tau.copy()
             at[i] = delay
@@ -721,27 +676,33 @@ def test_chained_single_steps_equal_one_run():
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
-def count_row_scores(monkeypatch):
-    calls = {"scores": 0}
-    inner = scheduler._LiveSums.scores
+def record_rated_rows(monkeypatch):
+    """``(vehicle, profile, visit)`` of every row ``_LiveSums._rate`` rates,
+    where ``visit`` counts the profile changes between two rating calls."""
+    rated = []
+    inner = scheduler._LiveSums._rate
 
-    def counted(self, i, tau):
-        calls["scores"] += 1
-        return inner(self, i, tau)
-    monkeypatch.setattr(scheduler._LiveSums, "scores", counted)
-    return calls
+    def recorded(self, vehicles):
+        profile = tuple(self.tau.tolist())
+        visit = (rated[-1][2] + (profile != rated[-1][1])) if rated else 0
+        vehicles = list(vehicles)
+        rated.extend((i, profile, visit) for i in vehicles)
+        return inner(self, vehicles)
+    monkeypatch.setattr(scheduler._LiveSums, "_rate", recorded)
+    return rated
 
 
 def test_stretches_match_rebuild_on_cold_sweden(monkeypatch):
-    calls = count_row_scores(monkeypatch)
+    rated = record_rated_rows(monkeypatch)
     graph, vehs = build_sweden_scenario()
     state = ScheduleState(graph, tuple(vehs), np.zeros(80, dtype=int))
     # seed 7 moves late too, after a stretch of about 400 iterations
     result = assert_matches_rebuilt(state, 1000, 7)
     moves = (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum()
     assert moves < 60
-    # rows are scored one at a time only around moves
-    assert calls["scores"] < 8 * moves
+    # no row is rated twice while its profile is kept; this seed comes back
+    # to three profiles, whose rows are rated again there
+    assert len({(i, visit) for i, _, visit in rated}) == len(rated) > moves
 
 
 def test_stretches_match_rebuild_on_hot_sweden():
@@ -756,13 +717,13 @@ def test_stretches_match_rebuild_on_hot_sweden():
 def test_stretches_match_rebuild_on_warm_sweden(monkeypatch):
     # about one iteration in eight moves: stretches are short, and the rows
     # the look-ahead scores keep weight off their current delays
-    calls = count_row_scores(monkeypatch)
+    rated = record_rated_rows(monkeypatch)
     graph, vehs = build_sweden_scenario()
     state = ScheduleState(graph, tuple(vehs), np.arange(80) % 4,
                           temperature=1000.0)
     result = assert_matches_rebuilt(state, 1000, 5)
     assert 100 < (np.diff(result.trajectory, axis=0) != 0).any(axis=1).sum()
-    assert calls["scores"] < 800
+    assert len({(i, visit) for i, _, visit in rated}) == len(rated)
 
 
 def test_stretches_match_rebuild_on_a_wide_window():
@@ -805,13 +766,14 @@ def test_stretches_raise_at_the_iteration_that_draws_a_non_finite_row(
         rng.random()
     first = picks.index(late) + 1
     assert first == 294
-    calls = count_row_scores(monkeypatch)
+    rated = record_rated_rows(monkeypatch)
     with pytest.raises(ComputeError,
                        match=f"vehicle {late} scored a non-finite cost at "
                              f"iteration {first};"):
         run_learning(state, 3000, rng_seed=19)
-    # the look-ahead found it: far fewer rows were scored one at a time
-    assert calls["scores"] < first
+    # the look-ahead found it, rating no row twice on the way
+    assert len({(i, visit) for i, _, visit in rated}) == len(rated)
+    assert late in {i for i, _, _ in rated}
 
 
 def test_sweden_learning_never_rescores_the_grid(monkeypatch):
