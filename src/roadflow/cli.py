@@ -3,9 +3,9 @@
 Every run writes its artifacts plus ``run_manifest.json`` into the output
 directory.  Artifact bytes are deterministic for a fixed scenario and
 seed; the manifest's wall time and timestamp are the only fields exempt
-from that contract.  Schema problems exit with status 2 before any
-computation, runtime failures with status 1, both as one JSON object on
-stderr.
+from that contract.  Schema problems, command-line errors among them,
+exit with status 2 before any computation, runtime failures with status
+1, both as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _time_rows(n: int, cap: int = TIME_ROW_CAP) -> np.ndarray:
-    if n <= cap:
+def _time_rows(n: int) -> np.ndarray:
+    if n <= TIME_ROW_CAP:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
+    return np.unique(np.linspace(0, n - 1, TIME_ROW_CAP).round().astype(int))
 
 
 def _reprs(values) -> list:
@@ -361,8 +361,16 @@ def _emit_error(category: str, exc: Exception) -> None:
           file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line error is a schema error: exit 2 with one JSON object
+    on stderr, not argparse's usage text."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roadflow",
         description="Run traffic, routing, platooning, and scheduling "
                     "scenarios from JSON files.")
@@ -386,24 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
                                  "<scenario stem>_out)")
             sp.add_argument("--seed", type=int, default=None,
                             help="override the scenario seed")
-            sp.add_argument("--threads", type=int, default=1,
-                            help="accepted and ignored (kept so older "
-                                 "scripts still run): simulate's tables "
-                                 "and schedule-private's modular powers "
-                                 "use one process per usable CPU, "
-                                 "everything else is serial")
             sp.add_argument("--validate-only", action="store_true",
                             help="stop after schema validation")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SchemaError as exc:
+        _emit_error("schema", exc)
+        return 2
     # a value that overflows to an infinity or NaN is refused or raised as
     # an error of its own; numpy's warning would be a second message on
     # stderr
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            if getattr(args, "seed", None) is not None and args.seed < 0:
+                raise SchemaError("--seed: must be a nonnegative integer")
             scn = load_scenario(args.scenario)
             if args.command != "validate" and scn.kind != args.command:
                 raise SchemaError(

@@ -230,22 +230,6 @@ def _first_departure(state: NetworkState, commodity: Commodity) -> float:
     return float(state.times[0]) if best is None else best
 
 
-def infer_origin(state: NetworkState, commodity: Commodity) -> int:
-    """Tail node of the commodity's injection links; must be unique."""
-    tails = set()
-    for (link, com), series in state.source_grid.items():
-        if com == commodity and np.any(series > 0.0):
-            tails.add(link[0])
-    if not tails:
-        raise ValueError(
-            f"no injection found for {commodity.label()}; pass origin explicitly")
-    if len(tails) > 1:
-        raise ValueError(
-            f"multiple injection nodes {sorted(tails)} for {commodity.label()}; "
-            "pass origin explicitly")
-    return tails.pop()
-
-
 def _missing_costs(policy: RoutingPolicy, state: NetworkState,
                    times: np.ndarray, plan: _PathPlan) -> np.ndarray:
     """Times at which the policy has no cost data and falls back to its
@@ -361,19 +345,11 @@ def _grid_rows(policy: RoutingPolicy, state: NetworkState, times: np.ndarray,
     return rows, fallback
 
 
-def _policy_plan(policy: RoutingPolicy, state: NetworkState,
-                 commodity: Commodity, origin: Optional[int]) -> _PathPlan:
-    if origin is None:
-        origin = infer_origin(state, commodity)
-    mask = policy.mask if policy.kind == "sub_network" else None
-    return _build_plan(state.net, origin, commodity.destination, mask=mask)
-
-
 def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
-                       commodity: Commodity, *, origin: Optional[int] = None
+                       commodity: Commodity, *, origin: int
                        ) -> tuple[dict, np.ndarray]:
-    """Turning rows of every junction that can forward the commodity,
-    sampled on the whole simulation grid of ``state``.
+    """Turning rows of every junction that can forward the commodity from
+    ``origin``, sampled on the whole simulation grid of ``state``.
 
     Rows follow the policy's information principle evaluated on the given
     state.  Every row sums to one over the node's outgoing links and puts
@@ -383,7 +359,8 @@ def policy_grid_splits(policy: RoutingPolicy, state: NetworkState,
     :class:`GridSplits`, and ``fallback`` flags the time nodes where the
     policy had to fall back to its base rows.
     """
-    plan = _policy_plan(policy, state, commodity, origin)
+    mask = policy.mask if policy.kind == "sub_network" else None
+    plan = _build_plan(state.net, origin, commodity.destination, mask=mask)
     rows, fallback = _grid_rows(policy, state, state.times, commodity, plan)
     return {(v, commodity): arr for v, arr in rows.items()}, fallback
 

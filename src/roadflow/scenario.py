@@ -30,8 +30,9 @@ MAX_KEY_BITS = 4096
 #: run's density block (links x (time steps + 1) x commodities x cells; an
 #: equilibrium keeps rounds + 1 of them), a platoon-flow solve's particle
 #: positions ((time steps + 1) x particles) or knot grid, or a schedule run's
-#: trajectory ((iterations + 1) x vehicles), walk or count grid (edges x
-#: horizon); the bundled and benchmark scenarios need at most 2 878 848
+#: trajectory ((iterations + 1) x vehicles), walk, count grid (edges x
+#: horizon) or learning tables (see ``_build_schedule_common``); the bundled
+#: and benchmark scenarios need at most 2 878 848
 _MAX_STATE_VALUES = 2 ** 24
 #: how a network run's density block is counted
 _DENSITY_SHAPE = "links x (time steps + 1) x commodities x cells"
@@ -54,10 +55,23 @@ def load_scenario(path) -> Scenario:
         raw = path.read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file {path}: {exc}") from exc
+    twice: dict = {}     # id of an object -> a key it names twice
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            twice[id(obj)] = next(k for i, k in enumerate(keys)
+                                  if k in keys[:i])
+        return obj
+
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    if twice:
+        _fail(_key_twice(doc, "scenario", twice),
+              "key named twice in one object")
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     kind = _string(doc, "kind", "scenario")
@@ -67,6 +81,24 @@ def load_scenario(path) -> Scenario:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError("scenario.seed: must be a nonnegative integer")
     return Scenario(kind, seed, doc, path, raw)
+
+
+def _key_twice(value, path: str, twice: dict) -> Optional[str]:
+    """The path of the first key that an object in ``value`` names twice,
+    ``twice`` mapping each such object's id to the key."""
+    if isinstance(value, dict):
+        if id(value) in twice:
+            return f"{path}.{twice[id(value)]}"
+        items = [(f"{path}.{k}", v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(value)]
+    else:
+        return None
+    for sub_path, sub in items:
+        found = _key_twice(sub, sub_path, twice)
+        if found is not None:
+            return found
+    return None
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -185,9 +217,15 @@ def _net_node(obj, name, net: RoadNetwork, path) -> int:
 
 
 def _per_link(spec: dict, net: RoadNetwork, path, what, build) -> dict:
-    """A mapping keyed 'tail-head' as {link: build(value, path)}."""
-    return {_net_link(key, net, f"{path}.{key}", what):
-            build(sub, f"{path}.{key}") for key, sub in spec.items()}
+    """A mapping keyed 'tail-head' as {link: build(value, path)}; two keys
+    that name one link ('0-1' and '00-1') are refused."""
+    out = {}
+    for key, sub in spec.items():
+        link = _net_link(key, net, f"{path}.{key}", what)
+        if link in out:
+            _fail(f"{path}.{key}", f"link {link[0]}-{link[1]} named twice")
+        out[link] = build(sub, f"{path}.{key}")
+    return out
 
 
 def _segments(value, path) -> PiecewiseConstant:
@@ -415,6 +453,8 @@ def build_base_rows(spec, net, path) -> dict:
         except ValueError:
             _fail(p, "node keys must be integers")
         node = _net_node(keyed, node_key, net, path)
+        if node in rows:
+            _fail(p, f"node {node} named twice")
         if not isinstance(row_spec, dict):
             _fail(p, "expected {link: fraction}")
         row = _per_link(row_spec, net, p, "link", _fraction)
@@ -598,13 +638,18 @@ def build_social_opt(payload: dict) -> dict:
         if links != out:
             _fail(f"{p}.links",
                   f"must list every out-link of node {node} in order {list(out)}")
-        theta.append(ThetaControl(node=node, commodity=commodity, links=links))
+        control = ThetaControl(node=node, commodity=commodity, links=links)
+        if control in theta:
+            _fail(p, "duplicate theta control")
+        theta.append(control)
     sources = []
     for k, entry in enumerate(_list(payload, "source_controls", path, [])):
         p = f"{path}.source_controls[{k}]"
         control = SourceControl(*_source_key(entry, net, commodities, p))
         if control.key() not in totals:
             _fail(p, "controlled source has no demand total")
+        if control in sources:
+            _fail(p, "duplicate source control")
         sources.append(control)
     if not theta and not sources:
         _fail(path, "need at least one theta or source control")
@@ -702,9 +747,9 @@ def build_platoon_flow(payload: dict) -> dict:
     baseline_field = AdmissibleVelocityField.constant(
         baseline, horizon=horizon, length=length,
         lam_min=lam_min, lam_max=lam_max, lip=lip)
-    control0 = AdmissibleVelocityField(
-        np.linspace(0.0, horizon, nt), np.linspace(0.0, length, nx),
-        np.full((nt, nx), baseline), lam_min=lam_min, lam_max=lam_max, lip=lip)
+    control0 = AdmissibleVelocityField.constant(
+        baseline, horizon=horizon, length=length,
+        lam_min=lam_min, lam_max=lam_max, lip=lip, shape=(nt, nx))
     return {"pair": pair, "baseline": baseline_field, "control0": control0,
             "budget": budget, "cells": cells, "objective": objective,
             "fd_step": fd_step}
@@ -774,6 +819,15 @@ def _build_schedule_common(payload: dict, path: str) -> dict:
             _fail(f"{path}.vehicles", "need at least one vehicle")
     _check_size(path, "a count grid",
                 len(graph) * default_horizon(assignments), "edges x horizon")
+    # learning keeps, for each vehicle, its walk's cells at every delay and
+    # the band of its walk's overlaps with itself at nearby delays
+    tables = 0
+    for veh in assignments:
+        delays = veh.window[1] - veh.window[0] + 1
+        walk = len(veh.occupied_steps)
+        tables += delays * (walk + 2 * min(delays, walk) - 1)
+    _check_size(path, "learning tables", tables, "the sum over vehicles of "
+                "delays x (walk + 2 x min(delays, walk) - 1)")
     gamma = _number(payload, "gamma", path, default=1.0, minimum=0.0)
     temperature = _number(payload, "temperature", path, default=100.0,
                           minimum=1e-12)

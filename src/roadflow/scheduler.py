@@ -28,8 +28,6 @@ from .errors import ComputeError, InfeasibleDelay
 BRUTE_FORCE_CAP = 10 ** 6
 #: learning keeps each profile's rated rows when the joint space is at most this big
 CACHE_JOINT_CAP = 4096
-#: most count cells (delays x edges x horizon) one scoring block holds
-SCORE_BLOCK = 1 << 16
 #: most arrival pairs one block of ``pair_distance_histogram`` holds
 PAIR_BLOCK = 1 << 14
 #: learning draws this many (vehicle, uniform) pairs at a time
@@ -88,16 +86,9 @@ class FreightGraph:
 
 class CellTable(NamedTuple):
     """Delay ``lo + k`` of a window occupies ``cells[starts[k]:starts[k + 1]]``
-    of a grid of ``size`` cells."""
+    of the flat edge-step grid."""
     cells: np.ndarray
     starts: list
-    size: int
-
-    @property
-    def block(self) -> np.ndarray:
-        """The cells plus ``k * size``, each delay's row of a scoring block."""
-        return self.cells + self.size * np.repeat(
-            np.arange(len(self.starts) - 1), np.diff(self.starts))
 
 
 class VehicleAssignment:
@@ -178,7 +169,7 @@ class VehicleAssignment:
         if table is None:
             flat, keep = self._shifted_cells(self.delays(), key[1])
             starts = [0] + np.cumsum(keep.sum(axis=1)).tolist()
-            table = CellTable(flat[keep], starts, key[0] * key[1])
+            table = CellTable(flat[keep], starts)
             self._cell_tables[key] = table
         return table
 
@@ -280,32 +271,23 @@ def conditional_scores(graph: FreightGraph, vehicle: VehicleAssignment,
 
     ``counts_excl`` are the occupancy counts of the other vehicles; the
     private aggregation path produces the same matrix by decryption, so
-    both paths share this evaluation bit for bit.  The window is scored
-    in blocks of at most ``SCORE_BLOCK`` cells, one row of ``edges *
-    horizon`` counts per delay, with one ``reward`` call per block.  Each
-    weighted row is summed along its own contiguous axis, the pairwise
-    order ``np.sum`` takes over one ``(edges, horizon)`` grid, so each
-    platooning term equals the one ``coordination_cost`` takes of that
-    delay's grid, bit for bit.
+    both paths share this evaluation bit for bit.  Each delay adds the walk
+    to a C-ordered copy of the counts and takes the platooning term
+    ``coordination_cost`` takes of that grid, bit for bit; ``counts_excl``
+    is left as it was.
     """
-    n_edges, horizon = counts_excl.shape
-    size = n_edges * horizon
     scores = vehicle.delay_costs()
     if gamma == 0.0:
         return scores   # adding -0.0 platooning terms changes no bit
-    table = vehicle.cell_table(n_edges, horizon)
-    block = table.block
+    counts = np.array(counts_excl, order="C")
+    flat = counts.reshape(-1)
+    table = vehicle.cell_table(*counts.shape)
     weights = graph.weights[:, None]
-    per = max(1, SCORE_BLOCK // size)
-    for k0 in range(0, len(scores), per):
-        k1 = min(k0 + per, len(scores))
-        total = np.empty((k1 - k0, size), dtype=counts_excl.dtype)
-        total[...] = counts_excl.reshape(-1)
-        cells = block[table.starts[k0]:table.starts[k1]] - k0 * size
-        total.reshape(-1)[cells] += 1
-        r = reward(total.reshape(k1 - k0, n_edges, horizon))
-        scores[k0:k1] += (-float(gamma)) * (weights * r).reshape(
-            k1 - k0, -1).sum(axis=-1)
+    for k in range(len(scores)):
+        cells = table.cells[table.starts[k]:table.starts[k + 1]]
+        flat[cells] += 1
+        scores[k] += -float(gamma) * float(np.sum(weights * reward(counts)))
+        flat[cells] -= 1
     return scores
 
 
@@ -626,7 +608,7 @@ def drive_learning(state: ScheduleState, iterations: int,
         trajectory[step] = tau
         cost_trace[step] = cost
         if cost < best_cost - 1e-12:
-            if totals is None:      # block scoring
+            if totals is None:      # scored from the counts
                 exact_cost = coordination_cost(
                     state.graph, state.assignments, tau, gamma=state.gamma,
                     reward=state.reward, horizon=horizon)
@@ -650,16 +632,16 @@ def run_learning(state0: ScheduleState, iterations: int, rng_seed: int,
 
     The plaintext driver.  Occupancy counts are built once from the
     initial profile and then kept incrementally (``_LiveCounts``).  A row
-    is scored as one block of delays, each summed in the order of a
-    delay-by-delay ``np.sum`` (see ``conditional_scores``), so scores and
-    trajectory are exactly those of a full rebuild.  With the square
-    reward, ``gamma`` not 0, integer edge weights and ``sum(w) * horizon *
-    vehicles**2 <= 2**53`` (the Sweden corridor), that sum is an exact
-    integer in any order, and ``_LiveSums`` rates rows from the vehicles'
-    own cells with the same bits, once per profile: the look-ahead rates
-    the rows it draws together and jumps to the next move.  On small games
-    (a joint space of at most ``CACHE_JOINT_CAP`` profiles) each profile's
-    rated rows are kept for its next visit.
+    is scored delay by delay as ``coordination_cost`` sums a grid (see
+    ``conditional_scores``), so scores and trajectory are exactly those of
+    a full rebuild.  With the square reward, ``gamma`` not 0, integer edge
+    weights and ``sum(w) * horizon * vehicles**2 <= 2**53`` (the Sweden
+    corridor), that sum is an exact integer in any order, and ``_LiveSums``
+    rates rows from the vehicles' own cells with the same bits, once per
+    profile: the look-ahead rates the rows it draws together and jumps to
+    the next move.  On small games (a joint space of at most
+    ``CACHE_JOINT_CAP`` profiles) each profile's rated rows are kept for
+    its next visit.
     """
     horizon = default_horizon(state0.assignments) if horizon is None else horizon
     weights = _integer_cell_weights(state0, horizon)

@@ -32,6 +32,8 @@ FEASIBILITY_TOL = 1e-9
 MIN_MOVE = 1e-4
 #: backtracking moves run ahead as one batch of simulations
 LINE_SEARCH_BATCH = 4
+#: the search has converged once its finite-difference step halves below this
+MIN_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,8 @@ class SocialOptResult:
 def optimize_social(net: RoadNetwork, demand: DemandSpec,
                     param: ControlParameterization, budget: int, *,
                     laws, base_splits=None, grid: Optional[GridSpec] = None,
-                    fd_step: float = 1e-3, initial_step: float = 0.25,
-                    min_fd_step: float = 1e-6) -> SocialOptResult:
+                    fd_step: float = 1e-3, initial_step: float = 0.25
+                    ) -> SocialOptResult:
     """Projected coordinate descent on the backlog objective.
 
     ``budget`` caps the evaluations of the sequential search: the ± probe
@@ -314,7 +316,7 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
     trace is strictly decreasing; the finite-difference step and the move
     step halve together whenever a full sweep yields no improvement.  The
     returned result carries the best controls either way; ``status``
-    records whether the step shrank to ``min_fd_step`` first ("converged")
+    records whether the step shrank below ``MIN_FD_STEP`` first ("converged")
     or the budget ran out ("budget_exhausted").
 
     Each coordinate's probes run as one batch of simulations together with
@@ -423,7 +425,7 @@ def optimize_social(net: RoadNetwork, demand: DemandSpec,
         if not improved:
             h *= 0.5
             step *= 0.5
-            if h < min_fd_step:
+            if h < MIN_FD_STEP:
                 status = "converged"
                 break
     controls = project_controls(param.with_vector(x), demand)

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, artifacts, manifests, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -145,17 +146,6 @@ def test_seed_override_changes_learning_output(tmp_path, capsys):
     # the ring transcript runs under the overridden seed as well
     assert (out1 / "transcript.csv").read_bytes() != \
         (out2 / "transcript.csv").read_bytes()
-
-
-def test_threads_flag_does_not_change_social_opt(tmp_path, capsys):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["social-opt", "--scenario", str(SOCIAL),
-                 "--out", str(out1)]) == 0
-    assert main(["social-opt", "--scenario", str(SOCIAL),
-                 "--out", str(out2), "--threads", "2"]) == 0
-    m1 = json.loads((out1 / "run_manifest.json").read_text())
-    m2 = json.loads((out2 / "run_manifest.json").read_text())
-    assert m1["artifacts"] == m2["artifacts"]
 
 
 def test_link_pair_form_is_schema_error(tmp_path, capsys):
@@ -390,6 +380,127 @@ def test_network_reference_faults_are_schema_errors(source, edit, expected,
     doc = json.loads(source.read_text())
     edit(doc)
     assert_refused(doc, expected, tmp_path, capsys)
+
+
+# Each case names one link, node or control twice, where the last would win
+@pytest.mark.parametrize("source, edit, expected", [
+    (SINGLE_LINK, lambda d: d.update(laws={
+        "0-1": {"kind": "constant", "speed": 1.0},
+        "00-1": {"kind": "constant", "speed": 0.5}}),
+     "simulate.laws.00-1: link 0-1 named twice"),
+    (SINGLE_LINK, lambda d: d.update(windows={"0-1": {"lower": 0.1},
+                                              "0-01": {"lower": 0.2}}),
+     "simulate.windows.0-01: link 0-1 named twice"),
+    (EQUILIBRIUM, lambda d: d["base_splits"]["1"].update({"01-3": 0.5}),
+     "equilibrium.base_splits.1.01-3: link 1-3 named twice"),
+    (EQUILIBRIUM, lambda d: d["base_splits"].update({"01": {"1-2": 1.0}}),
+     "equilibrium.base_splits.01: node 1 named twice"),
+    (EQUILIBRIUM, lambda d: d.update(routed_policy={
+        "kind": "database", "table": {"1-2": [[0.0, 1.0, 1.0]],
+                                      "1-02": [[0.0, 1.0, 2.0]]}}),
+     "equilibrium.routed_policy.table.1-02: link 1-2 named twice"),
+    (SOCIAL, lambda d: d["source_controls"].append(d["source_controls"][0]),
+     "social-opt.source_controls[1]: duplicate source control"),
+    (SOCIAL, lambda d: d.update(theta_controls=[
+        {"node": 0, "commodity": 0, "links": ["0-1"]},
+        {"node": 0, "commodity": 0, "links": [[0, 1]]}]),
+     "social-opt.theta_controls[1]: duplicate theta control"),
+], ids=["laws", "windows", "split-links", "split-nodes", "database-table",
+        "source-controls", "theta-controls"])
+def test_an_entry_named_twice_is_schema_error(source, edit, expected,
+                                              tmp_path, capsys):
+    doc = json.loads(source.read_text())
+    edit(doc)
+    assert_refused(doc, expected, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("source, old, new, expected", [
+    (SWEDEN, '"seed": 2026,', '"seed": 2026, "seed": 7,',
+     "scenario.seed: key named twice in one object"),
+    (EQUILIBRIUM, '"2-4": {"kind"', '"1-2": {"kind": "constant", '
+     '"speed": 1.0}, "2-4": {"kind"', "scenario.laws.1-2: key named twice"),
+    (SINGLE_LINK, '"link": [0, 1],', '"link": [0, 1], "node": 0,',
+     "scenario.cases[0].sources[0].node: key named twice"),
+], ids=["top-level", "laws", "in-a-list"])
+def test_a_json_key_named_twice_is_schema_error(source, old, new, expected,
+                                                tmp_path, capsys):
+    # json.loads alone keeps the last value of the key
+    text = source.read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "twice.json"
+    scenario.write_text(text.replace(old, new))
+    kind = json.loads(text)["kind"]
+    for argv in (["validate", "--scenario", str(scenario)],
+                 [kind, "--scenario", str(scenario),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err)   # one JSON object
+        assert payload["error"] == "schema"
+        assert expected in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    # ~4e10 cells, though the count grid (8 x ~1e6) is under the cap
+    {"kind": "schedule", "preset": "sweden", "max_delay": 2 ** 20,
+     "iterations": 1},
+    # ~8e8 cells for one vehicle on one edge
+    {"kind": "schedule", "iterations": 1,
+     "graph": {"edges": [["A", "B", 1.0, 16384]]},
+     "vehicles": [{"hubs": ["A", "B"], "depart": 0, "window": [0, 16384]}]},
+], ids=["sweden-max-delay", "one-long-edge"])
+def test_oversized_learning_tables_are_schema_error(doc, tmp_path, capsys):
+    assert_refused(doc, "schedule: a run would hold learning tables of",
+                   tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # a negative seed, which the schedule kinds would reach only in a run
+    (["schedule", "--scenario", str(SWEDEN), "--seed", "-1"],
+     "--seed: must be a nonnegative integer"),
+    (["schedule-private", "--scenario", str(PRIVATE), "--seed", "-1"],
+     "--seed: must be a nonnegative integer"),
+    (["simulate", "--scenario", str(SINGLE_LINK), "--seed", "-1"],
+     "--seed: must be a nonnegative integer"),
+    # argparse's own errors
+    (["social-opt", "--scenario", str(SOCIAL), "--threads", "2"],
+     "roadflow: unrecognized arguments: --threads 2"),
+    (["schedule"], "roadflow schedule: the following arguments are "
+                   "required: --scenario"),
+    (["schedule", "--scenario", str(SWEDEN), "--seed", "x"],
+     "roadflow schedule: argument --seed: invalid int value: 'x'"),
+], ids=["seed-schedule", "seed-private", "seed-simulate", "unknown-flag",
+        "no-scenario", "seed-not-an-integer"])
+def test_command_line_faults_are_schema_errors(argv, expected, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""                           # no usage text
+    assert json.loads(captured.err) == {"error": "schema",
+                                        "message": expected}
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["schedule", "--help"])
+    assert exited.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_command_line_surface_is_pinned():
+    # a new subcommand or option comes with a deliberate change here
+    parser = cli.build_parser()
+    commands, = (action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    options = {name: {s for action in sub._actions
+                      for s in action.option_strings} - {"-h", "--help"}
+               for name, sub in commands.items()}
+    run = {"--scenario", "--out", "--seed", "--validate-only"}
+    assert options == {"simulate": run, "equilibrium": run, "social-opt": run,
+                       "platoon-flow": run, "schedule": run,
+                       "schedule-private": run, "validate": {"--scenario"}}
 
 
 def test_negative_source_rate_is_schema_error(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roadflow import network_sim, nonlocal_solver
+from roadflow import network_sim, nonlocal_solver, social_optimum
 from roadflow.errors import CflViolated, SplitRowInvalid
 from roadflow.network import (Commodity, PiecewiseConstant, RoadNetwork,
                               SourceSchedule, SplitSchedule, as_split_schedule)
@@ -672,14 +672,15 @@ def assert_same_search(got: SocialOptResult, want: SocialOptResult) -> None:
     assert got.controls.pack().tobytes() == want.controls.pack().tobytes()
 
 
-def test_batched_search_matches_the_sequential_search():
+def test_batched_search_matches_the_sequential_search(monkeypatch):
     case = social_case()
     log: list = []
     # a coarser stopping step, so the search converges in ~500 evaluations
     full = sequential_search(budget=1000, min_fd_step=6e-4, log=log, **case)
     assert full.status == "converged"
-    assert_same_search(optimize_social(budget=1000, min_fd_step=6e-4, **case),
-                       full)
+    with monkeypatch.context() as patch:
+        patch.setattr(social_optimum, "MIN_FD_STEP", 6e-4)
+        assert_same_search(optimize_social(budget=1000, **case), full)
     # budgets that stop the search inside a batch: right after a probe
     # pair (evals + 2 == budget when the pair ran, so no move was run
     # ahead), right after a failed first move whose other sign was run
@@ -749,7 +750,8 @@ def test_search_simulates_fewer_members_than_it_charges(monkeypatch):
     case = social_case()
     with monkeypatch.context() as patch:
         calls = spy_advance(patch)
-        got = optimize_social(budget=1000, min_fd_step=6e-4, **case)
+        patch.setattr(social_optimum, "MIN_FD_STEP", 6e-4)
+        got = optimize_social(budget=1000, **case)
     assert sum(members for members, _, _ in calls) < got.evaluations
     # a turning row moves only from its knot interval on, so batches that
     # move one restart from the current point past step 0

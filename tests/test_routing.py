@@ -10,7 +10,7 @@ from roadflow.network import (ROW_SUM_TOL, Commodity, PiecewiseConstant,
                               RoadNetwork, SplitSchedule)
 from roadflow.network_sim import enumerate_paths
 from roadflow.routing import (EquilibriumDemand, LogitRule, RoutingPolicy,
-                              equilibrium_iterate, infer_origin, mixed_gap,
+                              equilibrium_iterate, mixed_gap,
                               policy_grid_splits)
 from roadflow.nonlocal_solver import GridSpec, congestion_law, constant_law
 
@@ -120,13 +120,6 @@ def test_routed_fraction_lowers_the_final_gap():
     gap_none = run_sweep(alpha=0.0, rounds=4)[-1].gap
     gap_full = run_sweep(alpha=1.0, rounds=4)[-1].gap
     assert gap_full < gap_none
-
-
-def test_infer_origin_from_sources():
-    # injection sits on the entry link, so the inferred origin is its tail
-    rounds = run_sweep(alpha=0.5, rounds=2)
-    state = rounds[-1].state
-    assert infer_origin(state, Commodity("routed", 5)) == 0
 
 
 def test_mixed_gap_requires_used_paths():

@@ -343,10 +343,15 @@ def test_particle_cap_counts_inflow_particles(tmp_path):
 
 
 def schedule_sizes(built) -> tuple:
-    """Trajectory and count-grid values the schema counts for a schedule."""
+    """Trajectory, count-grid and learning-table values the schema counts
+    for a schedule."""
     assignments = built["assignments"]
+    tables = 0
+    for v in assignments:
+        delays, walk = v.window[1] - v.window[0] + 1, len(v.occupied_steps)
+        tables += delays * (walk + 2 * min(delays, walk) - 1)
     return ((built["iterations"] + 1) * len(assignments),
-            len(built["graph"]) * default_horizon(assignments))
+            len(built["graph"]) * default_horizon(assignments), tables)
 
 
 def test_bundled_and_benchmark_schedule_scenarios_fit_the_schedule_cap(
@@ -379,14 +384,23 @@ def test_schedule_cap_counts_trajectory_and_grid(tmp_path):
     doc["iterations"] += 1
     with pytest.raises(SchemaError, match="trajectory"):
         validate_scenario(load_scenario(write(tmp_path, doc)))
-    # 8 edges x 2**21 steps is the cap exactly; the window is 2 million
-    # delays wide, and validation builds no cell table for it
-    doc.update(iterations=10, max_delay=0)
-    built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
-    doc["max_delay"] = 2 ** 21 - default_horizon(built["assignments"])
+    # one edge x 2**24 steps is the cap exactly, for a vehicle that leaves
+    # late
+    doc = {"kind": "schedule", "iterations": 10,
+           "graph": {"edges": [["A", "B", 1.0, 1]]},
+           "vehicles": [{"hubs": ["A", "B"], "depart": 2 ** 24 - 1,
+                         "window": [0, 0]}]}
     built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
     assert schedule_sizes(built)[1] == _MAX_STATE_VALUES
-    assert all(v._cell_tables == {} for v in built["assignments"])
-    doc["max_delay"] += 1
+    doc["vehicles"][0]["depart"] += 1
     with pytest.raises(SchemaError, match="count grid"):
+        validate_scenario(load_scenario(write(tmp_path, doc)))
+    # 2**23 delays of a one-step walk, 2 cells each, are the cap exactly;
+    # validation builds no cell table for them
+    doc["vehicles"][0].update(depart=0, window=[0, 2 ** 23 - 1])
+    built = BUILDERS["schedule"](load_scenario(write(tmp_path, doc)).payload)
+    assert schedule_sizes(built)[2] == _MAX_STATE_VALUES
+    assert all(v._cell_tables == {} for v in built["assignments"])
+    doc["vehicles"][0]["window"][1] += 1
+    with pytest.raises(SchemaError, match="learning tables"):
         validate_scenario(load_scenario(write(tmp_path, doc)))

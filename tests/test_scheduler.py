@@ -799,9 +799,11 @@ def test_sweden_learning_never_rescores_the_grid(monkeypatch):
 
 
 def assert_scores_match_reference(graph, vehicle, counts, **kwargs):
-    block = conditional_scores(graph, vehicle, counts, **kwargs)
+    before = counts.copy()
+    scores = conditional_scores(graph, vehicle, counts, **kwargs)
+    assert np.array_equal(counts, before)       # the counts are left as given
     reference = reference_scores(graph, vehicle, counts, **kwargs)
-    assert block.tobytes() == reference.tobytes()
+    assert scores.tobytes() == reference.tobytes()
 
 
 def random_sweden(rng, max_delay, horizon=None, gamma=1.0, weights=None,
@@ -830,9 +832,9 @@ def random_sweden(rng, max_delay, horizon=None, gamma=1.0, weights=None,
     dict(gamma=0.7, weights=[0.37 * w + 0.11 for _, _, w, _ in SWEDEN_EDGES]),
     dict(reward=lambda z: np.sqrt(np.asarray(z, dtype=float)) * 1.3),
     dict(reward=lambda z: np.minimum(z, 3) * z),    # integer-valued
-    dict(max_delay=1100),                           # 8 x 1372 cells > 8192,
+    dict(max_delay=1100),                           # 1101 delays
 ], ids=["sweden", "horizon-150", "horizon-40", "delay-costs", "gamma-0.7",
-        "sqrt-reward", "capped-reward", "wide-window"])  # 1101 delays, 11 blocks
+        "sqrt-reward", "capped-reward", "wide-window"])
 def test_block_scores_equal_reference_bit_for_bit(case):
     rng = np.random.default_rng(20261018)
     case = dict(case)
@@ -842,21 +844,11 @@ def test_block_scores_equal_reference_bit_for_bit(case):
         assert_scores_match_reference(graph, vehicle, counts, **kwargs)
 
 
-@pytest.mark.parametrize("block", [1, 2200, 2 * 2200 + 7, 3 * 2200, 7 * 2200])
-def test_block_scores_do_not_depend_on_the_block_size(block, monkeypatch):
-    # 7 delays of 8 x 275 cells: a block smaller than one delay still holds
-    # one, and blocks of two or three delays leave a short last block
-    monkeypatch.setattr(scheduler, "SCORE_BLOCK", block)
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        graph, vehicle, counts, kwargs = random_sweden(rng, 6, costs=True)
-        assert counts.size == 2200
-        assert_scores_match_reference(graph, vehicle, counts, **kwargs)
-
-
 def test_block_scores_read_non_contiguous_and_decrypted_counts():
     rng = np.random.default_rng(3)
     graph, vehicle, counts, kwargs = random_sweden(rng, 3, gamma=0.7)
+    assert counts.flags.c_contiguous
+    assert_scores_match_reference(graph, vehicle, counts, **kwargs)
     wide = np.zeros((counts.shape[0], 2 * counts.shape[1]), dtype=counts.dtype)
     wide[:, ::2] = counts
     assert not wide[:, ::2].flags.c_contiguous
@@ -886,7 +878,6 @@ def test_cell_table_is_built_on_first_use_per_grid_shape():
     # delays 1, 2, 3 put the walk at steps 2-4, 3-5 and 4-6 of a 5-step grid
     assert table.cells.tolist() == [2, 3, 9, 3, 4, 4]
     assert table.starts == [0, 3, 5, 6]
-    assert table.block.tolist() == [2, 3, 9, 13, 14, 24]
     assert veh.cell_table(2, 5) is table
     assert veh.cell_table(2, 7) is not table
     assert veh.cells(2, 2, 5).tolist() == [3, 4]
